@@ -2,8 +2,9 @@
 # Tier-1 gate + the correctness-tooling matrix (DESIGN.md §11):
 #
 #   1. Release build (CMakePresets.json `release`) + full ctest under both
-#      SIMD dispatch levels, the micro-kernel speedup gate and the
-#      injector-off allocation gate.
+#      SIMD dispatch levels, the micro-kernel speedup gate, the benchmark's
+#      self-test (perfbench/test_perfbench.py) and the injector-off
+#      allocation gate.
 #   2. Model-checker stage (CMakePresets.json `verify`): the schedule
 #      explorer's clean gate, mutation self-tests and deterministic replay,
 #      plus the transport conformance suite with schedule points compiled in.
@@ -41,6 +42,14 @@ echo "=== overlap gate: pipelined step speedup floor ==="
 # config beats the inline config by >= 1.3x on the 64 MiB / 4-rank step with
 # zero steady-state pool allocations and bit-identical results.
 ./build/bench/bench_pipeline --pipeline_json
+
+echo "=== benchmark self-test: perfbench correctness gates ==="
+# The repo benchmark (BENCHMARK.json) at reduced size: every named metric
+# prints with its unit, inputs are a pure function of the seed, traced and
+# untraced runs reach the same result checksum, and each run's own checks
+# hold. For train-lenet those include a bit-repeat of every episode and all
+# ranks' parameters identical after training. Builds .bench_build/.
+python3 perfbench/test_perfbench.py
 
 echo "=== scale-out gate: large-world parity + hierarchical/autotuner floors ==="
 # The release-mode property sweep at full width (randomized worlds up to

@@ -1,10 +1,20 @@
 #include "nn/conv.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "base/check.h"
+#include "nn/linear.h"
 
 namespace adasum::nn {
+
+namespace {
+
+// Output elements Conv2d::forward accumulates together in registers: four
+// SSE vectors on the baseline ISA.
+constexpr std::size_t kLanes = 16;
+
+}  // namespace
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels,
                std::size_t out_channels, std::size_t kernel, Rng& rng,
@@ -17,53 +27,105 @@ Conv2d::Conv2d(std::string name, std::size_t in_channels,
       padding_(padding),
       weight_(name_ + ".weight", {out_channels, in_channels, kernel, kernel}),
       bias_(name_ + ".bias", {out_channels}) {
+  ADASUM_CHECK_GT(kernel_, 0u);
+  ADASUM_CHECK_GT(stride_, 0u);
   he_init(weight_.value, in_c_ * kernel_ * kernel_, rng);
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   ADASUM_CHECK_EQ(x.rank(), 4u);
   ADASUM_CHECK_EQ(x.dim(1), in_c_);
-  cached_input_ = x;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  ADASUM_CHECK_MSG(h + 2 * padding_ >= kernel_ && w + 2 * padding_ >= kernel_,
+                   "input smaller than the padded kernel");
+  cached_input_ = x;
   const std::size_t oh = out_size(h), ow = out_size(w);
+  const std::size_t positions = oh * ow, taps = kernel_ * kernel_;
+  const std::size_t rows = in_c_ * taps;
   Tensor y({batch, out_c_, oh, ow});
   const auto xs = x.span<float>();
   const auto ws = weight_.value.span<float>();
   const auto bs = bias_.value.span<float>();
   auto ys = y.span<float>();
 
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      float* yplane = ys.data() + (b * out_c_ + oc) * oh * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy)
-        for (std::size_t ox = 0; ox < ow; ++ox)
-          yplane[oy * ow + ox] = bs[oc];
-      for (std::size_t ic = 0; ic < in_c_; ++ic) {
-        const float* xplane = xs.data() + (b * in_c_ + ic) * h * w;
-        const float* wplane =
-            ws.data() + (oc * in_c_ + ic) * kernel_ * kernel_;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            float acc = 0.0f;
-            for (std::size_t ky = 0; ky < kernel_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                acc += xplane[iy * static_cast<std::ptrdiff_t>(w) + ix] *
-                       wplane[ky * kernel_ + kx];
+  // The scratch holds, for a tile of whole samples, the im2col matrix (one
+  // row per (ic, ky, kx), column = sample * positions + pos) and the tile's
+  // output (one row per oc). Rows are padded with zero columns to whole lane
+  // groups.
+  const auto ceil_div = [](std::size_t a, std::size_t b) {
+    return (a + b - 1) / b;
+  };
+  const auto lane_cols = [&](std::size_t cols) {
+    return ceil_div(cols, kLanes) * kLanes;
+  };
+  const std::size_t max_cols =
+      kForwardScratchFloats / (rows + out_c_) / kLanes * kLanes;
+  const std::size_t tile =
+      std::max<std::size_t>(1, std::min(batch, max_cols / positions));
+  float* const col =
+      forward_scratch((rows + out_c_) * lane_cols(tile * positions));
+
+  for (std::size_t b0 = 0; b0 < batch; b0 += tile) {
+    const std::size_t samples = std::min(tile, batch - b0);
+    const std::size_t n = lane_cols(samples * positions);
+    for (std::size_t ic = 0; ic < in_c_; ++ic) {
+      for (std::size_t ky = 0; ky < kernel_; ++ky) {
+        for (std::size_t kx = 0; kx < kernel_; ++kx) {
+          // Output columns [lo, hi) read inside the row; the rest are padding.
+          const std::size_t lo = std::min(
+              ow, kx >= padding_ ? 0 : ceil_div(padding_ - kx, stride_));
+          const std::size_t hi = std::max(
+              lo, kx >= w + padding_
+                      ? 0
+                      : std::min(ow, ceil_div(w + padding_ - kx, stride_)));
+          float* const row_begin =
+              col + ((ic * kernel_ + ky) * kernel_ + kx) * n;
+          float* row = row_begin;
+          for (std::size_t s = 0; s < samples; ++s) {
+            const float* xplane = xs.data() + ((b0 + s) * in_c_ + ic) * h * w;
+            for (std::size_t oy = 0; oy < oh; ++oy, row += ow) {
+              const std::size_t iy = oy * stride_ + ky;
+              if (iy < padding_ || iy - padding_ >= h) {
+                std::fill_n(row, ow, 0.0f);
+                continue;
               }
+              const float* xrow = xplane + (iy - padding_) * w;
+              std::fill_n(row, lo, 0.0f);
+              for (std::size_t ox = lo; ox < hi; ++ox)
+                row[ox] = xrow[ox * stride_ + kx - padding_];
+              std::fill(row + hi, row + ow, 0.0f);
             }
-            yplane[oy * ow + ox] += acc;
           }
+          std::fill(row, row_begin + n, 0.0f);
         }
       }
     }
+
+    // Each output element starts at the bias, sums its taps in (ky, kx) order
+    // per input channel and adds that partial sum in ic order: the direct
+    // loop's order, with the lanes running across output elements. A padded
+    // tap adds x * w = ±0, which leaves the sum's bits alone for finite w.
+    float* const out = col + rows * n;
+    for (std::size_t j0 = 0; j0 < n; j0 += kLanes) {
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        float o[kLanes];
+        std::fill_n(o, kLanes, bs[oc]);
+        for (std::size_t ic = 0; ic < in_c_; ++ic) {
+          const float* wplane = ws.data() + (oc * in_c_ + ic) * taps;
+          const float* crow = col + ic * taps * n + j0;
+          float a[kLanes] = {};
+          for (std::size_t t = 0; t < taps; ++t, crow += n)
+            for (std::size_t l = 0; l < kLanes; ++l)
+              a[l] += crow[l] * wplane[t];
+          for (std::size_t l = 0; l < kLanes; ++l) o[l] += a[l];
+        }
+        std::copy_n(o, kLanes, out + oc * n + j0);
+      }
+    }
+    for (std::size_t s = 0; s < samples; ++s)
+      for (std::size_t oc = 0; oc < out_c_; ++oc)
+        std::copy_n(out + oc * n + s * positions, positions,
+                    ys.data() + ((b0 + s) * out_c_ + oc) * positions);
   }
   return y;
 }

@@ -1,10 +1,14 @@
-// 2-D convolution and max pooling (NCHW layout, direct algorithm).
+// 2-D convolution and max pooling (NCHW layout).
 //
-// Image models in the benches are small (LeNet-5-scale, ResNetTiny), so a
-// cache-friendly direct convolution is plenty; the point of these layers is
-// gradient fidelity, not peak GEMM throughput.
+// Conv2d::forward lowers a tile of whole samples to im2col columns in the
+// shared forward scratch (nn/linear.h) and accumulates each output channel
+// with the lanes running across output elements, so it vectorizes while every
+// element keeps the direct loop's summation order (DESIGN.md §18).
+// Conv2d::backward stays a direct loop that skips zero output gradients,
+// which the ReLU sparsity of the bench models makes the faster choice.
 #pragma once
 
+#include "base/check.h"
 #include "nn/module.h"
 
 namespace adasum::nn {
@@ -36,7 +40,9 @@ class Conv2d : public Layer {
 class MaxPool2d : public Layer {
  public:
   MaxPool2d(std::string name, std::size_t window)
-      : name_(std::move(name)), window_(window) {}
+      : name_(std::move(name)), window_(window) {
+    ADASUM_CHECK_GT(window_, 0u);
+  }
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;

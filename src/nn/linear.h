@@ -46,4 +46,12 @@ void matmul_bt(const float* a, const float* b, float* c, std::size_t m,
 void matmul_at(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate = false);
 
+// Per-thread scratch for the forward kernels (matmul_bt's packed bᵀ, the
+// Conv2d im2col tile), grown to at least `floats` and reused across calls.
+// Callers size their tiles to kForwardScratchFloats (64 KiB) and exceed it
+// only when a single row or sample cannot fit. Contents do not survive the
+// next call.
+inline constexpr std::size_t kForwardScratchFloats = 64 * 1024 / sizeof(float);
+float* forward_scratch(std::size_t floats);
+
 }  // namespace adasum::nn

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "base/check.h"
 #include "base/rng.h"
 #include "nn/activations.h"
 #include "nn/conv.h"
@@ -246,6 +248,213 @@ TEST(GradCheckTest, ConvPoolFcStack) {
   const Tensor x = random_tensor({2, 1, 8, 8}, rng, 0.5);
   GradCheck check(net, x, 32);
   EXPECT_LT(check.max_relative_error(), 5e-3);
+}
+
+// ---- forward kernels vs the direct loops ----------------------------------
+//
+// Conv2d::forward (im2col tiles, lanes across output elements) and matmul_bt
+// (packed bᵀ, lanes across columns) must reproduce the direct loops below bit
+// for bit: each output element keeps the same summation order. The oracles
+// are the original scalar loops, kept here and nowhere in src/.
+
+Tensor oracle_conv_forward(const Tensor& x, const Tensor& weight,
+                           const Tensor& bias, std::size_t stride,
+                           std::size_t padding) {
+  const std::size_t batch = x.dim(0), in_c = x.dim(1), h = x.dim(2),
+                    w = x.dim(3);
+  const std::size_t out_c = weight.dim(0), kernel = weight.dim(2);
+  const std::size_t oh = (h + 2 * padding - kernel) / stride + 1;
+  const std::size_t ow = (w + 2 * padding - kernel) / stride + 1;
+  Tensor y({batch, out_c, oh, ow});
+  const auto xs = x.span<float>();
+  const auto ws = weight.span<float>();
+  const auto bs = bias.span<float>();
+  auto ys = y.span<float>();
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+      float* yplane = ys.data() + (b * out_c + oc) * oh * ow;
+      for (std::size_t i = 0; i < oh * ow; ++i) yplane[i] = bs[oc];
+      for (std::size_t ic = 0; ic < in_c; ++ic) {
+        const float* xplane = xs.data() + (b * in_c + ic) * h * w;
+        const float* wplane = ws.data() + (oc * in_c + ic) * kernel * kernel;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            float acc = 0.0f;
+            for (std::size_t ky = 0; ky < kernel; ++ky) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                  static_cast<std::ptrdiff_t>(padding);
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kx = 0; kx < kernel; ++kx) {
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                    static_cast<std::ptrdiff_t>(padding);
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+                acc += xplane[iy * static_cast<std::ptrdiff_t>(w) + ix] *
+                       wplane[ky * kernel + kx];
+              }
+            }
+            yplane[oy * ow + ox] += acc;
+          }
+        }
+      }
+    }
+  }
+  return y;
+}
+
+void oracle_matmul_bt(const float* a, const float* b, float* c, std::size_t m,
+                      std::size_t k, std::size_t n, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      crow[j] = accumulate ? crow[j] + acc : acc;
+    }
+  }
+}
+
+// Linear::forward with the oracle GEMM.
+Tensor oracle_linear_forward(const Tensor& x, Linear& fc) {
+  const std::size_t rows = x.dim(0), in = fc.in_features(),
+                    out = fc.out_features();
+  Tensor y({rows, out});
+  oracle_matmul_bt(x.span<float>().data(),
+                   fc.weight().value.span<float>().data(),
+                   y.span<float>().data(), rows, in, out, false);
+  auto ys = y.span<float>();
+  const auto bs = fc.bias().value.span<float>();
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t o = 0; o < out; ++o) ys[r * out + o] += bs[o];
+  return y;
+}
+
+// Normal values with runs of exact zeros (as ReLU leaves them), including a
+// few -0.0f.
+Tensor sparse_tensor(const std::vector<std::size_t>& shape, Rng& rng) {
+  Tensor t = random_tensor(shape, rng);
+  auto s = t.span<float>();
+  for (std::size_t i = 0; i < s.size(); ++i)
+    if ((i / 5) % 3 == 1) s[i] = (i % 7 == 0) ? -0.0f : 0.0f;
+  return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.span<float>().data(), b.span<float>().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+TEST(ForwardParity, Conv2dMatchesDirectLoopBitForBit) {
+  // 13x11 images with 3 input / 4 output channels split batch 33 (and 7)
+  // into uneven sample tiles for every kernel size. The smallest input the
+  // layer accepts (kernel - 2 * padding, at least 1) has padding columns on
+  // both sides of a single output column.
+  Rng rng(101);
+  for (std::size_t kernel : {1, 3, 5})
+    for (std::size_t stride : {1, 2})
+      for (std::size_t padding : {0, 1, 2})
+        for (std::size_t batch : {1, 2, 7, 33})
+          for (bool smallest : {false, true}) {
+            const std::size_t min_hw =
+                kernel > 2 * padding ? kernel - 2 * padding : 1;
+            const std::size_t h = smallest ? min_hw : 13;
+            const std::size_t w = smallest ? min_hw : 11;
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << kernel << " s=" << stride
+                         << " p=" << padding << " b=" << batch
+                         << " hw=" << h << "x" << w);
+            Conv2d conv("conv", 3, 4, kernel, rng, stride, padding);
+            auto params = conv.parameters();
+            params[1]->value = random_tensor({4}, rng);
+            // An exact-zero weight multiplies real and padded taps alike.
+            params[0]->value.span<float>()[1 % params[0]->size()] = 0.0f;
+            const Tensor x = sparse_tensor({batch, 3, h, w}, rng);
+            const Tensor y = conv.forward(x, true);
+            const Tensor want = oracle_conv_forward(
+                x, params[0]->value, params[1]->value, stride, padding);
+            EXPECT_TRUE(same_bits(y, want));
+          }
+}
+
+TEST(ForwardParity, MatmulBtMatchesDirectLoopBitForBit) {
+  Rng rng(102);
+  struct Dims {
+    std::size_t m, k, n;
+  };
+  // Ragged shapes, n = 1 and k = 1, and shapes whose packed bᵀ exceeds the
+  // scratch: k = 300 packs n = 130 in three column blocks, k = 20000 one
+  // column at a time.
+  const std::vector<Dims> dims = {{1, 1, 1},   {3, 1, 7},    {5, 9, 1},
+                                  {7, 13, 17}, {32, 64, 120}, {33, 120, 84},
+                                  {4, 300, 130}, {2, 20000, 3}};
+  for (const Dims& d : dims)
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << d.m << " k=" << d.k
+                                        << " n=" << d.n
+                                        << " accumulate=" << accumulate);
+      const Tensor a = sparse_tensor({d.m, d.k}, rng);
+      const Tensor b = random_tensor({d.n, d.k}, rng);
+      const Tensor c0 = random_tensor({d.m, d.n}, rng);
+      Tensor got = c0.clone(), want = c0.clone();
+      matmul_bt(a.span<float>().data(), b.span<float>().data(),
+                got.span<float>().data(), d.m, d.k, d.n, accumulate);
+      oracle_matmul_bt(a.span<float>().data(), b.span<float>().data(),
+                       want.span<float>().data(), d.m, d.k, d.n, accumulate);
+      EXPECT_TRUE(same_bits(got, want));
+    }
+}
+
+TEST(ForwardParity, LeNet5LogitsMatchDirectLoopForward) {
+  Rng rng(103);
+  auto net = make_lenet5(10, rng, /*relu=*/true, 16);
+  const auto params = net->parameters();
+  ASSERT_EQ(params.size(), 10u);
+  for (std::size_t i = 1; i < params.size(); i += 2)
+    params[i]->value = random_tensor(params[i]->value.shape(), rng, 0.1);
+  const Tensor x = random_tensor({32, 1, 16, 16}, rng);
+  const Tensor logits = net->forward(x, false);
+
+  // The same layers, with Conv2d and Linear run through the oracles.
+  const std::size_t paddings[] = {2, 0};  // conv1, conv2 in make_lenet5
+  std::size_t convs = 0;
+  Tensor h = x;
+  for (std::size_t i = 0; i < net->size(); ++i) {
+    Layer& layer = net->layer(i);
+    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+      const auto p = conv->parameters();
+      h = oracle_conv_forward(h, p[0]->value, p[1]->value, 1,
+                              paddings[convs++]);
+    } else if (auto* fc = dynamic_cast<Linear*>(&layer)) {
+      h = oracle_linear_forward(h, *fc);
+    } else {
+      h = layer.forward(h, false);
+    }
+  }
+  EXPECT_EQ(convs, 2u);
+  EXPECT_TRUE(same_bits(logits, h));
+}
+
+// ---- argument validation --------------------------------------------------
+
+TEST(LayerArguments, ZeroStrideKernelOrWindowThrows) {
+  Rng rng(104);
+  EXPECT_THROW(Conv2d("conv", 1, 1, 3, rng, /*stride=*/0), CheckError);
+  EXPECT_THROW(Conv2d("conv", 1, 1, /*kernel=*/0, rng), CheckError);
+  EXPECT_THROW(MaxPool2d("pool", 0), CheckError);
+}
+
+TEST(LayerArguments, InputSmallerThanPaddedKernelThrows) {
+  Rng rng(105);
+  Conv2d conv("conv", 1, 1, 5, rng, 1, 1);
+  EXPECT_THROW(conv.forward(Tensor({1, 1, 2, 8}), false), CheckError);
+  EXPECT_THROW(conv.forward(Tensor({1, 1, 8, 2}), false), CheckError);
+  // Exactly kernel - 2 * padding fits: one output row and column.
+  const Tensor y = conv.forward(Tensor({1, 1, 3, 3}), false);
+  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 1, 1}));
 }
 
 // ---- losses -----------------------------------------------------------------
