@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 
 #include "base/rng.h"
 #include "collectives/adasum_linear.h"
@@ -45,16 +47,21 @@ Tensor serial_sum(const std::vector<Tensor>& grads) {
   return acc;
 }
 
+// gtest prints a Config as its raw bytes, and those bytes become part of the
+// test names. The struct therefore has no padding: padding would carry stack
+// garbage into the names, which under ASLR differs from one run to the next.
 struct Config {
-  int ranks;
+  std::int64_t ranks;
   std::size_t count;
   DType dtype;
+  std::int32_t unused = 0;
 };
+static_assert(std::has_unique_object_representations_v<Config>);
 
 class SumAllreduceTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(SumAllreduceTest, RingMatchesSerialSum) {
-  const auto [ranks, count, dtype] = GetParam();
+  const auto [ranks, count, dtype, unused] = GetParam();
   auto grads = make_gradients(ranks, count, dtype, 101);
   const Tensor expected = serial_sum(grads);
   World world(ranks);
@@ -68,7 +75,7 @@ TEST_P(SumAllreduceTest, RingMatchesSerialSum) {
 }
 
 TEST_P(SumAllreduceTest, RvhMatchesSerialSumForPow2) {
-  const auto [ranks, count, dtype] = GetParam();
+  const auto [ranks, count, dtype, unused] = GetParam();
   if ((ranks & (ranks - 1)) != 0) GTEST_SKIP() << "RVH needs power of two";
   auto grads = make_gradients(ranks, count, dtype, 102);
   const Tensor expected = serial_sum(grads);
@@ -102,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
 class AdasumRvhTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(AdasumRvhTest, MatchesSerialTree) {
-  const auto [ranks, count, dtype] = GetParam();
+  const auto [ranks, count, dtype, unused] = GetParam();
   auto grads = make_gradients(ranks, count, dtype, 103);
   const Tensor expected = adasum_tree(grads);
   World world(ranks);
@@ -118,7 +125,7 @@ TEST_P(AdasumRvhTest, MatchesSerialTree) {
 }
 
 TEST_P(AdasumRvhTest, AllRanksAgreeExactly) {
-  const auto [ranks, count, dtype] = GetParam();
+  const auto [ranks, count, dtype, unused] = GetParam();
   auto grads = make_gradients(ranks, count, dtype, 104);
   std::vector<Tensor> results(static_cast<std::size_t>(ranks));
   World world(ranks);
@@ -369,12 +376,14 @@ std::vector<TensorSlice> make_slice_table(SliceTable kind, std::size_t count) {
   return {};
 }
 
+// No padding, for the same reason as Config.
 struct ParityConfig {
-  int ranks;
+  std::int64_t ranks;
   std::size_t count;
   DType dtype;
   SliceTable table;
 };
+static_assert(std::has_unique_object_representations_v<ParityConfig>);
 
 class InplaceRvhParityTest : public ::testing::TestWithParam<ParityConfig> {};
 
