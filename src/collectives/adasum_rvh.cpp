@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -138,12 +139,15 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
 #endif
 
   // Pooled scratch workspace, leased once per call: the incoming half (the
-  // largest is ceil(count/2) elements at level 0), the per-layer dot-product
-  // triples, the triple-allreduce subgroup, and the level records.
+  // largest is ceil(count/2) elements at level 0; uncompressed only — the
+  // compressed path reduces straight off the wire blob), the per-layer
+  // dot-product triples, the triple-allreduce subgroup, and the level
+  // records.
   const int levels = std::countr_zero(static_cast<unsigned>(size));
   BufferPool& pool = comm.pool();
-  PooledBuffer half_buf(pool, ((count + 1) / 2) * elem);
-  std::byte* const half = half_buf.data();
+  std::optional<PooledBuffer> half_buf;
+  if (!comp.active()) half_buf.emplace(pool, ((count + 1) / 2) * elem);
+  std::byte* const half = half_buf ? half_buf->data() : nullptr;
   PooledBuffer triples_buf(pool, 3 * num_layers * sizeof(double));
   const std::span<double> triples = triples_buf.as<double>(3 * num_layers);
   PooledBuffer subgroup_buf(pool, static_cast<std::size_t>(size) * sizeof(int));
@@ -204,13 +208,6 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
       seg_count = seg_count - mid;
     }
     const std::size_t seg_end = seg_begin + seg_count;
-    // Where the neighbor's half actually lives while we reduce over it: the
-    // pooled scratch on the eager path, the PEER's published span on a
-    // zero-copy transport (the recv_bulk callback rebinds it). `a` is always
-    // the left subgroup's slice, `b` the right's.
-    const std::byte* theirs = half;
-    const auto a_ptr = [&]() { return is_left ? own : theirs; };
-    const auto b_ptr = [&]() { return is_left ? theirs : own; };
 
     // Receive the neighbor's half as a chunk stream (half[i] lines up with
     // segment-local element i), computing each layer's partial dot triple
@@ -220,11 +217,13 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
     // the accumulated doubles are bit-for-bit the same for every chunk size
     // — the pipelining only lets the dot of chunk i overlap the transfer of
     // chunk i+1. Layers disjoint from the segment flush immediately with
-    // zero triples, exactly like the monolithic loop.
+    // zero triples, exactly like the monolithic loop. `layer_dot(loc)`
+    // returns one layer's triple over its segment-local slice: a staged
+    // dot_triple on the uncompressed path, the fused decode-dot off the wire
+    // blob on the compressed one.
     std::size_t next_layer = 0;
-    const auto flush_dots = [&](std::size_t received_elems) {
-      const std::byte* const a = a_ptr();
-      const std::byte* const b = b_ptr();
+    const auto flush_dots = [&](std::size_t received_elems,
+                                const auto& layer_dot) {
       // Advance past every layer whose intersection has fully landed.
       const std::size_t first = next_layer;
       while (next_layer < num_layers) {
@@ -237,11 +236,7 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
       const auto dot_layer = [&](std::size_t l) {
         const SliceLocal loc = intersect(layers[l], seg_begin, seg_end);
         kernels::DotTriple t;
-        if (loc.count > 0) {
-          t = kernels::dot_triple_bytes(a + loc.local_offset * elem,
-                                        b + loc.local_offset * elem, loc.count,
-                                        dtype);
-        }
+        if (loc.count > 0) t = layer_dot(loc);
         triples[3 * l + 0] = t.ab;
         triples[3 * l + 1] = t.aa;
         triples[3 * l + 2] = t.bb;
@@ -295,28 +290,30 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
     // iteration, whose close releases it — unblocking the neighbor's fence;
     // recv_apply holds the compressed blob view for the callback's body the
     // same way.
-    BulkRecv held;
     if (wc.active()) {
-      // A compressed half decompresses after the full blob lands (the scale
-      // sideband precedes the payload), so the dot passes run once over the
-      // whole half; the wire stream itself stays chunked. The combiner then
-      // re-decodes each layer's slice STRAIGHT OFF THE WIRE BYTES, fused
-      // with the scaled sum (DESIGN.md §17): the second pass reads 1-4 bits
-      // or 1 byte per element instead of a 4-byte decoded float, and writes
-      // no staging copy. Bit contract: decompress_combine_f32 is exactly
-      // decompress + scaled_sum on the same dispatch level, so the result
-      // matches the two-pass formulation bit for bit.
+      // A compressed half is reduced after the full blob lands (the scale
+      // sideband precedes the payload), STRAIGHT OFF THE WIRE BYTES
+      // (DESIGN.md §17): per layer, the fused decode-dot reads 1-4 bits or 1
+      // byte per element of the neighbor's half plus this rank's own slice,
+      // and the combiner re-decodes the slice fused with the scaled sum. No
+      // decoded copy of the half is ever written; the wire stream itself
+      // stays chunked. Bit contract: decompress_dot_triple_f32 and
+      // decompress_combine_f32 are exactly decompress + dot_triple /
+      // scaled_sum on the same dispatch level, so the result matches the
+      // staged formulation bit for bit. `own` holds the left slice (a) when
+      // this rank is left, the right slice (b) otherwise; the decoded half
+      // takes the remaining operand slot.
       wc.recv_apply(
           world_rank(neighbor), seg_count, chunk, tag,
           [&](const std::byte* blob) {
-            decompress_f32(blob, wc.options(),
-                           {reinterpret_cast<float*>(half), seg_count});
-            flush_dots(seg_count);
             float* const own_f = reinterpret_cast<float*>(own);
+            flush_dots(seg_count, [&](const SliceLocal& loc) {
+              return decompress_dot_triple_f32(
+                  blob, wc.options(), seg_count, loc.local_offset,
+                  {own_f + loc.local_offset, loc.count},
+                  /*deq_is_b=*/is_left);
+            });
             finish([&](const SliceLocal& loc, const AdasumFactors& f) {
-              // `own` holds the left slice (a) when this rank is left, the
-              // right slice (b) otherwise; the decoded neighbor half takes
-              // the remaining operand slot with its coefficient.
               decompress_combine_f32(
                   blob, wc.options(), seg_count, loc.local_offset,
                   {own_f + loc.local_offset, loc.count},
@@ -327,13 +324,24 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
             });
           });
     } else {
-      held = comm.recv_bulk(world_rank(neighbor), {half, seg_count * elem},
-                            chunk, tag,
-                            [&](const std::byte* base, std::size_t off,
-                                std::size_t len) {
-                              theirs = base;
-                              flush_dots((off + len) / elem);
-                            });
+      // Where the neighbor's half actually lives while we reduce over it:
+      // the pooled scratch on the eager path, the PEER's published span on a
+      // zero-copy transport (the recv_bulk callback rebinds it). `a` is
+      // always the left subgroup's slice, `b` the right's.
+      const std::byte* theirs = half;
+      const auto a_ptr = [&]() { return is_left ? own : theirs; };
+      const auto b_ptr = [&]() { return is_left ? theirs : own; };
+      const auto staged_dot = [&](const SliceLocal& loc) {
+        return kernels::dot_triple_bytes(a_ptr() + loc.local_offset * elem,
+                                         b_ptr() + loc.local_offset * elem,
+                                         loc.count, dtype);
+      };
+      BulkRecv held = comm.recv_bulk(
+          world_rank(neighbor), {half, seg_count * elem}, chunk, tag,
+          [&](const std::byte* base, std::size_t off, std::size_t len) {
+            theirs = base;
+            flush_dots((off + len) / elem, staged_dot);
+          });
       const std::byte* const a = a_ptr();
       const std::byte* const b = b_ptr();
       finish([&](const SliceLocal& loc, const AdasumFactors& f) {
@@ -348,10 +356,11 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   // Allgather unwind (lines 22-24): send the combined segment, receive the
   // neighbor's half directly at its final offset in the caller's buffer,
   // both as chunk streams so consecutive levels' transfers interleave.
-  // Compressed unwind: the sender requantizes (ships one blob, then decodes
-  // it over its own copy), so partners hold bit-identical segments at every
-  // level — and since the codec is deterministic, the blobs they then emit
-  // upward are identical too, keeping the whole group consistent.
+  // Compressed unwind: the sender requantizes (overwrites its own copy with
+  // the decoded blob in the encode pass, then ships that blob), so partners
+  // hold bit-identical segments at every level — and since the codec is
+  // deterministic, the blobs they then emit upward are identical too,
+  // keeping the whole group consistent.
   for (int l = levels - 1; l >= 0; --l) {
     const LevelRecord& r = records[static_cast<std::size_t>(l)];
     if (wc.active())

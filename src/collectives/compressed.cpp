@@ -30,8 +30,7 @@ WireCompressor::~WireCompressor() {
   }
 }
 
-void WireCompressor::encode(int slot, const std::byte* data,
-                            std::size_t elems) {
+std::byte* WireCompressor::writable_slot(int slot) {
   // Writing a slot that still backs a published view would race the peer's
   // decode. In the RVH schedules the peer's consuming receive only waits on
   // transfers this rank already completed, so the fence always terminates.
@@ -39,8 +38,18 @@ void WireCompressor::encode(int slot, const std::byte* data,
     comm_.bulk_fence();
     blob_view_out_ = false;
   }
+  return blobs_[slot]->data();
+}
+
+void WireCompressor::encode(int slot, const std::byte* data,
+                            std::size_t elems) {
   compress_f32({reinterpret_cast<const float*>(data), elems}, opts_,
-               blobs_[slot]->data());
+               writable_slot(slot));
+}
+
+void WireCompressor::requantize(int slot, std::byte* data, std::size_t elems) {
+  const std::span<float> values{reinterpret_cast<float*>(data), elems};
+  compress_f32(values, opts_, writable_slot(slot), values);
 }
 
 void WireCompressor::decode(int slot, std::byte* dest, std::size_t elems) {
@@ -77,15 +86,13 @@ void WireCompressor::send(int dst, const std::byte* data, std::size_t elems,
 void WireCompressor::send_requantize(int dst, std::byte* data,
                                      std::size_t elems, std::size_t chunk,
                                      int tag) {
-  encode(0, data, elems);
+  // The blob, not `data`, is what travels (copied, or published as a view
+  // of the slot), so `data` may take its decoded values before the send.
+  requantize(0, data, elems);
   if (bulk_views_)
     send_bulk_blob(dst, elems, chunk, tag);
   else
     send_blob(dst, 0, elems, chunk, tag);
-  // The transport owns a copy — or, zero-copy, the peer only READS the
-  // published slot — so decoding over the source is safe, and leaves this
-  // rank bit-identical to every receiver.
-  decode(0, data, elems);
 }
 
 void WireCompressor::recv_into(int src, std::byte* dest, std::size_t elems,

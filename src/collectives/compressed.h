@@ -13,8 +13,9 @@
 // a sender keep exact values while receivers hold approximations, and ranks
 // would silently diverge. Two mechanisms prevent that:
 //  * requantize-on-allgather — the sender compresses its segment ONCE,
-//    ships the blob, and decompresses that same blob back over its own copy,
-//    so sender and receivers hold bit-identical floats;
+//    overwriting its own copy with the blob's decoded values in the same
+//    pass, and ships that blob, so sender and receivers hold bit-identical
+//    floats;
 //  * determinism — the codec is a pure function of (bytes, options), so two
 //    ranks holding identical segments (the RVH unwind invariant) emit
 //    identical blobs for their partners. The ring allgather instead forwards
@@ -86,6 +87,10 @@ class WireCompressor {
 
   // ---- low-level blob ops (the ring allgather composes these) ------------
   void encode(int slot, const std::byte* data, std::size_t elems);
+  // Encode, and overwrite `data` with the blob's decoded values in the same
+  // cache-tiled pass (compress_f32's `decoded` output): afterwards `data` is
+  // bit-identical to what any receiver of the blob decodes.
+  void requantize(int slot, std::byte* data, std::size_t elems);
   void decode(int slot, std::byte* dest, std::size_t elems);
   void send_blob(int dst, int slot, std::size_t elems, std::size_t chunk,
                  int tag);
@@ -98,9 +103,9 @@ class WireCompressor {
   // receiver).
   void send(int dst, const std::byte* data, std::size_t elems,
             std::size_t chunk, int tag);
-  // Compress, stream, then decompress the blob back over `data`: afterwards
-  // the local copy is bit-identical to what the receiver decodes. For
-  // allgather sends, where both sides keep the segment.
+  // Requantize `data` into slot 0, then stream the blob: afterwards the
+  // local copy is bit-identical to what the receiver decodes. For allgather
+  // sends, where both sides keep the segment.
   void send_requantize(int dst, std::byte* data, std::size_t elems,
                        std::size_t chunk, int tag);
   // Receive a blob and decompress it into `dest` (elems floats). In bulk
@@ -134,6 +139,8 @@ class WireCompressor {
   }
 
  private:
+  // Slot `slot`'s storage, once no published view of it is outstanding.
+  std::byte* writable_slot(int slot);
   // Bulk-path blob send out of slot 0, recording the outstanding view.
   void send_bulk_blob(int dst, std::size_t elems, std::size_t chunk, int tag);
 
@@ -141,8 +148,8 @@ class WireCompressor {
   CompressionOptions opts_;
   bool bulk_views_ = false;
   // A blob view published to a peer may still be under its decode; slot 0
-  // must not be rewritten (encode) until it retires. Cleared by the fence in
-  // encode() and by the destructor's safety fence.
+  // must not be rewritten (encode / requantize) until it retires. Cleared by
+  // the fence in writable_slot() and by the destructor's safety fence.
   bool blob_view_out_ = false;
   // Engaged only when active: an inactive compressor must not lease from the
   // pool at all — even a zero-byte lease would pull a warmed buffer off the

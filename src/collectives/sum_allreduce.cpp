@@ -123,9 +123,9 @@ void ring_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
   if (wc.active()) {
     // Verbatim blob forwarding: chunk c's blob is created ONCE by its owner
     // and forwarded unchanged hop to hop; every rank (owner included, via
-    // the s == 0 decode of its own blob) materializes chunk c from the same
-    // bytes, so replicas end bit-identical. Re-encoding at each hop would
-    // instead hand every rank a different quantization generation.
+    // the s == 0 requantize of its own blob) materializes chunk c from the
+    // same bytes, so replicas end bit-identical. Re-encoding at each hop
+    // would instead hand every rank a different quantization generation.
     int hold = 0;
     int incoming = 1;
     for (int s = 0; s < p - 1; ++s) {
@@ -133,9 +133,8 @@ void ring_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
       const int recv_chunk = (rank - s + p) % p;
       const std::size_t sb = chunk_begin(count, p, send_chunk);
       const std::size_t se = chunk_begin(count, p, send_chunk + 1);
-      if (s == 0) wc.encode(hold, data + sb * elem, se - sb);
+      if (s == 0) wc.requantize(hold, data + sb * elem, se - sb);
       wc.send_blob(next, hold, se - sb, chunk, tag_base + p + s);
-      if (s == 0) wc.decode(hold, data + sb * elem, se - sb);
       const std::size_t rb = chunk_begin(count, p, recv_chunk);
       const std::size_t re = chunk_begin(count, p, recv_chunk + 1);
       wc.recv_blob(prev, incoming, re - rb, chunk, tag_base + p + s);

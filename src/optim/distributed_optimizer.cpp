@@ -473,10 +473,9 @@ void DistributedOptimizer::communicate_effective_gradient() {
       for (std::size_t i = 0; i < eff.size(); ++i) {
         auto values = eff[i].span<float>();
         error_feedback_->compensate(i, values);
-        compress_f32(values, wirec, blob.data());
         const std::span<float> transmitted =
             roundtrip_buf.as<float>(values.size());
-        decompress_f32(blob.data(), wirec, transmitted);
+        compress_f32(values, wirec, blob.data(), transmitted);
         error_feedback_->record(i, values, transmitted);
         std::memcpy(values.data(), transmitted.data(),
                     values.size() * sizeof(float));

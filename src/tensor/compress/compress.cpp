@@ -49,40 +49,100 @@ void fused_tiled(std::size_t n, Piece&& piece) {
       [&](std::size_t, std::size_t b, std::size_t e) { piece(b, e); });
 }
 
+// compress_f32's tile: whole blocks, at most 32 KiB of fp32 (at least one
+// block), so a `decoded` writeback re-reads the payload and scales the
+// encode just wrote from L1/L2 instead of a second pass from memory.
+constexpr std::size_t kWritebackTileBytes = std::size_t{32} << 10;
+
+// Encodes elements [b, e) of a span of `n` into the wire stream `dst`; b is a
+// block multiple.
+void encode_range(const simd::KernelTable& t, const CompressionOptions& opts,
+                  const float* values, std::size_t n, std::byte* dst,
+                  std::size_t b, std::size_t e) {
+  const std::size_t be = opts.block_elems();
+  auto* scales = reinterpret_cast<float*>(dst);
+  std::byte* payload = dst + compressed_num_blocks(n, opts) * sizeof(float);
+  // b is a block multiple: scales, nibble pairs and sign bytes all start
+  // fresh at b, and the shifted seed reproduces the global-index hashes.
+  const std::uint32_t seed =
+      opts.seed + static_cast<std::uint32_t>(b) * kSrIndexStride;
+  float* sc = scales + b / be;
+  const float* src = values + b;
+  const std::size_t len = e - b;
+  switch (opts.mode) {
+    case CompressionMode::kInt8:
+      t.quantize_int8_blocks(src, len, be, seed, opts.stochastic, sc,
+                             reinterpret_cast<std::int8_t*>(payload) + b);
+      break;
+    case CompressionMode::kInt4:
+      t.quantize_int4_blocks(src, len, be, seed, opts.stochastic, sc,
+                             reinterpret_cast<std::uint8_t*>(payload) + b / 2);
+      break;
+    case CompressionMode::kSign:
+      t.quantize_sign_blocks(src, len, be, sc,
+                             reinterpret_cast<std::uint8_t*>(payload) + b / 8);
+      break;
+    default:
+      ADASUM_CHECK(false);
+  }
+}
+
+// Decodes elements [b, e) of the `n`-element wire stream `src`.
+void decode_range(const simd::KernelTable& t, const CompressionOptions& opts,
+                  const std::byte* src, std::size_t n, float* values,
+                  std::size_t b, std::size_t e) {
+  const std::size_t be = opts.block_elems();
+  const auto* scales = reinterpret_cast<const float*>(src);
+  const std::byte* payload =
+      src + compressed_num_blocks(n, opts) * sizeof(float);
+  const float* sc = scales + b / be;
+  float* dst = values + b;
+  const std::size_t len = e - b;
+  switch (opts.mode) {
+    case CompressionMode::kInt8:
+      t.dequantize_int8_blocks(
+          reinterpret_cast<const std::int8_t*>(payload) + b, len, be, sc,
+          dst);
+      break;
+    case CompressionMode::kInt4:
+      t.dequantize_int4_blocks(
+          reinterpret_cast<const std::uint8_t*>(payload) + b / 2, len, be,
+          sc, dst);
+      break;
+    case CompressionMode::kSign:
+      t.dequantize_sign_blocks(
+          reinterpret_cast<const std::uint8_t*>(payload) + b / 8, len, be,
+          sc, dst);
+      break;
+    default:
+      ADASUM_CHECK(false);
+  }
+}
+
 }  // namespace
 
 void compress_f32(std::span<const float> values, const CompressionOptions& opts,
-                  std::byte* dst) {
+                  std::byte* dst, std::span<float> decoded) {
   ADASUM_CHECK(opts.active());
   const std::size_t n = values.size();
+  const bool writeback = !decoded.empty();
+  if (writeback) {
+    ADASUM_CHECK_EQ(decoded.size(), n);
+    ADASUM_CHECK(decoded.data() == values.data() ||
+                 decoded.data() + n <= values.data() ||
+                 values.data() + n <= decoded.data());
+  }
   const std::size_t be = opts.block_elems();
-  const std::size_t blocks = compressed_num_blocks(n, opts);
-  auto* scales = reinterpret_cast<float*>(dst);
-  std::byte* payload = dst + blocks * sizeof(float);
+  const std::size_t tile =
+      std::max(be, kWritebackTileBytes / sizeof(float) / be * be);
   const simd::KernelTable& t = simd::active_table();
   codec_tiled(n, be, [&](std::size_t b, std::size_t e) {
-    // b is a block multiple: scales, nibble pairs and sign bytes all start
-    // fresh at b, and the shifted seed reproduces the global-index hashes.
-    const std::uint32_t seed =
-        opts.seed + static_cast<std::uint32_t>(b) * kSrIndexStride;
-    float* sc = scales + b / be;
-    const float* src_b = values.data() + b;
-    const std::size_t len = e - b;
-    switch (opts.mode) {
-      case CompressionMode::kInt8:
-        t.quantize_int8_blocks(src_b, len, be, seed, opts.stochastic, sc,
-                               reinterpret_cast<std::int8_t*>(payload) + b);
-        break;
-      case CompressionMode::kInt4:
-        t.quantize_int4_blocks(src_b, len, be, seed, opts.stochastic, sc,
-                               reinterpret_cast<std::uint8_t*>(payload) + b / 2);
-        break;
-      case CompressionMode::kSign:
-        t.quantize_sign_blocks(src_b, len, be, sc,
-                               reinterpret_cast<std::uint8_t*>(payload) + b / 8);
-        break;
-      default:
-        ADASUM_CHECK(false);
+    // Each tile is read whole by the encode before the decode overwrites
+    // it, which is what makes exact aliasing of `decoded` and `values` safe.
+    for (std::size_t tb = b; tb < e; tb += tile) {
+      const std::size_t te = std::min(e, tb + tile);
+      encode_range(t, opts, values.data(), n, dst, tb, te);
+      if (writeback) decode_range(t, opts, dst, n, decoded.data(), tb, te);
     }
   });
 }
@@ -91,34 +151,9 @@ void decompress_f32(const std::byte* src, const CompressionOptions& opts,
                     std::span<float> values) {
   ADASUM_CHECK(opts.active());
   const std::size_t n = values.size();
-  const std::size_t be = opts.block_elems();
-  const std::size_t blocks = compressed_num_blocks(n, opts);
-  const auto* scales = reinterpret_cast<const float*>(src);
-  const std::byte* payload = src + blocks * sizeof(float);
   const simd::KernelTable& t = simd::active_table();
-  codec_tiled(n, be, [&](std::size_t b, std::size_t e) {
-    const float* sc = scales + b / be;
-    float* dst_b = values.data() + b;
-    const std::size_t len = e - b;
-    switch (opts.mode) {
-      case CompressionMode::kInt8:
-        t.dequantize_int8_blocks(
-            reinterpret_cast<const std::int8_t*>(payload) + b, len, be, sc,
-            dst_b);
-        break;
-      case CompressionMode::kInt4:
-        t.dequantize_int4_blocks(
-            reinterpret_cast<const std::uint8_t*>(payload) + b / 2, len, be,
-            sc, dst_b);
-        break;
-      case CompressionMode::kSign:
-        t.dequantize_sign_blocks(
-            reinterpret_cast<const std::uint8_t*>(payload) + b / 8, len, be,
-            sc, dst_b);
-        break;
-      default:
-        ADASUM_CHECK(false);
-    }
+  codec_tiled(n, opts.block_elems(), [&](std::size_t b, std::size_t e) {
+    decode_range(t, opts, src, n, values.data(), b, e);
   });
 }
 
@@ -191,6 +226,43 @@ void decompress_combine_f32(const std::byte* src,
         ADASUM_CHECK(false);
     }
   });
+}
+
+kernels::DotTriple decompress_dot_triple_f32(const std::byte* src,
+                                             const CompressionOptions& opts,
+                                             std::size_t total,
+                                             std::size_t offset,
+                                             std::span<const float> other,
+                                             bool deq_is_b) {
+  ADASUM_CHECK(opts.active());
+  ADASUM_CHECK(offset + other.size() <= total);
+  const std::size_t blocks = compressed_num_blocks(total, opts);
+  const auto* scales = reinterpret_cast<const float*>(src);
+  const std::byte* payload = src + blocks * sizeof(float);
+  const std::size_t be = opts.block_elems();
+  const std::size_t n = other.size();
+  const simd::KernelTable& t = simd::active_table();
+  double v[3];
+  switch (opts.mode) {
+    case CompressionMode::kInt8:
+      t.dequant_dot_triple_int8(other.data(), deq_is_b,
+                                reinterpret_cast<const std::int8_t*>(payload),
+                                scales, offset, n, be, v);
+      break;
+    case CompressionMode::kInt4:
+      t.dequant_dot_triple_int4(other.data(), deq_is_b,
+                                reinterpret_cast<const std::uint8_t*>(payload),
+                                scales, offset, n, be, v);
+      break;
+    case CompressionMode::kSign:
+      t.dequant_dot_triple_sign(other.data(), deq_is_b,
+                                reinterpret_cast<const std::uint8_t*>(payload),
+                                scales, offset, n, be, v);
+      break;
+    default:
+      ADASUM_CHECK(false);
+  }
+  return kernels::DotTriple{v[0], v[1], v[2]};
 }
 
 }  // namespace adasum

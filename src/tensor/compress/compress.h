@@ -38,6 +38,8 @@
 #include <span>
 #include <string_view>
 
+#include "tensor/kernels.h"
+
 namespace adasum {
 
 // kAuto defers to the enclosing configuration (AllreduceOptions defers to
@@ -144,24 +146,38 @@ inline std::size_t compressed_wire_bytes(std::size_t count,
 // `opts` must be active. Both route through the dispatched SIMD kernel
 // table, and both are deterministic: scalar and AVX2 produce bit-identical
 // streams (enforced by tests/compress_test.cpp).
+//
+// `decoded`, when non-empty, also receives what a receiver of `dst` decodes
+// (values.size() floats): compress_f32 encodes in whole-block tiles of at
+// most 32 KiB of fp32 and decodes each tile back while it is still in cache.
+// Bit contract: identical to compress_f32 followed by decompress_f32 on the
+// same dispatch level, for every input including NaN/Inf, because the
+// decode reads the freshly written blob (tests/parallel_test.cpp).
+// `decoded` may alias `values` exactly (the requantize-in-place shape);
+// partial overlap is forbidden.
 void compress_f32(std::span<const float> values, const CompressionOptions& opts,
-                  std::byte* dst);
+                  std::byte* dst, std::span<float> decoded = {});
 void decompress_f32(const std::byte* src, const CompressionOptions& opts,
                     std::span<float> values);
 
 // Fused single-pass decode-reduce (DESIGN.md §17). `src` is a wire stream
-// encoding `total` elements; both calls reduce the decoded slice
-// [offset, offset + n) straight into the caller's span, touching the wire
-// bytes once with no decoded staging pass:
+// encoding `total` elements; each call reduces the decoded slice
+// [offset, offset + n) against the caller's span, touching the wire bytes
+// once with no decoded staging pass:
 //
 //   decompress_add_f32:     dst[i]  = dst[i] + decoded[offset + i]
 //   decompress_combine_f32: out[i]  = ca * a[i] + cb * b[i], with the decoded
 //                           slice as operand b (deq_is_b) or a, coefficient
 //                           c_deq, and `other` in the remaining slot with
 //                           c_other. `out` may alias `other` exactly.
+//   decompress_dot_triple_f32: {a·b, a·a, b·b} (Algorithm 1 line 15) with
+//                           the decoded slice as b (deq_is_b) or a and
+//                           `other` in the remaining slot.
 //
 // Bit contract: identical to decompress_f32 followed by kernels::add /
-// scaled_sum on the same dispatch level (tests/parallel_test.cpp).
+// scaled_sum / dot_triple on the same dispatch level
+// (tests/parallel_test.cpp). The dot triple never tiles across the helper
+// pool: its double accumulation order is part of the contract.
 void decompress_add_f32(const std::byte* src, const CompressionOptions& opts,
                         std::size_t total, std::size_t offset,
                         std::span<float> dst);
@@ -170,5 +186,11 @@ void decompress_combine_f32(const std::byte* src,
                             std::size_t offset, std::span<const float> other,
                             double c_other, double c_deq, bool deq_is_b,
                             std::span<float> out);
+kernels::DotTriple decompress_dot_triple_f32(const std::byte* src,
+                                             const CompressionOptions& opts,
+                                             std::size_t total,
+                                             std::size_t offset,
+                                             std::span<const float> other,
+                                             bool deq_is_b);
 
 }  // namespace adasum

@@ -111,9 +111,10 @@ struct KernelTable {
   // ---- fused dequantize-reduce (DESIGN.md §17) -----------------------------
   //
   // Single-pass decode + reduce for the compressed collectives: one read of
-  // the wire payload, one read-modify-write of the accumulator, no decoded
-  // scratch pass. `q`/`packed`/`bits` and `scales` address the WHOLE encoded
-  // span (same layout as the casts above); `offset` is the global element
+  // the wire payload, one read-modify-write of the accumulator (or, for the
+  // dot triple, one read of the other operand), no decoded scratch pass.
+  // `q`/`packed`/`bits` and `scales` address the WHOLE encoded span (same
+  // layout as the casts above); `offset` is the global element
   // index where this call's slice begins — block index, nibble parity and
   // sign-bit position all derive from offset+i — and `n` is the slice length.
   // `dst`/`other`/`out` address the slice directly (their element 0 is global
@@ -149,6 +150,23 @@ struct KernelTable {
                                const std::uint8_t* bits, const float* scales,
                                std::size_t offset, std::size_t n,
                                std::size_t block, float* out);
+  // out = {a·b, a·a, b·b} over the slice, the decoded operand in slot b
+  // (deq_is_b) or a and `other` in the remaining slot. Bit contract: equal to
+  // dequantize-then-dot_triple[kF32] composed from the SAME table.
+  void (*dequant_dot_triple_int8)(const float* other, bool deq_is_b,
+                                  const std::int8_t* q, const float* scales,
+                                  std::size_t offset, std::size_t n,
+                                  std::size_t block, double out[3]);
+  void (*dequant_dot_triple_int4)(const float* other, bool deq_is_b,
+                                  const std::uint8_t* packed,
+                                  const float* scales, std::size_t offset,
+                                  std::size_t n, std::size_t block,
+                                  double out[3]);
+  void (*dequant_dot_triple_sign)(const float* other, bool deq_is_b,
+                                  const std::uint8_t* bits,
+                                  const float* scales, std::size_t offset,
+                                  std::size_t n, std::size_t block,
+                                  double out[3]);
 };
 
 // Defined in kernels_scalar.cpp; always available, bit-identical to the seed

@@ -563,11 +563,12 @@ bool has_nonfinite_f16(const std::byte* pa, std::size_t n) {
 // Bit-parity with the scalar oracle is a hard contract (tests/
 // compress_test.cpp compares payload bytes with memcmp). Two rules keep it:
 // every float operation mirrors the scalar sequence exactly (same op, same
-// order, same single-precision intermediates — intrinsics are never
-// FMA-contracted), and block tails run as MASKED full vectors instead of
-// scalar cleanup loops, so this -mfma TU contains no scalar mul-then-add
-// sequence the compiler could fuse. Integer-only work (nibble packing, sign
-// bits) reuses the scalar loops verbatim — integers cannot diverge.
+// order, same single-precision intermediates), and no multiply is ever left
+// feeding an add. GCC contracts mul-then-add into FMA across intrinsics as
+// well as scalar code in this -mfma TU, so block tails run as MASKED full
+// vectors instead of scalar cleanup loops, and the one add of the walk (the
+// stochastic uniform) is written as an explicit exact FMA. Integer-only work
+// (nibble packing, sign bits) cannot diverge.
 
 inline __m256i lane_mask(std::size_t rem) {
   const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
@@ -578,8 +579,13 @@ inline __m256 abs_ps(__m256 v) {
   return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
 }
 
+// For finite inputs max is exact, so the reduction order is free — unlike
+// the sums below. Not for NaN: maxps returns its SECOND operand when either
+// is NaN, so a lane of block_max_abs8's accumulator forgets a NaN unless it
+// is the lane's last element, and this tree keeps or drops it by position.
+// Scalar std::max(m, x) always drops it. Codec inputs must be finite
+// (ROADMAP item 4 records the cross-ISA NaN divergence).
 inline float hmax(__m256 v) {
-  // max is exact, so the reduction order is free — unlike the sums below.
   __m128 m =
       _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
   m = _mm_max_ps(m, _mm_movehl_ps(m, m));
@@ -593,49 +599,86 @@ inline float block_max_abs8(const float* src, std::size_t s, std::size_t e) {
     const std::size_t rem = e - i;
     const __m256 x = rem >= 8 ? _mm256_loadu_ps(src + i)
                               : _mm256_maskload_ps(src + i, lane_mask(rem));
-    acc = _mm256_max_ps(acc, abs_ps(x));  // masked lanes are 0, like scalar
+    // Masked lanes are 0, like scalar. Operand order matters only for NaN
+    // (see hmax): the new element is the second operand.
+    acc = _mm256_max_ps(acc, abs_ps(x));
   }
   return hmax(acc);
 }
 
-// Vector murmur3 finalizer matching sr_uniform() in the scalar TU: 32-bit
-// lane arithmetic wraps identically, and the final int -> float conversion
-// of a 24-bit value is exact in both.
-inline __m256 sr_uniform8(std::uint32_t seed, std::uint32_t base) {
+// Counter-based stochastic rounding, vectorized (sr_uniform() in the scalar
+// TU). Lane k of the group at element i hashes seed + (i + k) * kSrStride.
+// The walk builds that counter once per block and then adds 8 * kSrStride
+// per group: uint32 wraparound makes the running sum equal to the product,
+// so the index multiply leaves the loop.
+constexpr std::uint32_t kSrStride = 0x9E3779B9u;
+
+inline __m256i sr_counter8(std::uint32_t seed, std::uint32_t i) {
   const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  __m256i h = _mm256_add_epi32(
+  return _mm256_add_epi32(
       _mm256_set1_epi32(static_cast<int>(seed)),
       _mm256_mullo_epi32(
-          _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)), idx),
-          _mm256_set1_epi32(static_cast<int>(0x9E3779B9u))));
+          _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i)), idx),
+          _mm256_set1_epi32(static_cast<int>(kSrStride))));
+}
+
+// murmur3 finalizer of the counter, returning its top 24 bits as an exact
+// integer-valued float: the scalar uniform is this value times 2^-24.
+inline __m256 sr_bits24(__m256i h) {
   h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
   h = _mm256_mullo_epi32(h, _mm256_set1_epi32(static_cast<int>(0x85EBCA6Bu)));
   h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 13));
   h = _mm256_mullo_epi32(h, _mm256_set1_epi32(static_cast<int>(0xC2B2AE35u)));
   h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
-  return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(h, 8)),
-                       _mm256_set1_ps(1.0f / 16777216.0f));
+  return _mm256_cvtepi32_ps(_mm256_srli_epi32(h, 8));
 }
 
-// floor(v + u) or round-to-nearest-even, clamped after rounding — the same
-// min(kMax, max(-kMax, r)) order as the scalar quantized_level. The
-// _MM_FROUND_TO_NEAREST_INT mode is statically RTNE, matching scalar
-// nearbyint under the default rounding mode (the only mode this process
-// ever runs in).
-template <int kMax>
-inline __m256 quantized_level8(__m256 v, std::uint32_t seed,
-                               std::uint32_t base, bool stochastic) {
-  const __m256 r =
-      stochastic
-          ? _mm256_floor_ps(_mm256_add_ps(v, sr_uniform8(seed, base)))
-          : _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  return _mm256_min_ps(
-      _mm256_set1_ps(static_cast<float>(kMax)),
-      _mm256_max_ps(_mm256_set1_ps(static_cast<float>(-kMax)), r));
+// One block's levels, 8 at a time, handed to emit(i, rem, levels) with the
+// first `rem` int32 lanes valid. The rounding mode and the reciprocal-vs-
+// division choice are template parameters so the element loop carries no
+// branch on them. Per lane this is the scalar quantized_level exactly:
+// floor(v + u) or round-to-nearest-even (_MM_FROUND_TO_NEAREST_INT is
+// statically RTNE, matching nearbyint under the default rounding mode, the
+// only mode this process runs in), clamped after rounding in the same
+// min(kMax, max(-kMax, r)) operand order. Levels are exact small integers,
+// so the truncating convert is exact.
+template <int kMax, bool kStochastic, bool kUseInv, typename Emit>
+void quantize_block_vec(const float* src, std::size_t s, std::size_t e,
+                        float m, float inv, std::uint32_t seed, Emit& emit) {
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256 vm = _mm256_set1_ps(m);
+  const __m256 vmax = _mm256_set1_ps(static_cast<float>(kMax));
+  const __m256 vmin = _mm256_set1_ps(static_cast<float>(-kMax));
+  const __m256 two_m24 = _mm256_set1_ps(1.0f / 16777216.0f);
+  const __m256i step = _mm256_set1_epi32(static_cast<int>(8u * kSrStride));
+  __m256i ctr = kStochastic ? sr_counter8(seed, static_cast<std::uint32_t>(s))
+                            : _mm256_setzero_si256();
+  for (std::size_t i = s; i < e; i += 8) {
+    const std::size_t rem = e - i >= 8 ? std::size_t{8} : e - i;
+    const __m256 x = rem == 8 ? _mm256_loadu_ps(src + i)
+                              : _mm256_maskload_ps(src + i, lane_mask(rem));
+    const __m256 v = kUseInv ? _mm256_mul_ps(x, vinv)
+                             : _mm256_mul_ps(_mm256_div_ps(x, vm), vmax);
+    __m256 r;
+    if constexpr (kStochastic) {
+      // v + u spelled as fmadd(bits, 2^-24, v). The product is exact, so
+      // this is the scalar add's single rounding, and there is no product
+      // left to contract: GCC contracts across intrinsics in this -mfma TU,
+      // and a plain add_ps(v, u) was fused into fmadd(x, inv, u), which
+      // skips v's rounding and changes levels.
+      r = _mm256_floor_ps(_mm256_fmadd_ps(sr_bits24(ctr), two_m24, v));
+      ctr = _mm256_add_epi32(ctr, step);
+    } else {
+      r = _mm256_round_ps(v, kRound);
+    }
+    emit(i, rem,
+         _mm256_cvttps_epi32(_mm256_min_ps(vmax, _mm256_max_ps(vmin, r))));
+  }
 }
 
-// Shared int8/int4 block walk: computes 8 integer levels at a time and hands
-// them to `emit(i, rem, tmp)` with tmp[0..rem) holding the lane values.
+// Shared int8/int4 block walk. The reciprocal path (one multiply per
+// element) is the common case; when 1/scale is not finite (denormal block
+// max) it divides by the max instead, as the scalar TU does.
 template <int kMax, typename Emit>
 void quantize_blocks_vec(const float* src, std::size_t n, std::size_t block,
                          std::uint32_t seed, bool stochastic, float* scales,
@@ -646,32 +689,32 @@ void quantize_blocks_vec(const float* src, std::size_t n, std::size_t block,
     const float m = block_max_abs8(src, s, e);
     const float scale = m / static_cast<float>(kMax);
     scales[b] = scale;
-    alignas(32) std::int32_t tmp[8];
     if (m == 0.0f) {
-      for (int k = 0; k < 8; ++k) tmp[k] = 0;
       for (std::size_t i = s; i < e; i += 8)
-        emit(i, e - i >= 8 ? std::size_t{8} : e - i, tmp);
+        emit(i, e - i >= 8 ? std::size_t{8} : e - i, _mm256_setzero_si256());
       continue;
     }
     const float inv = 1.0f / scale;
-    const bool use_inv = std::isfinite(inv);
-    for (std::size_t i = s; i < e; i += 8) {
-      const std::size_t rem = e - i >= 8 ? std::size_t{8} : e - i;
-      const __m256 x =
-          rem == 8 ? _mm256_loadu_ps(src + i)
-                   : _mm256_maskload_ps(src + i, lane_mask(rem));
-      const __m256 v =
-          use_inv ? _mm256_mul_ps(x, _mm256_set1_ps(inv))
-                  : _mm256_mul_ps(_mm256_div_ps(x, _mm256_set1_ps(m)),
-                                  _mm256_set1_ps(static_cast<float>(kMax)));
-      const __m256 r = quantized_level8<kMax>(
-          v, seed, static_cast<std::uint32_t>(i), stochastic);
-      // Levels are exact small integers, so the truncating convert is exact.
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp),
-                         _mm256_cvttps_epi32(r));
-      emit(i, rem, tmp);
+    if (std::isfinite(inv)) {
+      if (stochastic)
+        quantize_block_vec<kMax, true, true>(src, s, e, m, inv, seed, emit);
+      else
+        quantize_block_vec<kMax, false, true>(src, s, e, m, inv, seed, emit);
+    } else {
+      if (stochastic)
+        quantize_block_vec<kMax, true, false>(src, s, e, m, inv, seed, emit);
+      else
+        quantize_block_vec<kMax, false, false>(src, s, e, m, inv, seed, emit);
     }
   }
+}
+
+// Narrows 8 int32 levels to 8 int8 in the low 64 bits. The saturating packs
+// are exact for levels in [-127, 127].
+inline __m128i pack_levels8(__m256i lv) {
+  const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(lv),
+                                      _mm256_extracti128_si256(lv, 1));
+  return _mm_packs_epi16(p16, p16);
 }
 
 void ax_quantize_int8_blocks(const float* src, std::size_t n,
@@ -679,16 +722,13 @@ void ax_quantize_int8_blocks(const float* src, std::size_t n,
                              bool stochastic, float* scales, std::int8_t* q) {
   quantize_blocks_vec<127>(
       src, n, block, seed, stochastic, scales,
-      [&](std::size_t i, std::size_t rem, const std::int32_t* tmp) {
+      [&](std::size_t i, std::size_t rem, __m256i lv) {
         if (rem == 8) {
-          // Saturating packs are exact: levels already sit in [-127, 127].
-          const __m256i vi =
-              _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
-          const __m128i p16 = _mm_packs_epi32(
-              _mm256_castsi256_si128(vi), _mm256_extracti128_si256(vi, 1));
           _mm_storel_epi64(reinterpret_cast<__m128i*>(q + i),
-                           _mm_packs_epi16(p16, p16));
+                           pack_levels8(lv));
         } else {
+          alignas(32) std::int32_t tmp[8];
+          _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), lv);
           for (std::size_t k = 0; k < rem; ++k)
             q[i + k] = static_cast<std::int8_t>(tmp[k]);
         }
@@ -701,8 +741,24 @@ void ax_quantize_int4_blocks(const float* src, std::size_t n,
                              std::uint8_t* packed) {
   quantize_blocks_vec<7>(
       src, n, block, seed, stochastic, scales,
-      [&](std::size_t i, std::size_t rem, const std::int32_t* tmp) {
+      [&](std::size_t i, std::size_t rem, __m256i lv) {
         // Same nibble layout as the scalar TU: even index low, odd high.
+        if (rem == 8) {
+          // i is a multiple of 8, so the group fills 4 whole bytes. Shifting
+          // each 64-bit lane right by 4 moves byte 2k+1's nibble into byte
+          // 2k's high half; the shuffle then keeps the even bytes.
+          const __m128i nib =
+              _mm_and_si128(pack_levels8(lv), _mm_set1_epi8(0x0F));
+          const __m128i pairs = _mm_or_si128(nib, _mm_srli_epi64(nib, 4));
+          const __m128i even = _mm_shuffle_epi8(
+              pairs, _mm_setr_epi8(0, 2, 4, 6, -1, -1, -1, -1, -1, -1, -1, -1,
+                                   -1, -1, -1, -1));
+          const std::int32_t word = _mm_cvtsi128_si32(even);
+          std::memcpy(packed + i / 2, &word, sizeof word);
+          return;
+        }
+        alignas(32) std::int32_t tmp[8];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), lv);
         for (std::size_t k = 0; k < rem; ++k) {
           const auto nib =
               static_cast<std::uint8_t>(static_cast<std::int8_t>(tmp[k])) &
@@ -915,6 +971,30 @@ inline void fx_deq8_sign_uniform(const std::uint8_t* bits, std::size_t gi,
   _mm256_storeu_ps(dq, _mm256_xor_ps(_mm256_set1_ps(s), flip));
 }
 
+// Decodes global elements [gi, gi+8) into dq for int4 / sign: the vector
+// path when the group shares one scale (and, for int4, starts on a byte),
+// the per-element expression otherwise.
+inline void fx_deq8_int4(const std::uint8_t* packed, FxScaleCursor& cur,
+                         std::size_t gi, float* dq) {
+  const float s = cur.at(gi);
+  if (gi + 8 <= cur.next && (gi & 1) == 0) {
+    fx_deq8_int4_uniform_even(packed, gi, s, dq);
+  } else {
+    for (int k = 0; k < 8; ++k)
+      dq[k] = fx_deq_int4(packed, gi + k, cur.at(gi + k));
+  }
+}
+inline void fx_deq8_sign(const std::uint8_t* bits, FxScaleCursor& cur,
+                         std::size_t gi, float* dq) {
+  const float s = cur.at(gi);
+  if (gi + 8 <= cur.next) {
+    fx_deq8_sign_uniform(bits, gi, s, dq);
+  } else {
+    for (int k = 0; k < 8; ++k)
+      dq[k] = fx_deq_sign(bits, gi + k, cur.at(gi + k));
+  }
+}
+
 inline void fx_deq4_int8(const std::int8_t* q, FxScaleCursor& cur,
                          std::size_t gi, float* dq) {
   const float s = cur.at(gi);
@@ -1000,17 +1080,7 @@ void ax_dequant_add_int4(const std::uint8_t* packed, const float* scales,
   FxScaleCursor cur(scales, block, offset);
   fused_add_f32(
       offset, n, dst,
-      [&](std::size_t gi, float* dq) {
-        const float s = cur.at(gi);
-        if (gi + 8 <= cur.next && (gi & 1) == 0) {
-          fx_deq8_int4_uniform_even(packed, gi, s, dq);
-        } else {
-          for (int k = 0; k < 8; ++k) {
-            const std::size_t g = gi + k;
-            dq[k] = fx_deq_int4(packed, g, cur.at(g));
-          }
-        }
-      },
+      [&](std::size_t gi, float* dq) { fx_deq8_int4(packed, cur, gi, dq); },
       [&](std::size_t gi) { return fx_deq_int4(packed, gi, cur.at(gi)); });
 }
 void ax_dequant_add_sign(const std::uint8_t* bits, const float* scales,
@@ -1019,17 +1089,7 @@ void ax_dequant_add_sign(const std::uint8_t* bits, const float* scales,
   FxScaleCursor cur(scales, block, offset);
   fused_add_f32(
       offset, n, dst,
-      [&](std::size_t gi, float* dq) {
-        const float s = cur.at(gi);
-        if (gi + 8 <= cur.next) {
-          fx_deq8_sign_uniform(bits, gi, s, dq);
-        } else {
-          for (int k = 0; k < 8; ++k) {
-            const std::size_t g = gi + k;
-            dq[k] = fx_deq_sign(bits, g, cur.at(g));
-          }
-        }
-      },
+      [&](std::size_t gi, float* dq) { fx_deq8_sign(bits, cur, gi, dq); },
       [&](std::size_t gi) { return fx_deq_sign(bits, gi, cur.at(gi)); });
 }
 
@@ -1071,6 +1131,69 @@ void ax_dequant_combine_sign(const float* other, double c_other, double c_deq,
           dq[k] = fx_deq_sign(bits, g, cur.at(g));
         }
       },
+      [&](std::size_t gi) { return fx_deq_sign(bits, gi, cur.at(gi)); });
+}
+
+// {a·b, a·a, b·b} with the decoded slice as one operand: decode up to kTile
+// elements into a stack tile, then feed dot_triple_f32_block with carried
+// accumulators — the dot_triple_f16 staging pattern. kTile is a multiple of
+// 8, so every tile but the last leaves no block tail and each element lands
+// in the accumulator lane it takes in one dot_triple_f32 call over a decoded
+// copy. `other` always takes the x slot (products are exact in double, so
+// fmadd(x, y) == fmadd(y, x)); the slot only decides which squared-norm sum
+// is a·a, swapped at the end.
+template <class Deq8, class Deq1>
+void fused_dot_triple_f32(const float* other, bool deq_is_b,
+                          std::size_t offset, std::size_t n, double out[3],
+                          Deq8 deq8, Deq1 deq1) {
+  __m256d t[6] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                  _mm256_setzero_pd(), _mm256_setzero_pd(),
+                  _mm256_setzero_pd(), _mm256_setzero_pd()};
+  double tail[3] = {0.0, 0.0, 0.0};
+  alignas(32) float dq[kTile];
+  for (std::size_t off = 0; off < n; off += kTile) {
+    const std::size_t m = n - off < kTile ? n - off : kTile;
+    std::size_t k = 0;
+    for (; k + 8 <= m; k += 8) deq8(offset + off + k, dq + k);
+    for (; k < m; ++k) dq[k] = deq1(offset + off + k);
+    dot_triple_f32_block(other + off, dq, m, t, tail);
+  }
+  double r[3];
+  reduce_triple(t, tail, r);
+  out[0] = r[0];
+  out[1] = deq_is_b ? r[1] : r[2];
+  out[2] = deq_is_b ? r[2] : r[1];
+}
+
+void ax_dequant_dot_triple_int8(const float* other, bool deq_is_b,
+                                const std::int8_t* q, const float* scales,
+                                std::size_t offset, std::size_t n,
+                                std::size_t block, double out[3]) {
+  FxScaleCursor cur(scales, block, offset);
+  fused_dot_triple_f32(
+      other, deq_is_b, offset, n, out,
+      [&](std::size_t gi, float* dq) { fx_deq8_int8(q, cur, gi, dq); },
+      [&](std::size_t gi) { return fx_deq_int8(q, gi, cur.at(gi)); });
+}
+void ax_dequant_dot_triple_int4(const float* other, bool deq_is_b,
+                                const std::uint8_t* packed,
+                                const float* scales, std::size_t offset,
+                                std::size_t n, std::size_t block,
+                                double out[3]) {
+  FxScaleCursor cur(scales, block, offset);
+  fused_dot_triple_f32(
+      other, deq_is_b, offset, n, out,
+      [&](std::size_t gi, float* dq) { fx_deq8_int4(packed, cur, gi, dq); },
+      [&](std::size_t gi) { return fx_deq_int4(packed, gi, cur.at(gi)); });
+}
+void ax_dequant_dot_triple_sign(const float* other, bool deq_is_b,
+                                const std::uint8_t* bits, const float* scales,
+                                std::size_t offset, std::size_t n,
+                                std::size_t block, double out[3]) {
+  FxScaleCursor cur(scales, block, offset);
+  fused_dot_triple_f32(
+      other, deq_is_b, offset, n, out,
+      [&](std::size_t gi, float* dq) { fx_deq8_sign(bits, cur, gi, dq); },
       [&](std::size_t gi) { return fx_deq_sign(bits, gi, cur.at(gi)); });
 }
 
@@ -1147,6 +1270,9 @@ const KernelTable& avx2_table() {
       ax_dequant_combine_int8,
       ax_dequant_combine_int4,
       ax_dequant_combine_sign,
+      ax_dequant_dot_triple_int8,
+      ax_dequant_dot_triple_int4,
+      ax_dequant_dot_triple_sign,
   };
   return table;
 }

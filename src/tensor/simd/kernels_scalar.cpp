@@ -458,6 +458,65 @@ void sc_dequant_combine_sign(const float* other, double c_other, double c_deq,
   }
 }
 
+// dot_triple_impl's pairwise lanes with the decoded value as one operand.
+// `other` always takes the x slot: a product of two floats is exact in
+// double, so x*y == y*x and the only effect of the operand slot is which of
+// the two squared-norm accumulators is a·a — swapped at the end.
+template <class Deq>
+void fused_dot_triple(const float* other, bool deq_is_b, std::size_t offset,
+                      std::size_t n, double out[3], Deq deq) {
+  double xy0 = 0, xy1 = 0, xx0 = 0, xx1 = 0, yy0 = 0, yy1 = 0;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const double x0 = other[i], y0 = deq(offset + i);
+    const double x1 = other[i + 1], y1 = deq(offset + i + 1);
+    xy0 += x0 * y0;
+    xx0 += x0 * x0;
+    yy0 += y0 * y0;
+    xy1 += x1 * y1;
+    xx1 += x1 * x1;
+    yy1 += y1 * y1;
+  }
+  if (i < n) {
+    const double x = other[i], y = deq(offset + i);
+    xy0 += x * y;
+    xx0 += x * x;
+    yy0 += y * y;
+  }
+  out[0] = xy0 + xy1;
+  out[1] = deq_is_b ? xx0 + xx1 : yy0 + yy1;
+  out[2] = deq_is_b ? yy0 + yy1 : xx0 + xx1;
+}
+
+void sc_dequant_dot_triple_int8(const float* other, bool deq_is_b,
+                                const std::int8_t* q, const float* scales,
+                                std::size_t offset, std::size_t n,
+                                std::size_t block, double out[3]) {
+  ScaleCursor cur(scales, block, offset);
+  fused_dot_triple(other, deq_is_b, offset, n, out, [&](std::size_t g) {
+    return deq_int8_at(q, g, cur.at(g));
+  });
+}
+void sc_dequant_dot_triple_int4(const float* other, bool deq_is_b,
+                                const std::uint8_t* packed,
+                                const float* scales, std::size_t offset,
+                                std::size_t n, std::size_t block,
+                                double out[3]) {
+  ScaleCursor cur(scales, block, offset);
+  fused_dot_triple(other, deq_is_b, offset, n, out, [&](std::size_t g) {
+    return deq_int4_at(packed, g, cur.at(g));
+  });
+}
+void sc_dequant_dot_triple_sign(const float* other, bool deq_is_b,
+                                const std::uint8_t* bits, const float* scales,
+                                std::size_t offset, std::size_t n,
+                                std::size_t block, double out[3]) {
+  ScaleCursor cur(scales, block, offset);
+  fused_dot_triple(other, deq_is_b, offset, n, out, [&](std::size_t g) {
+    return deq_sign_at(bits, g, cur.at(g));
+  });
+}
+
 // Batched software fp16 converters: the same bit logic as per-element Half
 // access (half.h keeps it header-inline precisely so this loop and Half can
 // never diverge), but in a flat loop the compiler can pipeline without a
@@ -503,6 +562,9 @@ const KernelTable& scalar_table() {
       sc_dequant_combine_int8,
       sc_dequant_combine_int4,
       sc_dequant_combine_sign,
+      sc_dequant_dot_triple_int8,
+      sc_dequant_dot_triple_int4,
+      sc_dequant_dot_triple_sign,
   };
   return table;
 }

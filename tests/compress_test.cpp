@@ -17,6 +17,7 @@
 //  * systems composition — the strict protocol analyzer validates the
 //    compressed schedules, and per-message corruption is still detected
 //    through checksums with compression on (blobs are plain byte messages).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -153,6 +154,45 @@ TEST(CompressKernels, ScalarVsAvx2BitParity) {
     }
   }
   EXPECT_GT(cases, 200);
+}
+
+// Regression for FMA contraction in the AVX2 quantize walk. That TU is
+// built with -mfma and GCC contracts mul-then-add across intrinsics, so a
+// walk that leaves x * inv feeding the stochastic-rounding add gets one
+// fused multiply-add that skips the product's rounding. That moves a level
+// only for a few elements per million, so short parity sweeps pass; this
+// test compares scalar and AVX2 blobs over 2^20 elements per seed, for
+// stochastic int8 and int4, with every seventh block scaled to denormals so
+// the division fallback is covered too. Inputs are finite on purpose: NaN
+// already diverges across ISAs (ROADMAP item 4).
+TEST(CompressKernels, StochasticScalarVsAvx2BitParityOverLongStreams) {
+  const KernelTable* avx2 = simd::table_for(Level::kAvx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host/build";
+  const KernelTable& scalar = simd::scalar_table();
+  const std::size_t n = std::size_t{1} << 20;
+  const std::size_t block = 256;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::vector<float> data = random_floats(n, 9100 + seed);
+    for (std::size_t s = 0; s < n; s += 7 * block)
+      for (std::size_t i = s; i < std::min(n, s + block); ++i)
+        data[i] *= 1e-40f;
+    for (const CompressionMode mode :
+         {CompressionMode::kInt8, CompressionMode::kInt4}) {
+      const auto sr_seed = static_cast<std::uint32_t>(0x9E3779B9u + seed);
+      const CodecRun s = run_table(scalar, mode, data, block, sr_seed, true);
+      const CodecRun v = run_table(*avx2, mode, data, block, sr_seed, true);
+      ASSERT_EQ(0, std::memcmp(s.scales.data(), v.scales.data(),
+                               s.scales.size() * sizeof(float)))
+          << "scales diverge: mode=" << compression_mode_name(mode)
+          << " seed=" << seed;
+      const auto diff =
+          std::mismatch(s.payload.begin(), s.payload.end(), v.payload.begin());
+      EXPECT_TRUE(diff.first == s.payload.end())
+          << "payload diverges: mode=" << compression_mode_name(mode)
+          << " seed=" << seed << " first differing byte "
+          << (diff.first - s.payload.begin());
+    }
+  }
 }
 
 TEST(CompressCodec, AllZeroBlockStoresZeroScaleAndDecodesZeros) {

@@ -12,9 +12,11 @@
 //  * Kernel wrappers and the wire codec: tiled output memcmp-equal to the
 //    monolithic output for f32/f64/f16 payloads at every pool width.
 //  * Fused decode-reduce kernels: bitwise equal to dequantize-then-add /
-//    dequantize-then-scaled_sum composed from the SAME kernel table, across
-//    modes, block sizes, stochastic rounding, ragged tails, slice offsets,
-//    operand positions and exact aliasing — on every compiled table.
+//    dequantize-then-scaled_sum / dequantize-then-dot_triple composed from
+//    the SAME kernel table, across modes, block sizes, stochastic rounding,
+//    ragged tails, slice offsets, operand positions and exact aliasing — on
+//    every compiled table. compress_f32's decoded writeback is bitwise
+//    compress-then-decompress, in place and not, hostile blocks included.
 //  * Full collectives: AdasumRVH and the compressed sums bit-identical
 //    across pool widths, with zero steady-state pool allocations.
 //  * A 40-schedule seeded chaos sweep under ADASUM_THREADS=2 with delay
@@ -24,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -381,6 +384,37 @@ void run_fused_mode(const KernelTable& t, const CompressionOptions& opts,
         EXPECT_TRUE(bytes_equal(ref, got))
             << "dequant_combine mismatch, deq_is_b=" << deq_is_b;
       }
+      // dequant_dot_triple vs dequantize-then-dot_triple, both operand
+      // positions: the three doubles must match bit for bit.
+      for (const bool deq_is_b : {true, false}) {
+        const std::vector<float> other = pattern<float>(len, 123);
+        const float* a = deq_is_b ? other.data() : dec.data() + off;
+        const float* b = deq_is_b ? dec.data() + off : other.data();
+        std::vector<double> ref(3), got(3);
+        t.dot_triple[kF32](bytes_of(a), bytes_of(b), len, ref.data());
+        switch (opts.mode) {
+          case CompressionMode::kInt8:
+            t.dequant_dot_triple_int8(
+                other.data(), deq_is_b,
+                reinterpret_cast<const std::int8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          case CompressionMode::kInt4:
+            t.dequant_dot_triple_int4(
+                other.data(), deq_is_b,
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          default:
+            t.dequant_dot_triple_sign(
+                other.data(), deq_is_b,
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+        }
+        EXPECT_TRUE(bytes_equal(ref, got))
+            << "dequant_dot_triple mismatch, deq_is_b=" << deq_is_b;
+      }
     }
   }
 }
@@ -440,6 +474,78 @@ TEST(FusedKernels, PublicEntryPointsMatchTwoPassAcrossWidths) {
                              /*deq_is_b=*/true, out);
       EXPECT_TRUE(bytes_equal(comb_ref, out))
           << compression_mode_name(mode) << " combine width " << width;
+    }
+    // The dot triple spans many of the AVX2 body's decode tiles here; it
+    // never tiles across the pool, so one call per operand slot suffices.
+    const std::size_t off = 13;
+    const std::span<const float> other(comb_other.data() + off, total - off);
+    const std::span<const float> deq(dec.data() + off, total - off);
+    for (const bool deq_is_b : {true, false}) {
+      const kernels::DotTriple ref =
+          deq_is_b ? kernels::dot_triple(other, deq)
+                   : kernels::dot_triple(deq, other);
+      const kernels::DotTriple got = decompress_dot_triple_f32(
+          blob.data(), opts, total, off, other, deq_is_b);
+      EXPECT_EQ(0, std::memcmp(&ref, &got, sizeof ref))
+          << compression_mode_name(mode) << " dot triple deq_is_b "
+          << deq_is_b;
+    }
+  }
+}
+
+// compress_f32's `decoded` output must be exactly compress-then-
+// decompress_f32, into a separate buffer and in place, with the blob itself
+// unchanged. The payload covers the hostile blocks too — NaN, ±Inf, a
+// denormal maximum (the reciprocal fallback) and all zeros — because the
+// writeback decodes the blob it just wrote rather than recomputing levels.
+// Sizes span several 32 KiB writeback tiles, a block larger than one tile,
+// and (at width 2) the pool-tiled codec path.
+TEST(FusedKernels, CompressWritebackMatchesCompressThenDecompress) {
+  PoolGuard guard;
+  const std::size_t total = 300001;  // above the parallel threshold
+  std::vector<float> src = pattern<float>(total, 9);
+  const auto fill = [&](std::size_t at, std::size_t len, float v) {
+    std::fill_n(src.begin() + static_cast<std::ptrdiff_t>(at), len, v);
+  };
+  fill(4096, 256, 0.0f);
+  fill(9216, 256, 1e-40f);
+  src[20003] = std::numeric_limits<float>::quiet_NaN();
+  src[40000] = std::numeric_limits<float>::infinity();
+  src[40001] = -std::numeric_limits<float>::infinity();
+  src[123457] = -std::numeric_limits<float>::quiet_NaN();
+  src[total - 1] = std::numeric_limits<float>::infinity();
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4,
+        CompressionMode::kSign}) {
+    for (const std::size_t block_bytes :
+         {std::size_t{32}, std::size_t{1024}, std::size_t{65536}}) {
+      for (const bool sr : {false, true}) {
+        CompressionOptions opts;
+        opts.mode = mode;
+        opts.block_bytes = block_bytes;
+        opts.stochastic = sr;
+        const std::size_t wire = compressed_wire_bytes(total, opts);
+        std::vector<std::byte> ref_blob(wire);
+        std::vector<float> ref_dec(total);
+        compress_f32(src, opts, ref_blob.data());
+        decompress_f32(ref_blob.data(), opts, ref_dec);
+        for (const int width : {0, 2}) {
+          parallel::configure(width);
+          SCOPED_TRACE(std::string(compression_mode_name(mode)) + " block " +
+                       std::to_string(block_bytes) + (sr ? " sr" : " rne") +
+                       " width " + std::to_string(width));
+          std::vector<std::byte> blob(wire);
+          std::vector<float> dec(total);
+          compress_f32(src, opts, blob.data(), dec);
+          EXPECT_TRUE(bytes_equal(ref_blob, blob)) << "separate: blob";
+          EXPECT_TRUE(bytes_equal(ref_dec, dec)) << "separate: decoded";
+          std::vector<float> inplace = src;
+          std::vector<std::byte> blob2(wire);
+          compress_f32(inplace, opts, blob2.data(), inplace);
+          EXPECT_TRUE(bytes_equal(ref_blob, blob2)) << "aliased: blob";
+          EXPECT_TRUE(bytes_equal(ref_dec, inplace)) << "aliased: decoded";
+        }
+      }
     }
   }
 }
