@@ -743,20 +743,6 @@ void ax_quantize_int4_blocks(const float* src, std::size_t n,
       src, n, block, seed, stochastic, scales,
       [&](std::size_t i, std::size_t rem, __m256i lv) {
         // Same nibble layout as the scalar TU: even index low, odd high.
-        if (rem == 8) {
-          // i is a multiple of 8, so the group fills 4 whole bytes. Shifting
-          // each 64-bit lane right by 4 moves byte 2k+1's nibble into byte
-          // 2k's high half; the shuffle then keeps the even bytes.
-          const __m128i nib =
-              _mm_and_si128(pack_levels8(lv), _mm_set1_epi8(0x0F));
-          const __m128i pairs = _mm_or_si128(nib, _mm_srli_epi64(nib, 4));
-          const __m128i even = _mm_shuffle_epi8(
-              pairs, _mm_setr_epi8(0, 2, 4, 6, -1, -1, -1, -1, -1, -1, -1, -1,
-                                   -1, -1, -1, -1));
-          const std::int32_t word = _mm_cvtsi128_si32(even);
-          std::memcpy(packed + i / 2, &word, sizeof word);
-          return;
-        }
         alignas(32) std::int32_t tmp[8];
         _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), lv);
         for (std::size_t k = 0; k < rem; ++k) {
