@@ -3,8 +3,8 @@
 #
 #   1. Release build (CMakePresets.json `release`) + full ctest under both
 #      SIMD dispatch levels, the micro-kernel speedup gate, the benchmark's
-#      self-test (perfbench/test_perfbench.py) and the injector-off
-#      allocation gate.
+#      self-test (perfbench/test_perfbench.py), the strict-analyzer reruns
+#      and the injector-off allocation gate.
 #   2. Model-checker stage (CMakePresets.json `verify`): the schedule
 #      explorer's clean gate, mutation self-tests and deterministic replay,
 #      plus the transport conformance suite with schedule points compiled in.
@@ -86,6 +86,15 @@ echo "=== transport: conformance suite + shm zero-copy stage ==="
 ADASUM_TRANSPORT=shm ./build/tests/collectives_test
 ADASUM_TRANSPORT=shm ./build/tests/pipeline_test
 ADASUM_TRANSPORT=shm ./build/tests/compress_test
+
+echo "=== strict analyzer: compressed and zero-copy schedules ==="
+# The protocol analyzer in strict mode: every collective's declared message
+# schedule (for RVH, read off the executor's level plan, tag layout
+# included) must match what it sends and receives, across the compressed
+# matrix and the hierarchical cases on the zero-copy transport. The TSan
+# stage also runs collectives_test strictly, but SKIP_SAN=1 skips it.
+ADASUM_ANALYZE=on ./build/tests/compress_test
+ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/collectives_test
 
 echo "=== transport gate: zero-copy throughput floor ==="
 # Writes BENCH_rvh.json and exits nonzero unless the shm transport holds

@@ -1,0 +1,260 @@
+// The recursive-vector-halving (RVH) halving/doubling executor behind both
+// rvh_allreduce_sum and adasum_rvh_allreduce (DESIGN.md §8.1).
+//
+// Algorithm 1 is the sum RVH schedule with a different per-level reduce, so
+// one function owns the schedule and a REDUCER (a template parameter — no
+// virtual call, no std::function) supplies the reduce. The executor owns:
+//   * the level plan — per level the partner, which half stays, the split
+//     point, the segment size and the tag — computed once into a pooled
+//     record buffer; the analyzer declaration, the halving loop and the
+//     unwind all read that one plan;
+//   * the halving send and the receive of the kept half;
+//   * the allgather unwind (requantizing on a compressed wire) and the
+//     closing bulk_fence.
+//
+// Zero-copy schedule: this rank's segment is always a contiguous window of
+// the CALLER'S buffer. Per level only the partner's half is staged (one
+// pooled scratch reused at every level, uncompressed wire only), the reducer
+// writes straight into the caller's storage, and the unwind receives each
+// half directly at its final offset: no steady-state heap allocation and no
+// trailing memcpy.
+//
+// Tag layout: level l exchanges halves on tag_base + 8*l, leaves +1 to the
+// reducer (Adasum's dot-triple allreduce; the sum does not use it) and
+// unwinds on +2. hierarchical.cpp places its fold tags above this range.
+//
+// Reducer contract:
+//   static constexpr const char* kEpoch;  // analyzer epoch name
+//   Reducer(const RvhContext&, Args...);  // leases the reducer's scratch
+//   // Uncompressed wire, per landed span [off, off+len) of the partner's
+//   // half (bytes, relative to `theirs`):
+//   void span(const RvhHalf&, const std::byte* theirs, std::size_t off,
+//             std::size_t len);
+//   // Uncompressed wire, once the whole half has landed; `theirs` (possibly
+//   // the partner's published view) stays readable until this returns:
+//   void landed(const RvhHalf&, const std::byte* theirs);
+//   // Compressed wire: the partner's whole blob, readable until this returns:
+//   void blob(const RvhHalf&, const std::byte* blob);
+//   // Optional: declare the reducer's own messages for the strict analyzer.
+//   void declare(analysis::EpochExpectation&, const RvhLevel&, int level);
+#pragma once
+
+#include <bit>
+#include <cstddef>
+#include <optional>
+#include <span>
+#include <utility>
+
+#include "analysis/analyzer.h"
+#include "base/check.h"
+#include "collectives/compressed.h"
+#include "comm/buffer_pool.h"
+#include "comm/pipeline.h"
+#include "comm/world.h"
+#include "tensor/dtype.h"
+#include "tensor/kernels.h"
+
+namespace adasum {
+
+// Per-call facts the reducers share with the executor.
+struct RvhContext {
+  Comm& comm;
+  std::span<const int> group;  // empty = the whole world
+  int size;                    // group size (a power of two)
+  int rank;                    // this rank's index in the group
+  DType dtype;
+  std::size_t elem;
+  CompressionOptions comp;  // resolved wire codec
+
+  int world_rank(int idx) const {
+    return group.empty() ? idx : group[static_cast<std::size_t>(idx)];
+  }
+};
+
+// One halving level of the plan, retained for the unwind.
+struct RvhLevel {
+  int neighbor = 0;           // world rank of the partner at distance 2^level
+  bool is_left = false;       // left member of the pair: keeps the low half
+  std::size_t mid = 0;        // split point of the segment at this level
+  std::size_t seg_count = 0;  // segment size BEFORE the split
+  int tag = 0;                // halving exchange; +1 reducer, +2 unwind
+
+  std::size_t kept() const { return is_left ? mid : seg_count - mid; }
+  std::size_t sent() const { return seg_count - kept(); }
+};
+
+// The half this rank keeps at one level, as the reducer sees it.
+struct RvhHalf {
+  int level;
+  bool is_left;
+  int tag;
+  std::byte* own;     // the kept half, in the caller's buffer
+  std::size_t begin;  // its global element offset
+  std::size_t count;  // its length in elements
+};
+
+template <class Reducer, class... Args>
+void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
+                   DType dtype, int tag_base, std::span<const int> group,
+                   const CompressionOptions& compression,
+                   Args&&... reducer_args) {
+  const int size =
+      group.empty() ? comm.size() : static_cast<int>(group.size());
+  if (size == 1 || count == 0) return;
+  ADASUM_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(size)),
+                   "RVH requires a power-of-two group size");
+  int rank = comm.rank();
+  if (!group.empty()) {
+    rank = -1;
+    for (std::size_t i = 0; i < group.size(); ++i)
+      if (group[i] == comm.rank()) rank = static_cast<int>(i);
+    ADASUM_CHECK_MSG(rank >= 0, "calling rank must belong to the group");
+  }
+  const std::size_t elem = dtype_size(dtype);
+  // Chunk size for the bulk transfers (0 = monolithic), resolved through the
+  // transport: a zero-copy transport collapses each transfer to one view, and
+  // the declarations below follow.
+  const std::size_t chunk =
+      comm.bulk_chunk_bytes(comm.pipeline().chunk_bytes_for(elem));
+  // Wire compression (DESIGN.md §13): the halving send ships a plain blob
+  // (the local copy dies with the send), the unwind requantizes so every
+  // rank ends bit-identical, and the reducers run on decoded values.
+  const RvhContext ctx{comm, group, size, rank, dtype, elem,
+                       resolve_compression(comm, compression, dtype)};
+  const int levels = std::countr_zero(static_cast<unsigned>(size));
+
+  // Pooled workspace, leased once per call: the staged incoming half (the
+  // largest is the level-0 one; uncompressed only, since the compressed
+  // reducers read straight off the wire blob), the reducer's scratch, and
+  // the plan.
+  std::optional<PooledBuffer> half_buf;
+  if (!ctx.comp.active())
+    half_buf.emplace(comm.pool(), ((count + 1) / 2) * elem);
+  std::byte* const half = half_buf ? half_buf->data() : nullptr;
+  Reducer reducer(ctx, std::forward<Args>(reducer_args)...);
+  PooledBuffer plan_buf(comm.pool(),
+                        static_cast<std::size_t>(levels) * sizeof(RvhLevel));
+  const std::span<RvhLevel> plan =
+      plan_buf.as<RvhLevel>(static_cast<std::size_t>(levels));
+  std::size_t seg_count = count;
+  for (int l = 0; l < levels; ++l) {
+    const int d = 1 << l;
+    const bool is_left = ((rank / d) % 2) == 0;
+    RvhLevel& lv = plan[static_cast<std::size_t>(l)];
+    lv = RvhLevel{ctx.world_rank(is_left ? rank + d : rank - d), is_left,
+                  seg_count / 2, seg_count, tag_base + 8 * l};
+    seg_count = lv.kept();
+  }
+
+#if ADASUM_ANALYZE
+  // Declare the full message schedule up front from the plan the loops below
+  // execute: a drifted tag, partner or chunk count becomes an
+  // expected-vs-observed diff in the epoch report instead of a hang. Every
+  // payload transfer goes through the wire codec, so messages are sized by
+  // the same formula as the streams.
+  analysis::EpochGuard epoch(comm.analyzer(), comm.rank(), Reducer::kEpoch);
+  if (epoch.declaring()) {
+    analysis::EpochExpectation& ex = epoch.expect();
+    const auto messages = [&](std::size_t n) {
+      return chunk_messages(wire_transfer_bytes(n, elem, ctx.comp), chunk);
+    };
+    for (int l = 0; l < levels; ++l) {
+      const RvhLevel& lv = plan[static_cast<std::size_t>(l)];
+      for (std::size_t c = messages(lv.sent()); c > 0; --c)
+        ex.send(lv.neighbor, lv.tag);
+      for (std::size_t c = messages(lv.kept()); c > 0; --c)
+        ex.recv(lv.neighbor, lv.tag);
+      if constexpr (requires { reducer.declare(ex, lv, l); })
+        reducer.declare(ex, lv, l);
+      for (std::size_t c = messages(lv.kept()); c > 0; --c)
+        ex.send(lv.neighbor, lv.tag + 2);
+      for (std::size_t c = messages(lv.sent()); c > 0; --c)
+        ex.recv(lv.neighbor, lv.tag + 2);
+    }
+  }
+#endif
+
+  // Compressed-wire helper (inert when the codec is off); the largest single
+  // transfer is the level-0 half.
+  WireCompressor wc(comm, dtype, ctx.comp, (count + 1) / 2,
+                    /*bulk_views=*/true);
+
+  // Halving: ship the partner's half, reduce the kept one as it lands. On a
+  // zero-copy transport the uncompressed send publishes a VIEW of the
+  // caller's buffer; that region stays untouched until this level's unwind
+  // receive, which happens-after the partner released the view (its reduce
+  // is sequenced before its unwind send).
+  std::size_t seg_begin = 0;
+  for (int l = 0; l < levels; ++l) {
+    const RvhLevel& lv = plan[static_cast<std::size_t>(l)];
+    std::byte* const seg = data + seg_begin * elem;
+    std::byte* const out = lv.is_left ? seg + lv.mid * elem : seg;
+    if (wc.active())
+      wc.send(lv.neighbor, out, lv.sent(), chunk, lv.tag);
+    else
+      comm.send_bulk(lv.neighbor, {out, lv.sent() * elem}, chunk, lv.tag);
+    if (!lv.is_left) seg_begin += lv.mid;
+    const RvhHalf h{l,         lv.is_left, lv.tag, data + seg_begin * elem,
+                    seg_begin, lv.kept()};
+    if (wc.active()) {
+      wc.recv_apply(lv.neighbor, h.count, chunk, lv.tag,
+                    [&](const std::byte* blob) { reducer.blob(h, blob); });
+    } else {
+      // `theirs` is where the partner's half actually lives: the pooled
+      // scratch on the eager path, the PEER's published span on a zero-copy
+      // transport. `held` keeps a view alive until landed() returns.
+      const std::byte* theirs = half;
+      BulkRecv held = comm.recv_bulk(
+          lv.neighbor, {half, h.count * elem}, chunk, lv.tag,
+          [&](const std::byte* base, std::size_t off, std::size_t len) {
+            theirs = base;
+            reducer.span(h, base, off, len);
+          });
+      reducer.landed(h, theirs);
+    }
+  }
+
+  // Allgather unwind (Algorithm 1 lines 22-24): send the reduced segment,
+  // receive the partner's at its final offset. A compressed unwind
+  // requantizes (the sender overwrites its copy with the decoded blob), so
+  // partners hold bit-identical segments at every level, and since the codec
+  // is deterministic the blobs they emit upward are identical too.
+  seg_count = plan[static_cast<std::size_t>(levels - 1)].kept();
+  for (int l = levels - 1; l >= 0; --l) {
+    const RvhLevel& lv = plan[static_cast<std::size_t>(l)];
+    std::byte* const seg = data + seg_begin * elem;
+    // Unwind segments published as views are never rewritten before the
+    // closing fence.
+    if (wc.active())
+      wc.send_requantize(lv.neighbor, seg, seg_count, chunk, lv.tag + 2);
+    else
+      comm.send_bulk(lv.neighbor, {seg, seg_count * elem}, chunk, lv.tag + 2);
+    std::byte* const dest = lv.is_left ? seg + lv.mid * elem
+                                       : seg - lv.mid * elem;
+    if (!lv.is_left) seg_begin -= lv.mid;
+    if (wc.active()) {
+      wc.recv_into(lv.neighbor, dest, lv.sent(), chunk, lv.tag + 2);
+    } else {
+      // The landed segment is final output the caller reads much later, so
+      // the zero-copy path deposits the peer's span with non-temporal
+      // stores; the eager path already received straight into `dest`
+      // (base == dest) and needs no copy at all.
+      BulkRecv held = comm.recv_bulk(
+          lv.neighbor, {dest, lv.sent() * elem}, chunk, lv.tag + 2,
+          [&](const std::byte* base, std::size_t off, std::size_t len) {
+            if (base != dest)
+              kernels::stream_copy_bytes(base + off, dest + off, len);
+          });
+    }
+    seg_count = lv.seg_count;
+  }
+
+  // Close the tail race: the last unwind views this rank published may still
+  // be under the partner's copy. Past the fence the caller owns its buffer
+  // again. (No-op on buffered transports.)
+  comm.bulk_fence();
+  ADASUM_CHECK_EQ(seg_begin, 0u);
+  ADASUM_CHECK_EQ(seg_count, count);
+}
+
+}  // namespace adasum

@@ -1,12 +1,11 @@
 #include "collectives/sum_allreduce.h"
 
-#include <bit>
-#include <cstring>
-#include <vector>
+#include <utility>
 
 #include "analysis/analyzer.h"
 #include "base/check.h"
 #include "collectives/compressed.h"
+#include "collectives/rvh_executor.h"
 #include "comm/buffer_pool.h"
 #include "comm/pipeline.h"
 #include "tensor/kernels.h"
@@ -19,6 +18,33 @@ namespace {
 std::size_t chunk_begin(std::size_t count, int p, int c) {
   return count * static_cast<std::size_t>(c) / static_cast<std::size_t>(p);
 }
+
+// The sum RVH level reduce for the executor in rvh_executor.h: the sum is
+// elementwise, so each landed span is added the moment it lands, overlapping
+// the rest of the stream; every read finishes inside the hook. A compressed
+// half runs the fused decode-add straight off the (possibly zero-copy) blob:
+// one pass over the wire bytes, no decoded staging copy, bit-identical to
+// decompress-then-add with double accumulation.
+class SumReducer {
+ public:
+  static constexpr const char* kEpoch = "rvh_allreduce_sum";
+
+  explicit SumReducer(const RvhContext& ctx) : ctx_(ctx) {}
+
+  void span(const RvhHalf& h, const std::byte* theirs, std::size_t off,
+            std::size_t len) const {
+    kernels::add_bytes(theirs + off, h.own + off, len / ctx_.elem,
+                       ctx_.dtype);
+  }
+  void landed(const RvhHalf&, const std::byte*) const {}
+  void blob(const RvhHalf& h, const std::byte* blob) const {
+    decompress_add_f32(blob, ctx_.comp, h.count, /*offset=*/0,
+                       {reinterpret_cast<float*>(h.own), h.count});
+  }
+
+ private:
+  const RvhContext& ctx_;
+};
 
 }  // namespace
 
@@ -157,197 +183,11 @@ void ring_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
   }
 }
 
-// Zero-copy RVH sum: like the Adasum variant (adasum_rvh.cpp) the segment is
-// a contiguous window of the caller's buffer, only the neighbor's half is
-// staged in pooled scratch, and the allgather deposits halves at their final
-// offsets — no per-level vectors, no merged rebuild, no trailing memcpy.
 void rvh_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
                        DType dtype, int tag_base, std::span<const int> group,
                        const CompressionOptions& compression) {
-  const int size =
-      group.empty() ? comm.size() : static_cast<int>(group.size());
-  if (size == 1 || count == 0) return;
-  ADASUM_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(size)),
-                   "RVH requires a power-of-two group size");
-  const auto world_rank = [&](int idx) {
-    return group.empty() ? idx : group[static_cast<std::size_t>(idx)];
-  };
-  int rank = comm.rank();
-  if (!group.empty()) {
-    rank = -1;
-    for (std::size_t i = 0; i < group.size(); ++i)
-      if (group[i] == comm.rank()) rank = static_cast<int>(i);
-    ADASUM_CHECK_MSG(rank >= 0, "calling rank must belong to the group");
-  }
-  const std::size_t elem = dtype_size(dtype);
-  // Resolved through the transport: a zero-copy transport collapses each
-  // transfer to one monolithic view, and the declarations below follow.
-  const std::size_t chunk =
-      comm.bulk_chunk_bytes(comm.pipeline().chunk_bytes_for(elem));
-  const CompressionOptions comp = resolve_compression(comm, compression, dtype);
-
-#if ADASUM_ANALYZE
-  // Pairwise halving/doubling: per level one half exchange on
-  // tag_base + 4*level and one unwind exchange on +1, both with the level's
-  // hypercube neighbor, each possibly split into a chunk stream. The
-  // declaration walks the same segment halving as the execution so the
-  // per-transfer chunk counts match.
-  analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
-                             "rvh_allreduce_sum");
-  if (epoch.declaring()) {
-    analysis::EpochExpectation& ex = epoch.expect();
-    // Every payload transfer (halves and unwound segments) travels through
-    // the wire codec, so the declaration sizes messages the same way.
-    const auto wire = [&](std::size_t n) {
-      return wire_transfer_bytes(n, elem, comp);
-    };
-    std::size_t dcl_count = count;
-    int lvl = 0;
-    for (int d = 1; d < size; d <<= 1, ++lvl) {
-      const bool left = ((rank / d) % 2) == 0;
-      const int nb = world_rank(left ? rank + d : rank - d);
-      const std::size_t dcl_mid = dcl_count / 2;
-      const std::size_t kept = left ? dcl_mid : dcl_count - dcl_mid;
-      const std::size_t sent = dcl_count - kept;
-      for (std::size_t c = chunk_messages(wire(sent), chunk); c > 0; --c)
-        ex.send(nb, tag_base + 4 * lvl);
-      for (std::size_t c = chunk_messages(wire(kept), chunk); c > 0; --c)
-        ex.recv(nb, tag_base + 4 * lvl);
-      for (std::size_t c = chunk_messages(wire(kept), chunk); c > 0; --c)
-        ex.send(nb, tag_base + 4 * lvl + 1);
-      for (std::size_t c = chunk_messages(wire(sent), chunk); c > 0; --c)
-        ex.recv(nb, tag_base + 4 * lvl + 1);
-      dcl_count = kept;
-    }
-  }
-#endif
-
-  struct Level {
-    int neighbor;
-    bool is_left;
-    std::size_t mid, seg_count;
-    int tag;
-  };
-  const int levels = std::countr_zero(static_cast<unsigned>(size));
-  PooledBuffer half_buf(comm.pool(), ((count + 1) / 2) * elem);
-  std::byte* const half = half_buf.data();
-  PooledBuffer records_buf(comm.pool(),
-                           static_cast<std::size_t>(levels) * sizeof(Level));
-  const std::span<Level> records =
-      records_buf.as<Level>(static_cast<std::size_t>(levels));
-  WireCompressor wc(comm, dtype, comp, (count + 1) / 2, /*bulk_views=*/true);
-
-  std::size_t seg_begin = 0;
-  std::size_t seg_count = count;
-
-  int level = 0;
-  for (int d = 1; d < size; d <<= 1, ++level) {
-    const bool is_left = ((rank / d) % 2) == 0;
-    const int neighbor = is_left ? rank + d : rank - d;
-    const std::size_t mid = seg_count / 2;
-    const int tag = tag_base + 4 * level;
-    std::byte* const seg = data + seg_begin * elem;
-    records[static_cast<std::size_t>(level)] =
-        Level{neighbor, is_left, mid, seg_count, tag};
-    // The half shipped here leaves this rank's working set for good
-    // (ownership transfers to the neighbor), so the compressed path sends a
-    // plain blob — no requantize needed until the unwind.
-    // On a zero-copy transport the uncompressed branch publishes a VIEW of
-    // the caller's buffer. The region stays untouched until this level's
-    // unwind receive, which happens-after the neighbor consumed the view
-    // (its forward receive precedes its unwind send) — same argument as the
-    // Adasum variant in adasum_rvh.cpp.
-    const auto send_half = [&](std::byte* ptr, std::size_t n) {
-      if (wc.active())
-        wc.send(world_rank(neighbor), ptr, n, chunk, tag);
-      else
-        comm.send_bulk(world_rank(neighbor), {ptr, n * elem}, chunk, tag);
-    };
-    std::byte* kept;
-    std::size_t kept_count;
-    if (is_left) {
-      send_half(seg + mid * elem, seg_count - mid);
-      kept = seg;
-      kept_count = mid;
-    } else {
-      send_half(seg, mid);
-      kept = seg + mid * elem;
-      kept_count = seg_count - mid;
-      seg_begin += mid;
-    }
-    if (wc.active()) {
-      // Fused decode-add straight off the (possibly zero-copy) blob view:
-      // one pass over the wire bytes into the kept half, no decoded staging
-      // copy. Bit-identical to decompress-then-add, and the sum still runs
-      // on decoded fp32 values with double accumulation.
-      wc.recv_apply(world_rank(neighbor), kept_count, chunk, tag,
-                    [&](const std::byte* blob) {
-                      decompress_add_f32(
-                          blob, wc.options(), kept_count, /*offset=*/0,
-                          {reinterpret_cast<float*>(kept), kept_count});
-                    });
-    } else {
-      // Elementwise sum: add each incoming span where it lands — pooled
-      // scratch on the eager path (overlapping the remaining transfers of
-      // the stream), the PEER's published span on a zero-copy transport.
-      // Bit-identical to the whole-half add either way. Every read finishes
-      // inside the callback, so the view retires when the handle does.
-      BulkRecv held = comm.recv_bulk(
-          world_rank(neighbor), {half, kept_count * elem}, chunk, tag,
-          [&](const std::byte* base, std::size_t off, std::size_t len) {
-            kernels::add_bytes(base + off, kept + off, len / elem, dtype);
-          });
-    }
-    seg_count = kept_count;
-  }
-
-  for (int l = levels - 1; l >= 0; --l) {
-    const Level& r = records[static_cast<std::size_t>(l)];
-    if (wc.active()) {
-      // Requantize-on-unwind: decode the blob just shipped over the local
-      // copy so both sides of the exchange hold bit-identical values — the
-      // same consistency argument as the Adasum RVH allgather.
-      wc.send_requantize(world_rank(r.neighbor), data + seg_begin * elem,
-                         seg_count, chunk, r.tag + 1);
-    } else {
-      // Unwind segments published as views are never rewritten before the
-      // collective's closing fence.
-      comm.send_bulk(world_rank(r.neighbor),
-                     {data + seg_begin * elem, seg_count * elem}, chunk,
-                     r.tag + 1);
-    }
-    std::byte* dest;
-    std::size_t dest_count;
-    if (r.is_left) {
-      dest = data + (seg_begin + r.mid) * elem;
-      dest_count = r.seg_count - r.mid;
-    } else {
-      dest = data + (seg_begin - r.mid) * elem;
-      dest_count = r.mid;
-      seg_begin -= r.mid;
-    }
-    if (wc.active()) {
-      wc.recv_into(world_rank(r.neighbor), dest, dest_count, chunk,
-                   r.tag + 1);
-    } else {
-      // The landed segment is final output the caller reads much later, so
-      // the zero-copy path deposits the peer's span with non-temporal
-      // stores; the eager path already received straight into `dest`
-      // (base == dest) and needs no copy at all.
-      BulkRecv held = comm.recv_bulk(
-          world_rank(r.neighbor), {dest, dest_count * elem}, chunk, r.tag + 1,
-          [&](const std::byte* base, std::size_t off, std::size_t len) {
-            if (base != dest)
-              kernels::stream_copy_bytes(base + off, dest + off, len);
-          });
-    }
-    seg_count = r.seg_count;
-  }
-  // Retire any views this rank still has published (the last unwind sends)
-  // before the caller touches its buffer again. No-op on buffered
-  // transports.
-  comm.bulk_fence();
-  ADASUM_CHECK_EQ(seg_count, count);
+  rvh_allreduce<SumReducer>(comm, data, count, dtype, tag_base, group,
+                            compression);
 }
 
 void ring_allreduce_sum(Comm& comm, Tensor& tensor, int tag_base,

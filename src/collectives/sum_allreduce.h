@@ -28,8 +28,9 @@ void ring_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
 // In-place recursive-vector-halving sum-allreduce. `group` restricts the
 // reduction to a subset of world ranks (empty = the whole world; all members
 // must call with the same group) — the hierarchical allreduce runs its
-// cross-node sum phase this way. Power-of-two group size. Compressed
-// doubling requantizes like the Adasum RVH unwind (see compressed.h).
+// cross-node sum phase this way. Power-of-two group size. Runs on the RVH
+// executor shared with AdasumRVH (rvh_executor.h), so compressed doubling
+// requantizes exactly like the Adasum RVH unwind (see compressed.h).
 void rvh_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
                        DType dtype, int tag_base = 0,
                        std::span<const int> group = {},

@@ -459,44 +459,32 @@ void DistributedOptimizer::communicate_effective_gradient() {
     }
     std::size_t max_elems = 0;
     for (const Tensor& t : eff) max_elems = std::max(max_elems, t.size());
+    // Error feedback through the wire codec: compensate with last round's
+    // residual, snap the effective gradient through the codec, and bank what
+    // the snap dropped. Under wire_ef the snap is the codec the collectives
+    // apply on the wire, which then re-quantizes grid-point values and adds
+    // no error beyond what the residual already captured. kInt8 snaps
+    // through the per-tensor int8 of tensor/quantize.h, bit for bit
+    // (CompressCodec.OneBlockRtnMatchesPerTensorOracle), while the
+    // collectives keep their own wire options.
+    const CompressionOptions snap =
+        options_.compression == GradientCompression::kInt8
+            ? per_tensor_int8(max_elems)
+            : wirec;
     // Pooled scratch sized once for the largest layer: warm rounds lease the
     // same blocks back from the pool, so the steady state allocates nothing
     // (the bench gate counts allocations across whole compressed steps).
     PooledBuffer roundtrip_buf(comm_.pool(), max_elems * sizeof(float));
-    if (wire_ef) {
-      // Error feedback for the wire codec: compensate with last round's
-      // residual, snap the effective gradient through the exact codec the
-      // collectives apply on the wire, and bank what the snap dropped. The
-      // collective then re-quantizes grid-point values, so the transfer adds
-      // no error beyond what the residual already captured.
-      PooledBuffer blob(comm_.pool(), compressed_wire_bytes(max_elems, wirec));
-      for (std::size_t i = 0; i < eff.size(); ++i) {
-        auto values = eff[i].span<float>();
-        error_feedback_->compensate(i, values);
-        const std::span<float> transmitted =
-            roundtrip_buf.as<float>(values.size());
-        compress_f32(values, wirec, blob.data(), transmitted);
-        error_feedback_->record(i, values, transmitted);
-        std::memcpy(values.data(), transmitted.data(),
-                    values.size() * sizeof(float));
-      }
-    } else {
-      // Legacy per-tensor int8 with error feedback: compensate, quantize,
-      // transmit the dequantized values (decompress-reduce transport model),
-      // and bank the new residual.
-      PooledBuffer q8_buf(comm_.pool(), max_elems);
-      for (std::size_t i = 0; i < eff.size(); ++i) {
-        auto values = eff[i].span<float>();
-        error_feedback_->compensate(i, values);
-        const std::span<std::int8_t> q = q8_buf.as<std::int8_t>(values.size());
-        const float scale = quantize_int8_into(values, q);
-        const std::span<float> transmitted =
-            roundtrip_buf.as<float>(values.size());
-        dequantize_int8(q, scale, transmitted);
-        error_feedback_->record(i, values, transmitted);
-        std::memcpy(values.data(), transmitted.data(),
-                    values.size() * sizeof(float));
-      }
+    PooledBuffer blob(comm_.pool(), compressed_wire_bytes(max_elems, snap));
+    for (std::size_t i = 0; i < eff.size(); ++i) {
+      auto values = eff[i].span<float>();
+      error_feedback_->compensate(i, values);
+      const std::span<float> transmitted =
+          roundtrip_buf.as<float>(values.size());
+      compress_f32(values, snap, blob.data(), transmitted);
+      error_feedback_->record(i, values, transmitted);
+      std::memcpy(values.data(), transmitted.data(),
+                  values.size() * sizeof(float));
     }
   }
 

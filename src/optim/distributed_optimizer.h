@@ -41,9 +41,10 @@ namespace adasum::optim {
 //   kFp16 — dynamic loss scaling into binary16 (§4.4.1), overflow rounds are
 //           skipped consistently on every rank;
 //   kInt8 — symmetric per-layer int8 with error feedback (the §6
-//           gradient-compression axis; see tensor/quantize.h). The reduction
-//           itself runs on the dequantized values, modeling
-//           decompress-reduce transports.
+//           gradient-compression axis): the wire codec's int8 with one
+//           round-to-nearest block per tensor, which is the per-tensor int8
+//           of tensor/quantize.h. The reduction itself runs on the
+//           dequantized values, modeling decompress-reduce transports.
 enum class GradientCompression { kNone, kFp16, kInt8 };
 
 struct DistributedOptions {
@@ -186,7 +187,7 @@ class DistributedOptimizer {
   long skipped_rounds_ = 0;
   long degraded_rounds_ = 0;
   DynamicScaler scaler_;
-  std::unique_ptr<ErrorFeedback> error_feedback_;  // int8 path only
+  std::unique_ptr<ErrorFeedback> error_feedback_;  // kInt8 / wire-EF paths
   int tag_round_ = 0;
   TunedConfig tuned_{};          // autotuner pick (valid when resolved)
   bool tuned_resolved_ = false;

@@ -140,6 +140,17 @@ inline std::size_t compressed_wire_bytes(std::size_t count,
          compressed_payload_bytes(count, opts.mode);
 }
 
+// Codec options that reproduce the per-tensor int8 of tensor/quantize.h for
+// every tensor of up to `max_elems` elements: one round-to-nearest int8
+// block covering the tensor (DistributedOptimizer's kInt8).
+inline CompressionOptions per_tensor_int8(std::size_t max_elems) {
+  CompressionOptions o;
+  o.mode = CompressionMode::kInt8;
+  o.block_bytes = (max_elems + 7) / 8 * 8 * sizeof(float);
+  o.stochastic = false;
+  return o;
+}
+
 // Codec entry points (compress.cpp). `dst`/`src` wire buffers hold
 // compressed_wire_bytes(values.size(), opts) bytes, 4-byte aligned (the
 // scale sideband is stored as raw floats; BufferPool leases satisfy this).

@@ -1,47 +1,32 @@
 #include "tensor/quantize.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/check.h"
 
 namespace adasum {
 
-float quantize_int8_into(std::span<const float> values,
-                         std::span<std::int8_t> out) {
-  ADASUM_CHECK_EQ(out.size(), values.size());
-  float max_abs = 0.0f;
-  for (float v : values) max_abs = std::max(max_abs, std::abs(v));
-  if (max_abs == 0.0f) {
-    for (auto& q : out) q = 0;
-    return 0.0f;
-  }
-  const float scale = max_abs / 127.0f;
-  const float inv = 1.0f / scale;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const float scaled = values[i] * inv;
-    const float rounded = std::nearbyint(scaled);
-    out[i] = static_cast<std::int8_t>(
-        std::max(-127.0f, std::min(127.0f, rounded)));
-  }
-  return scale;
-}
-
 Int8Quantized quantize_int8(std::span<const float> values) {
   Int8Quantized q;
-  q.data.resize(values.size());
-  q.scale = quantize_int8_into(values, q.data);
+  q.data.assign(values.size(), 0);
+  float max_abs = 0.0f;
+  for (float v : values) max_abs = std::max(max_abs, std::abs(v));
+  if (max_abs == 0.0f) return q;
+  q.scale = max_abs / 127.0f;
+  const float inv = 1.0f / q.scale;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const float rounded = std::nearbyint(values[i] * inv);
+    q.data[i] = static_cast<std::int8_t>(
+        std::max(-127.0f, std::min(127.0f, rounded)));
+  }
   return q;
 }
 
-void dequantize_int8(std::span<const std::int8_t> data, float scale,
-                     std::span<float> out) {
-  ADASUM_CHECK_EQ(out.size(), data.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = static_cast<float>(data[i]) * scale;
-}
-
 void dequantize_int8(const Int8Quantized& q, std::span<float> out) {
-  dequantize_int8(std::span<const std::int8_t>(q.data), q.scale, out);
+  ADASUM_CHECK_EQ(out.size(), q.data.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<float>(q.data[i]) * q.scale;
 }
 
 ErrorFeedback::ErrorFeedback(std::vector<std::size_t> sizes) {

@@ -1,13 +1,18 @@
-// Int8 gradient quantization with error feedback.
+// Per-tensor int8 quantization (the test oracle) and error feedback.
 //
 // The paper's §6 discusses gradient-compression methods (1-bit SGD, low-rank
 // PowerSGD) as a complementary axis to Adasum: they shrink each
 // communication round, Adasum reduces how many rounds are needed. This
-// module provides the standard building block — symmetric per-tensor int8
-// quantization (x ≈ q * scale, scale = max|x| / 127) plus the error-feedback
-// residual that makes biased compressors converge (Seide et al., the
-// paper's [33]) — and the DistributedOptimizer exposes it as an optional
-// payload compression for the effective gradients, mirroring its fp16 path.
+// module keeps the two scalar building blocks of that axis:
+//  * symmetric per-tensor int8 quantization (x ≈ q * scale, scale =
+//    max|x| / 127, round to nearest) — the ancestor of the blockwise wire
+//    codec (tensor/compress/compress.h). The codec reproduces it bit for bit
+//    with one round-to-nearest block covering the tensor, which is how the
+//    DistributedOptimizer's kInt8 runs; this struct API is the oracle the
+//    codec tests compare against;
+//  * the error-feedback residual that makes biased compressors converge
+//    (Seide et al., the paper's [33]), the one implementation every
+//    compressed optimizer path uses.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +35,6 @@ Int8Quantized quantize_int8(std::span<const float> values);
 
 // out[i] = q.data[i] * q.scale. `out.size()` must equal `q.data.size()`.
 void dequantize_int8(const Int8Quantized& q, std::span<float> out);
-
-// Zero-allocation variants for hot paths (DESIGN.md §8): identical
-// arithmetic to the struct API, but the caller owns the storage — the
-// DistributedOptimizer's per-round compression runs on pooled scratch
-// instead of a fresh vector per tensor per round. `out.size()` must equal
-// `values.size()`; returns the scale.
-float quantize_int8_into(std::span<const float> values,
-                         std::span<std::int8_t> out);
-void dequantize_int8(std::span<const std::int8_t> data, float scale,
-                     std::span<float> out);
 
 // Error-feedback accumulator for a fixed-layout set of tensors: before
 // compressing, add the residual left over from the previous round; after

@@ -33,41 +33,6 @@ Level resolve_level() {
   return available ? Level::kAvx2 : Level::kScalar;
 }
 
-#if defined(ADASUM_SIMD_HAVE_AVX2)
-// True when ADASUM_SIMD=avx2 was requested explicitly (as opposed to auto
-// selection): the raw AVX2 table is handed out unmodified then, so the
-// per-entry tuning below never hides a vector body from someone asking for
-// it by name.
-bool env_forced_avx2() {
-  static const bool forced = [] {
-    const char* env = std::getenv("ADASUM_SIMD");
-    return env != nullptr && std::strcmp(env, "avx2") == 0;
-  }();
-  return forced;
-}
-
-// Measured per-(kernel, dtype) picks (BENCH_kernels.json): the AVX2 bodies
-// for these entries lose to the scalar loops — `add` has one add per element
-// against a widen/narrow shuffle chain, and f64 `scaled_sum`'s FMA gains
-// drown in the same port pressure — so auto dispatch demotes exactly those
-// entries to the scalar pointers. Numerics: add is bit-identical across TUs
-// (double add + single narrow either way) and scaled_sum f64 stays within
-// the documented ulp envelope, with every caller routed through the same
-// table so self-consistency holds. table_for() keeps returning the raw
-// per-TU tables — the parity tests compare pure TUs, not this blend.
-const KernelTable& tuned_avx2_table() {
-  static const KernelTable table = [] {
-    KernelTable t = avx2_table();
-    const KernelTable& s = scalar_table();
-    t.add[kF32] = s.add[kF32];
-    t.add[kF64] = s.add[kF64];
-    t.scaled_sum[kF64] = s.scaled_sum[kF64];
-    return t;
-  }();
-  return table;
-}
-#endif
-
 }  // namespace
 
 const char* level_name(Level level) {
@@ -102,11 +67,7 @@ Level active_level() {
 
 const KernelTable& active_table() {
   const KernelTable* table = table_for(active_level());
-  if (table == nullptr) return scalar_table();
-#if defined(ADASUM_SIMD_HAVE_AVX2)
-  if (table == &avx2_table() && !env_forced_avx2()) return tuned_avx2_table();
-#endif
-  return *table;
+  return table != nullptr ? *table : scalar_table();
 }
 
 const KernelTable* table_for(Level level) {

@@ -173,6 +173,15 @@ struct KernelTable {
 // scalar loops — the oracle the property tests compare vector paths against.
 const KernelTable& scalar_table();
 
+// Scalar-TU entries the AVX2 table shares: BENCH_kernels.json measured no
+// vector body for them that beats the scalar loop (`add` is one add per
+// element against a widen/narrow shuffle chain; f64 `scaled_sum`'s FMA gains
+// drown in the same port pressure), so both tables hold these pointers.
+void scalar_add_f32(const std::byte* x, std::byte* y, std::size_t n);
+void scalar_add_f64(const std::byte* x, std::byte* y, std::size_t n);
+void scalar_scaled_sum_f64(const std::byte* a, double ca, const std::byte* b,
+                           double cb, std::byte* out, std::size_t n);
+
 #if defined(ADASUM_SIMD_HAVE_AVX2)
 // Defined in kernels_avx2.cpp, which is only compiled (with per-TU ISA flags)
 // when the toolchain probe in src/tensor/CMakeLists.txt succeeds.

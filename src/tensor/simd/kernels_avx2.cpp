@@ -304,10 +304,6 @@ void axpy_f32(double alpha, const std::byte* x, std::byte* y, std::size_t n) {
 void scale_f32(double alpha, std::byte* x, std::size_t n) {
   scale_f32_block(alpha, reinterpret_cast<float*>(x), n);
 }
-void add_f32(const std::byte* x, std::byte* y, std::size_t n) {
-  add_f32_block(reinterpret_cast<const float*>(x),
-                reinterpret_cast<float*>(y), n);
-}
 void scaled_sum_f32(const std::byte* a, double ca, const std::byte* b,
                     double cb, std::byte* out, std::size_t n) {
   scaled_sum_f32_block(reinterpret_cast<const float*>(a), ca,
@@ -364,40 +360,6 @@ void scale_f64(double alpha, std::byte* px, std::size_t n) {
                      _mm256_mul_pd(_mm256_loadu_pd(x + i + 4), va));
   }
   for (; i < n; ++i) x[i] *= alpha;
-}
-void add_f64(const std::byte* px, std::byte* py, std::size_t n) {
-  const auto* x = reinterpret_cast<const double*>(px);
-  auto* y = reinterpret_cast<double*>(py);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(x + i),
-                                          _mm256_loadu_pd(y + i)));
-    _mm256_storeu_pd(y + i + 4, _mm256_add_pd(_mm256_loadu_pd(x + i + 4),
-                                              _mm256_loadu_pd(y + i + 4)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-void scaled_sum_f64(const std::byte* pa, double ca, const std::byte* pb,
-                    double cb, std::byte* pout, std::size_t n) {
-  const auto* a = reinterpret_cast<const double*>(pa);
-  const auto* b = reinterpret_cast<const double*>(pb);
-  auto* out = reinterpret_cast<double*>(pout);
-  const __m256d vca = _mm256_set1_pd(ca);
-  const __m256d vcb = _mm256_set1_pd(cb);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // Loads of both operands precede the store, so out == a / out == b exact
-    // aliasing (the in-place AdasumRVH combine) is safe per 8-element chunk.
-    const __m256d r0 = _mm256_fmadd_pd(
-        _mm256_loadu_pd(b + i), vcb,
-        _mm256_mul_pd(_mm256_loadu_pd(a + i), vca));
-    const __m256d r1 = _mm256_fmadd_pd(
-        _mm256_loadu_pd(b + i + 4), vcb,
-        _mm256_mul_pd(_mm256_loadu_pd(a + i + 4), vca));
-    _mm256_storeu_pd(out + i, r0);
-    _mm256_storeu_pd(out + i + 4, r1);
-  }
-  for (; i < n; ++i) out[i] = ca * a[i] + cb * b[i];
 }
 
 // fp16: stage through F16C-converted stack tiles, run the fp32 blocks, and
@@ -1238,8 +1200,8 @@ const KernelTable& avx2_table() {
       {dot_triple_f16, dot_triple_f32, dot_triple_f64},
       {axpy_f16, axpy_f32, axpy_f64},
       {scale_f16, scale_f32, scale_f64},
-      {add_f16, add_f32, add_f64},
-      {scaled_sum_f16, scaled_sum_f32, scaled_sum_f64},
+      {add_f16, scalar_add_f32, scalar_add_f64},
+      {scaled_sum_f16, scaled_sum_f32, scalar_scaled_sum_f64},
       {has_nonfinite_f16, has_nonfinite_f32, has_nonfinite_f64},
       h2f,
       f2h,

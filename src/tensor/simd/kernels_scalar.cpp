@@ -536,6 +536,17 @@ void sw_stream_copy(const std::byte* src, std::byte* dst, std::size_t bytes) {
 
 }  // namespace
 
+void scalar_add_f32(const std::byte* x, std::byte* y, std::size_t n) {
+  k_add<float>(x, y, n);
+}
+void scalar_add_f64(const std::byte* x, std::byte* y, std::size_t n) {
+  k_add<double>(x, y, n);
+}
+void scalar_scaled_sum_f64(const std::byte* a, double ca, const std::byte* b,
+                           double cb, std::byte* out, std::size_t n) {
+  k_scaled_sum<double>(a, ca, b, cb, out, n);
+}
+
 const KernelTable& scalar_table() {
   static constexpr KernelTable table = {
       "scalar",
@@ -544,8 +555,8 @@ const KernelTable& scalar_table() {
       {k_dot_triple<Half>, k_dot_triple<float>, k_dot_triple<double>},
       {k_axpy<Half>, k_axpy<float>, k_axpy<double>},
       {k_scale<Half>, k_scale<float>, k_scale<double>},
-      {k_add<Half>, k_add<float>, k_add<double>},
-      {k_scaled_sum<Half>, k_scaled_sum<float>, k_scaled_sum<double>},
+      {k_add<Half>, scalar_add_f32, scalar_add_f64},
+      {k_scaled_sum<Half>, k_scaled_sum<float>, scalar_scaled_sum_f64},
       {k_has_nonfinite<Half>, k_has_nonfinite<float>, k_has_nonfinite<double>},
       sw_half_to_float,
       sw_float_to_half,

@@ -31,9 +31,9 @@ bool built_with_avx2();
 Level active_level();
 
 // Table for active_level(). All kernels in tensor/kernels.h route through it.
-// Under auto selection this is the TUNED table: entries where the measured
-// AVX2 body loses to the scalar loop (BENCH_kernels.json) hold the scalar
-// pointer instead. An explicit ADASUM_SIMD=avx2 returns the raw AVX2 table.
+// Entries where no AVX2 body beats the scalar loop (BENCH_kernels.json) hold
+// the scalar pointer in the AVX2 table itself (kernel_table.h), so auto
+// selection and an explicit ADASUM_SIMD=avx2 hand out the same table.
 const KernelTable& active_table();
 
 // Table for a specific level, or nullptr when that level is unavailable

@@ -23,6 +23,8 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +36,7 @@
 #include "collectives/sum_allreduce.h"
 #include "comm/fault_injector.h"
 #include "comm/world.h"
+#include "nn/models.h"
 #include "tensor/compress/compress.h"
 #include "tensor/kernels.h"
 #include "tensor/quantize.h"
@@ -361,23 +364,66 @@ TEST(CompressCodec, StochasticRoundingIsUnbiasedChiSquare) {
 TEST(CompressCodec, OneBlockRtnMatchesPerTensorOracle) {
   // Block covering the whole tensor + round-to-nearest reproduces the
   // per-tensor int8 path of tensor/quantize.h bit-for-bit: same scale, same
-  // quantized bytes, same reconstruction.
-  const std::size_t n = 1000;
-  const std::vector<float> src = random_floats(n, 99);
-  const CompressionOptions opts =
-      make_opts(CompressionMode::kInt8, 8192, false);  // block 2048 >= n
-  std::vector<std::byte> wire(compressed_wire_bytes(n, opts));
-  compress_f32(src, opts, wire.data());
-  float scale;
-  std::memcpy(&scale, wire.data(), sizeof(float));
-  const Int8Quantized oracle = quantize_int8(src);
-  EXPECT_EQ(scale, oracle.scale);
-  EXPECT_EQ(0, std::memcmp(wire.data() + sizeof(float), oracle.data.data(),
-                           n));
-  std::vector<float> ours(n), theirs(n);
-  decompress_f32(wire.data(), opts, ours);
-  dequantize_int8(oracle, theirs);
-  EXPECT_EQ(0, std::memcmp(ours.data(), theirs.data(), n * sizeof(float)));
+  // quantized bytes, same reconstruction. DistributedOptimizer's kInt8 runs
+  // on exactly this: per_tensor_int8 sizes one block from the round's
+  // largest tensor and compress_f32 writes the decoded values back. Each
+  // round below is one optimizer round — lone tensors around the 8-element
+  // block quantum, and LeNet-5's parameter tensors (both input sizes)
+  // sharing one block — checked through the public codec on the active
+  // table and through the raw kernels of the active and scalar tables.
+  std::vector<std::vector<std::size_t>> rounds;
+  for (const std::size_t n : {1, 7, 8, 9, 1000, 65537}) rounds.push_back({n});
+  for (const std::size_t hw : {16, 28}) {
+    Rng rng(hw);
+    const auto model = nn::make_lenet5(10, rng, /*relu=*/true, hw);
+    rounds.emplace_back();
+    for (const nn::Parameter* p : model->parameters())
+      rounds.back().push_back(p->value.size());
+  }
+  const KernelTable* tables[] = {&simd::active_table(),
+                                 simd::table_for(Level::kScalar)};
+  std::uint64_t seed = 99;
+  for (const std::vector<std::size_t>& sizes : rounds) {
+    const CompressionOptions opts =
+        per_tensor_int8(*std::max_element(sizes.begin(), sizes.end()));
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " block=" +
+                   std::to_string(opts.block_elems()));
+      const std::vector<float> src = random_floats(n, seed++);
+      const Int8Quantized oracle = quantize_int8(src);
+      std::vector<float> theirs(n);
+      dequantize_int8(oracle, theirs);
+
+      std::vector<std::byte> wire(compressed_wire_bytes(n, opts));
+      std::vector<float> ours(n);
+      compress_f32(src, opts, wire.data(), ours);
+      float scale;
+      std::memcpy(&scale, wire.data(), sizeof(float));
+      EXPECT_EQ(scale, oracle.scale);
+      EXPECT_EQ(0, std::memcmp(wire.data() + sizeof(float),
+                               oracle.data.data(), n));
+      EXPECT_EQ(0, std::memcmp(ours.data(), theirs.data(), n * sizeof(float)));
+
+      for (const KernelTable* t : tables) {
+        const CodecRun r = run_table(*t, CompressionMode::kInt8, src,
+                                     opts.block_elems(), opts.seed,
+                                     opts.stochastic);
+        ASSERT_EQ(r.scales.size(), 1u) << t->name;
+        EXPECT_EQ(r.scales[0], oracle.scale) << t->name;
+        EXPECT_EQ(0, std::memcmp(r.payload.data(), oracle.data.data(), n))
+            << t->name;
+        EXPECT_EQ(0, std::memcmp(r.decoded.data(), theirs.data(),
+                                 n * sizeof(float)))
+            << t->name;
+      }
+    }
+  }
+  // The writeback span must match the input length.
+  const std::vector<float> src(9, 1.0f);
+  std::vector<float> short_out(8);
+  std::vector<std::byte> wire(compressed_wire_bytes(9, per_tensor_int8(9)));
+  EXPECT_THROW(compress_f32(src, per_tensor_int8(9), wire.data(), short_out),
+               CheckError);
 }
 
 TEST(CompressCodec, DeterministicAcrossCalls) {
@@ -397,22 +443,28 @@ TEST(CompressCodec, DeterministicAcrossCalls) {
 
 // ---- compressed collectives ------------------------------------------------
 
+// gtest prints a CollectiveCase as its raw bytes, and those bytes become part
+// of the test names. The struct therefore has no padding: padding would carry
+// stack garbage into the names, which under ASLR differs from one run to the
+// next.
 struct CollectiveCase {
   AllreduceAlgo algo;
   ReduceOp op;
-  int ranks;
+  std::int64_t ranks;
   std::size_t count;
   CompressionMode mode;
   bool pipeline;
-  int ranks_per_node = 1;
+  std::int16_t ranks_per_node = 1;
+  std::int32_t unused = 0;
 };
+static_assert(std::has_unique_object_representations_v<CollectiveCase>);
 
 class CompressedCollectivesTest
     : public ::testing::TestWithParam<CollectiveCase> {};
 
 TEST_P(CompressedCollectivesTest, AllRanksEndBitIdentical) {
   const CollectiveCase c = GetParam();
-  World world(c.ranks);
+  World world(static_cast<int>(c.ranks));
   if (c.pipeline) {
     PipelineOptions pipe;
     pipe.enabled = true;

@@ -2,8 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <span>
 
 #include "base/rng.h"
 #include "tensor/quantize.h"
@@ -58,34 +56,6 @@ TEST(QuantizeInt8, SymmetricUnderNegation) {
   const Int8Quantized b = quantize_int8(neg);
   EXPECT_EQ(a.scale, b.scale);
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(a.data[i], -b.data[i]);
-}
-
-TEST(QuantizeInt8, SpanApiMatchesAllocatingApiWithoutAllocating) {
-  // quantize_int8_into / span dequantize_int8 are the pooled-scratch variants
-  // the distributed optimizer uses on its warm path; they must reproduce the
-  // allocating API exactly.
-  Rng rng(4);
-  std::vector<float> values(257);
-  for (auto& v : values) v = static_cast<float>(rng.normal(0, 2));
-  const Int8Quantized q = quantize_int8(values);
-  std::vector<std::int8_t> scratch(values.size());
-  const float scale = quantize_int8_into(values, scratch);
-  EXPECT_EQ(scale, q.scale);
-  EXPECT_EQ(0, std::memcmp(scratch.data(), q.data.data(), scratch.size()));
-  std::vector<float> a(values.size()), b(values.size());
-  dequantize_int8(q, a);
-  dequantize_int8(scratch, scale, b);
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
-}
-
-TEST(QuantizeInt8, SpanApiChecksLengths) {
-  std::vector<float> values(8, 1.0f);
-  std::vector<std::int8_t> small(7);
-  EXPECT_THROW(quantize_int8_into(values, small), CheckError);
-  std::vector<float> out(6);
-  EXPECT_THROW(dequantize_int8(std::span<const std::int8_t>(small), 1.0f,
-                               out),
-               CheckError);
 }
 
 TEST(ErrorFeedbackTest, ResidualsAccumulateAndCompensate) {
