@@ -25,8 +25,9 @@
 //   * int4 measured reduction >= 4.0x (so the ">= 4x" headline holds for
 //     every sub-byte codec);
 //   * zero steady-state pool allocations in the timed int8 window;
-//   * every rank's result bit-identical in every mode (the requantize /
-//     verbatim-forwarding consistency argument of collectives/compressed.h);
+//   * every rank's result bit-identical in every mode (each owner encodes
+//     its segment once and its blob is forwarded verbatim, the consistency
+//     argument of collectives/compressed.h);
 //   * LeNet-5 best accuracy with int8 wire compression + error feedback
 //     within 4 points of the uncompressed run.
 // A plain run reports the same numbers without enforcing.
@@ -384,7 +385,7 @@ int run(const char* json_path, bool enforce) {
       int8.pool.allocations == 0);
   bench::check_shape(
       "every rank decodes bit-identical replicas in every codec "
-      "(requantize + verbatim forwarding)",
+      "(owner encodes once, blob forwarded verbatim)",
       replicas_ok);
   bench::check_shape(
       "LeNet-5 with int8 wire compression + error feedback converges within "

@@ -91,9 +91,12 @@ echo "=== strict analyzer: compressed and zero-copy schedules ==="
 # The protocol analyzer in strict mode: every collective's declared message
 # schedule (for RVH, read off the executor's level plan, tag layout
 # included) must match what it sends and receives, across the compressed
-# matrix and the hierarchical cases on the zero-copy transport. The TSan
-# stage also runs collectives_test strictly, but SKIP_SAN=1 skips it.
+# matrix on both transports (the zero-copy unwind copies forwarded sub-blob
+# runs out of the peer's view) and the hierarchical cases on the zero-copy
+# transport. The TSan stage also runs collectives_test strictly, but
+# SKIP_SAN=1 skips it.
 ADASUM_ANALYZE=on ./build/tests/compress_test
+ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/compress_test
 ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/collectives_test
 
 echo "=== transport gate: zero-copy throughput floor ==="

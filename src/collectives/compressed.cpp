@@ -1,16 +1,20 @@
 #include "collectives/compressed.h"
 
+#include <algorithm>
+
 #include "base/check.h"
 
 namespace adasum {
 
 WireCompressor::WireCompressor(Comm& comm, DType dtype,
                                const CompressionOptions& opts,
-                               std::size_t max_elems, bool bulk_views)
+                               std::size_t max_elems, bool bulk_views,
+                               std::size_t max_run_bytes)
     : comm_(comm), opts_(opts), bulk_views_(bulk_views) {
   if (!opts_.active()) return;  // inactive: touch neither pool nor dtype
   ADASUM_CHECK(dtype == DType::kFloat32);
-  const std::size_t bytes = compressed_wire_bytes(max_elems, opts_);
+  const std::size_t bytes =
+      std::max(compressed_wire_bytes(max_elems, opts_), max_run_bytes);
   blobs_[0].emplace(comm.pool(), bytes);
   blobs_[1].emplace(comm.pool(), bytes);
 }
@@ -20,7 +24,7 @@ WireCompressor::~WireCompressor() {
   // under a peer's decode must retire first or the next lessee would write
   // under the reader. The collectives fence before unwinding, so this is
   // normally an instant re-check — it only ever blocks on an early exit.
-  if (blob_view_out_) {
+  if (view_out_[0] || view_out_[1]) {
     try {
       comm_.bulk_fence();
     } catch (...) {
@@ -34,9 +38,9 @@ std::byte* WireCompressor::writable_slot(int slot) {
   // Writing a slot that still backs a published view would race the peer's
   // decode. In the RVH schedules the peer's consuming receive only waits on
   // transfers this rank already completed, so the fence always terminates.
-  if (blob_view_out_) {
-    comm_.bulk_fence();
-    blob_view_out_ = false;
+  if (view_out_[slot]) {
+    comm_.bulk_fence();  // retires every view, both slots'
+    view_out_[0] = view_out_[1] = false;
   }
   return blobs_[slot]->data();
 }
@@ -47,9 +51,10 @@ void WireCompressor::encode(int slot, const std::byte* data,
                writable_slot(slot));
 }
 
-void WireCompressor::requantize(int slot, std::byte* data, std::size_t elems) {
+void WireCompressor::requantize(int slot, std::byte* data, std::size_t elems,
+                                std::size_t at) {
   const std::span<float> values{reinterpret_cast<float*>(data), elems};
-  compress_f32(values, opts_, writable_slot(slot), values);
+  compress_f32(values, opts_, writable_slot(slot) + at, values);
 }
 
 void WireCompressor::decode(int slot, std::byte* dest, std::size_t elems) {
@@ -68,48 +73,37 @@ void WireCompressor::recv_blob(int src, int slot, std::size_t elems,
                          tag);
 }
 
-void WireCompressor::send_bulk_blob(int dst, std::size_t elems,
-                                    std::size_t chunk, int tag) {
-  if (comm_.bulk_zero_copy()) blob_view_out_ = true;
-  comm_.send_bulk(dst, blobs_[0]->bytes(wire_bytes(elems)), chunk, tag);
-}
-
 void WireCompressor::send(int dst, const std::byte* data, std::size_t elems,
                           std::size_t chunk, int tag) {
   encode(0, data, elems);
   if (bulk_views_)
-    send_bulk_blob(dst, elems, chunk, tag);
+    send_view(dst, 0, 0, wire_bytes(elems), chunk, tag);
   else
     send_blob(dst, 0, elems, chunk, tag);
 }
 
-void WireCompressor::send_requantize(int dst, std::byte* data,
-                                     std::size_t elems, std::size_t chunk,
-                                     int tag) {
-  // The blob, not `data`, is what travels (copied, or published as a view
-  // of the slot), so `data` may take its decoded values before the send.
-  requantize(0, data, elems);
-  if (bulk_views_)
-    send_bulk_blob(dst, elems, chunk, tag);
-  else
-    send_blob(dst, 0, elems, chunk, tag);
+void WireCompressor::send_view(int dst, int slot, std::size_t at,
+                               std::size_t bytes, std::size_t chunk, int tag) {
+  if (comm_.bulk_zero_copy()) view_out_[slot] = true;
+  comm_.send_bulk(dst, blobs_[slot]->bytes(at + bytes).subspan(at), chunk,
+                  tag);
 }
 
-void WireCompressor::recv_into(int src, std::byte* dest, std::size_t elems,
-                               std::size_t chunk, int tag) {
-  if (bulk_views_) {
-    // The compressed remote-span path: on a zero-copy transport `blob` is
-    // rebound to the PEER's published slot and the decode runs directly off
-    // it — no staging copy; the eager path stages in slot 0 as before.
-    const std::byte* blob = blobs_[0]->data();
-    BulkRecv held = comm_.recv_bulk(
-        src, blobs_[0]->bytes(wire_bytes(elems)), chunk, tag,
-        [&](const std::byte* base, std::size_t, std::size_t) { blob = base; });
-    decompress_f32(blob, opts_, {reinterpret_cast<float*>(dest), elems});
-    return;
-  }
-  recv_blob(src, 0, elems, chunk, tag);
-  decode(0, dest, elems);
+void WireCompressor::send_run(int dst, std::size_t at, std::size_t bytes,
+                              std::size_t chunk, int tag) {
+  ADASUM_CHECK(bulk_views_);
+  send_view(dst, 1, at, bytes, chunk, tag);
+}
+
+const std::byte* WireCompressor::recv_run(int src, std::size_t at,
+                                          std::size_t bytes,
+                                          std::size_t chunk, int tag) {
+  ADASUM_CHECK(bulk_views_);
+  // No writable_slot() fence: the range is disjoint from every run this rank
+  // has published and not yet fenced.
+  const std::span<std::byte> dest = blobs_[1]->bytes(at + bytes).subspan(at);
+  comm_.recv_bulk_into(src, dest, chunk, tag);
+  return dest.data();
 }
 
 }  // namespace adasum

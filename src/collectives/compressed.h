@@ -9,19 +9,21 @@
 // (smaller) wire blob, and checksums/fault injection see plain byte
 // messages.
 //
-// Replica consistency (the reason requantize exists): a lossy wire would let
-// a sender keep exact values while receivers hold approximations, and ranks
-// would silently diverge. Two mechanisms prevent that:
-//  * requantize-on-allgather — the sender compresses its segment ONCE,
-//    overwriting its own copy with the blob's decoded values in the same
-//    pass, and ships that blob, so sender and receivers hold bit-identical
-//    floats;
-//  * determinism — the codec is a pure function of (bytes, options), so two
-//    ranks holding identical segments (the RVH unwind invariant) emit
-//    identical blobs for their partners. The ring allgather instead forwards
-//    each owner's blob VERBATIM hop to hop, so every rank decodes the same
-//    stream. tests/compress_test.cpp asserts the resulting cross-rank
-//    bit-equality for every schedule.
+// Replica consistency: a lossy wire would let a sender keep exact values
+// while receivers hold approximations, and ranks would silently diverge.
+// Every allgather therefore follows one rule: each final segment is encoded
+// ONCE, by its owner, and every rank materializes it from those same bytes.
+//  * requantize — the owner compresses its segment, overwriting its own copy
+//    with the blob's decoded values in the same pass, so owner and receivers
+//    hold bit-identical floats;
+//  * verbatim forwarding — nobody re-encodes a segment it did not own. The
+//    ring allgather forwards each owner's blob hop to hop; the RVH unwind
+//    forwards runs of owner sub-blobs (whole blobs laid end to end in segment
+//    order, each padded to 4 bytes) and decodes each at its element offset.
+// The codec is also a pure function of (bytes, options), which the halving
+// sends rely on only for scalar/AVX2 parity. tests/compress_test.cpp asserts
+// cross-rank bit-equality for every schedule and pins the RVH unwind against
+// a serial owner-encodes-once simulation.
 #pragma once
 
 #include <cstddef>
@@ -58,25 +60,36 @@ inline std::size_t wire_transfer_bytes(std::size_t elems,
                        : elems * elem_size;
 }
 
+// Bytes one owner's blob of `elems` floats takes inside a forwarded run of
+// sub-blobs: the blob padded to a multiple of 4, so the next sub-blob's f32
+// scale sideband stays aligned. Block-multiple segments need no padding.
+inline std::size_t sub_blob_bytes(std::size_t elems,
+                                  const CompressionOptions& opts) {
+  return (compressed_wire_bytes(elems, opts) + 3) / 4 * 4;
+}
+
 // Pooled compress/transfer helper, leased once per collective call (zero
 // steady-state allocation, DESIGN.md §8). Two blob slots sized for the
 // largest transfer: the ring allgather holds a received blob in one slot
-// while the next lands in the other; every other schedule uses slot 0.
+// while the next lands in the other; the RVH schedules use slot 0 for the
+// halving blobs and slot 1 for the unwind's sub-blob runs.
 // Inactive options make active() false and the collectives keep their
 // uncompressed code paths byte-identical to before.
 class WireCompressor {
  public:
-  // `max_elems` bounds the largest single transfer of the collective.
-  // `bulk_views` opts the one-shot transfers (send / send_requantize /
-  // recv_into) into the transport's bulk path: on a zero-copy transport the
-  // blob travels as a VIEW of the sender's slot and the receiver decodes
-  // straight off the peer's published span. Only safe for schedules where
-  // every publish is consumed by a receive the publisher's next transfer
-  // already waits on transitively (the RVH pairwise exchanges); the ring's
-  // verbatim blob forwarding reuses slots on a cycle where the required
-  // fence would deadlock, so it stays on the default eager path.
+  // `max_elems` bounds the largest single blob of the collective and
+  // `max_run_bytes` its largest sub-blob run (the slots hold both).
+  // `bulk_views` opts the one-shot transfers (send, and the runs) into the
+  // transport's bulk path: on a zero-copy transport the bytes travel as a
+  // VIEW of the sender's slot and the receiver decodes straight off the
+  // peer's published span. Only safe for schedules where every publish is
+  // consumed by a receive the publisher's next transfer already waits on
+  // transitively (the RVH pairwise exchanges); the ring's verbatim blob
+  // forwarding reuses slots on a cycle where the required fence would
+  // deadlock, so it stays on the default eager path.
   WireCompressor(Comm& comm, DType dtype, const CompressionOptions& opts,
-                 std::size_t max_elems, bool bulk_views = false);
+                 std::size_t max_elems, bool bulk_views = false,
+                 std::size_t max_run_bytes = 0);
   ~WireCompressor();
 
   bool active() const { return opts_.active(); }
@@ -87,10 +100,12 @@ class WireCompressor {
 
   // ---- low-level blob ops (the ring allgather composes these) ------------
   void encode(int slot, const std::byte* data, std::size_t elems);
-  // Encode, and overwrite `data` with the blob's decoded values in the same
-  // cache-tiled pass (compress_f32's `decoded` output): afterwards `data` is
-  // bit-identical to what any receiver of the blob decodes.
-  void requantize(int slot, std::byte* data, std::size_t elems);
+  // Encode into the slot at byte `at`, and overwrite `data` with the blob's
+  // decoded values in the same cache-tiled pass (compress_f32's `decoded`
+  // output): afterwards `data` is bit-identical to what any receiver of the
+  // blob decodes.
+  void requantize(int slot, std::byte* data, std::size_t elems,
+                  std::size_t at = 0);
   void decode(int slot, std::byte* dest, std::size_t elems);
   void send_blob(int dst, int slot, std::size_t elems, std::size_t chunk,
                  int tag);
@@ -103,16 +118,6 @@ class WireCompressor {
   // receiver).
   void send(int dst, const std::byte* data, std::size_t elems,
             std::size_t chunk, int tag);
-  // Requantize `data` into slot 0, then stream the blob: afterwards the
-  // local copy is bit-identical to what the receiver decodes. For allgather
-  // sends, where both sides keep the segment.
-  void send_requantize(int dst, std::byte* data, std::size_t elems,
-                       std::size_t chunk, int tag);
-  // Receive a blob and decompress it into `dest` (elems floats). In bulk
-  // mode on a zero-copy transport the decode reads the peer's published
-  // blob span directly, with no staging copy.
-  void recv_into(int src, std::byte* dest, std::size_t elems,
-                 std::size_t chunk, int tag);
 
   // Receive a blob and hand the raw wire bytes to `fn(blob)` while the
   // (possibly zero-copy) view is still held: the fused decode-reduce paths
@@ -125,32 +130,53 @@ class WireCompressor {
   void recv_apply(int src, std::size_t elems, std::size_t chunk, int tag,
                   Fn&& fn) {
     if (bulk_views_) {
-      const std::byte* blob = blobs_[0]->data();
-      BulkRecv held = comm_.recv_bulk(
-          src, blobs_[0]->bytes(wire_bytes(elems)), chunk, tag,
-          [&](const std::byte* base, std::size_t, std::size_t) {
-            blob = base;
-          });
-      fn(blob);
+      recv_run_apply(src, wire_bytes(elems), chunk, tag, fn);
       return;
     }
     recv_blob(src, 0, elems, chunk, tag);
     fn(static_cast<const std::byte*>(blobs_[0]->data()));
   }
 
+  // ---- sub-blob runs (the RVH unwind, bulk mode only) --------------------
+  // A run is `bytes` of slot 1 starting at `at`: whole owner sub-blobs laid
+  // end to end (requantize(1, ...) writes them). Runs published as views
+  // are never rewritten before the caller's closing fence; receives land in
+  // ranges disjoint from them.
+  void send_run(int dst, std::size_t at, std::size_t bytes, std::size_t chunk,
+                int tag);
+  // Receive a run into slot 1 at `at`, to be forwarded later: on a zero-copy
+  // transport the peer's view is copied into the slot and released at once.
+  // Returns the landed bytes.
+  const std::byte* recv_run(int src, std::size_t at, std::size_t bytes,
+                            std::size_t chunk, int tag);
+  // Receive a run that is not forwarded and hand its bytes to `fn(run)`
+  // while the (possibly zero-copy) view is still held; the eager path stages
+  // it in slot 0, like recv_apply.
+  template <class Fn>
+  void recv_run_apply(int src, std::size_t bytes, std::size_t chunk, int tag,
+                      Fn&& fn) {
+    const std::byte* run = blobs_[0]->data();
+    BulkRecv held = comm_.recv_bulk(
+        src, blobs_[0]->bytes(bytes), chunk, tag,
+        [&](const std::byte* base, std::size_t, std::size_t) { run = base; });
+    fn(run);
+  }
+
  private:
   // Slot `slot`'s storage, once no published view of it is outstanding.
   std::byte* writable_slot(int slot);
-  // Bulk-path blob send out of slot 0, recording the outstanding view.
-  void send_bulk_blob(int dst, std::size_t elems, std::size_t chunk, int tag);
+  // Bulk-path send of slot bytes [at, at + bytes), recording the view.
+  void send_view(int dst, int slot, std::size_t at, std::size_t bytes,
+                 std::size_t chunk, int tag);
 
   Comm& comm_;
   CompressionOptions opts_;
   bool bulk_views_ = false;
-  // A blob view published to a peer may still be under its decode; slot 0
-  // must not be rewritten (encode / requantize) until it retires. Cleared by
-  // the fence in writable_slot() and by the destructor's safety fence.
-  bool blob_view_out_ = false;
+  // Per slot: a view published to a peer may still be under its decode, so
+  // the slot must not be rewritten (encode / requantize) until it retires.
+  // Cleared by the fence in writable_slot() and by the destructor's safety
+  // fence.
+  bool view_out_[2] = {false, false};
   // Engaged only when active: an inactive compressor must not lease from the
   // pool at all — even a zero-byte lease would pull a warmed buffer off the
   // shared free list and perturb concurrent ranks' capacity hits (the

@@ -9,8 +9,8 @@
 //     record buffer; the analyzer declaration, the halving loop and the
 //     unwind all read that one plan;
 //   * the halving send and the receive of the kept half;
-//   * the allgather unwind (requantizing on a compressed wire) and the
-//     closing bulk_fence.
+//   * the allgather unwind (forwarding owner sub-blobs on a compressed wire)
+//     and the closing bulk_fence.
 //
 // Zero-copy schedule: this rank's segment is always a contiguous window of
 // the CALLER'S buffer. Per level only the partner's half is staged (one
@@ -39,6 +39,7 @@
 //   void declare(analysis::EpochExpectation&, const RvhLevel&, int level);
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <optional>
@@ -78,10 +79,43 @@ struct RvhLevel {
   std::size_t mid = 0;        // split point of the segment at this level
   std::size_t seg_count = 0;  // segment size BEFORE the split
   int tag = 0;                // halving exchange; +1 reducer, +2 unwind
+  // Unwind bytes of the kept and the sent half: on a compressed wire the
+  // run of their final segments' sub-blobs, else the raw elements.
+  std::size_t kept_wire = 0;
+  std::size_t sent_wire = 0;
+  // Compressed wire: byte offset of the kept half's run in blob slot 1,
+  // which lays out the level-0 kept half's sub-blobs in segment order.
+  std::size_t kept_at = 0;
 
   std::size_t kept() const { return is_left ? mid : seg_count - mid; }
   std::size_t sent() const { return seg_count - kept(); }
 };
+
+// A segment of `count` elements that the halving splits `splits` more times
+// (left keeps count/2) ends as 2^splits final segments, one per owner. These
+// walk that split tree in segment order.
+//
+// Bytes of the segment's unwind run: its owners' sub-blobs end to end.
+inline std::size_t rvh_run_bytes(std::size_t count, int splits,
+                                 const CompressionOptions& comp) {
+  if (splits == 0) return sub_blob_bytes(count, comp);
+  return rvh_run_bytes(count / 2, splits - 1, comp) +
+         rvh_run_bytes(count - count / 2, splits - 1, comp);
+}
+// Decodes a run into the segment's floats, each sub-blob at its owner's
+// element offset; returns the run's bytes.
+inline std::size_t rvh_decode_run(const std::byte* run, float* dest,
+                                  std::size_t count, int splits,
+                                  const CompressionOptions& comp) {
+  if (splits == 0) {
+    if (count > 0) decompress_f32(run, comp, {dest, count});
+    return sub_blob_bytes(count, comp);
+  }
+  const std::size_t low =
+      rvh_decode_run(run, dest, count / 2, splits - 1, comp);
+  return low + rvh_decode_run(run + low, dest + count / 2,
+                              count - count / 2, splits - 1, comp);
+}
 
 // The half this rank keeps at one level, as the reducer sees it.
 struct RvhHalf {
@@ -117,8 +151,9 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   const std::size_t chunk =
       comm.bulk_chunk_bytes(comm.pipeline().chunk_bytes_for(elem));
   // Wire compression (DESIGN.md §13): the halving send ships a plain blob
-  // (the local copy dies with the send), the unwind requantizes so every
-  // rank ends bit-identical, and the reducers run on decoded values.
+  // (the local copy dies with the send), the unwind forwards each owner's
+  // single blob so every rank ends bit-identical, and the reducers run on
+  // decoded values.
   const RvhContext ctx{comm, group, size, rank, dtype, elem,
                        resolve_compression(comm, compression, dtype)};
   const int levels = std::countr_zero(static_cast<unsigned>(size));
@@ -137,12 +172,21 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   const std::span<RvhLevel> plan =
       plan_buf.as<RvhLevel>(static_cast<std::size_t>(levels));
   std::size_t seg_count = count;
+  std::size_t seg_at = 0;  // run offset of the segment (level >= 1)
   for (int l = 0; l < levels; ++l) {
     const int d = 1 << l;
     const bool is_left = ((rank / d) % 2) == 0;
     RvhLevel& lv = plan[static_cast<std::size_t>(l)];
     lv = RvhLevel{ctx.world_rank(is_left ? rank + d : rank - d), is_left,
                   seg_count / 2, seg_count, tag_base + 8 * l};
+    const auto unwind_bytes = [&](std::size_t n) {
+      return ctx.comp.active() ? rvh_run_bytes(n, levels - 1 - l, ctx.comp)
+                               : n * elem;
+    };
+    lv.kept_wire = unwind_bytes(lv.kept());
+    lv.sent_wire = unwind_bytes(lv.sent());
+    lv.kept_at = l == 0 || is_left ? seg_at : seg_at + lv.sent_wire;
+    seg_at = lv.kept_at;
     seg_count = lv.kept();
   }
 
@@ -166,18 +210,19 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
         ex.recv(lv.neighbor, lv.tag);
       if constexpr (requires { reducer.declare(ex, lv, l); })
         reducer.declare(ex, lv, l);
-      for (std::size_t c = messages(lv.kept()); c > 0; --c)
+      for (std::size_t c = chunk_messages(lv.kept_wire, chunk); c > 0; --c)
         ex.send(lv.neighbor, lv.tag + 2);
-      for (std::size_t c = messages(lv.sent()); c > 0; --c)
+      for (std::size_t c = chunk_messages(lv.sent_wire, chunk); c > 0; --c)
         ex.recv(lv.neighbor, lv.tag + 2);
     }
   }
 #endif
 
   // Compressed-wire helper (inert when the codec is off); the largest single
-  // transfer is the level-0 half.
+  // blob is the level-0 half, the largest run either level-0 half's.
   WireCompressor wc(comm, dtype, ctx.comp, (count + 1) / 2,
-                    /*bulk_views=*/true);
+                    /*bulk_views=*/true,
+                    std::max(plan[0].kept_wire, plan[0].sent_wire));
 
   // Halving: ship the partner's half, reduce the kept one as it lands. On a
   // zero-copy transport the uncompressed send publishes a VIEW of the
@@ -215,25 +260,44 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   }
 
   // Allgather unwind (Algorithm 1 lines 22-24): send the reduced segment,
-  // receive the partner's at its final offset. A compressed unwind
-  // requantizes (the sender overwrites its copy with the decoded blob), so
-  // partners hold bit-identical segments at every level, and since the codec
-  // is deterministic the blobs they emit upward are identical too.
+  // receive the partner's at its final offset. A compressed unwind encodes
+  // each final segment ONCE, by its owner, here at the deepest level, and
+  // writes the decoded values back over the owner's copy. Every higher level
+  // forwards runs of those owner sub-blobs verbatim from slot 1 (one
+  // contiguous range per send, laid out by the plan's kept_at) and decodes
+  // each received sub-blob at its offset, so every replica of a segment is
+  // the decode of the same bytes. Nothing is re-encoded on the way up.
   seg_count = plan[static_cast<std::size_t>(levels - 1)].kept();
+  if (wc.active())
+    wc.requantize(1, data + seg_begin * elem, seg_count,
+                  plan[static_cast<std::size_t>(levels - 1)].kept_at);
   for (int l = levels - 1; l >= 0; --l) {
     const RvhLevel& lv = plan[static_cast<std::size_t>(l)];
     std::byte* const seg = data + seg_begin * elem;
-    // Unwind segments published as views are never rewritten before the
-    // closing fence.
+    // Unwind segments and runs published as views are never rewritten
+    // before the closing fence.
     if (wc.active())
-      wc.send_requantize(lv.neighbor, seg, seg_count, chunk, lv.tag + 2);
+      wc.send_run(lv.neighbor, lv.kept_at, lv.kept_wire, chunk, lv.tag + 2);
     else
       comm.send_bulk(lv.neighbor, {seg, seg_count * elem}, chunk, lv.tag + 2);
     std::byte* const dest = lv.is_left ? seg + lv.mid * elem
                                        : seg - lv.mid * elem;
     if (!lv.is_left) seg_begin -= lv.mid;
     if (wc.active()) {
-      wc.recv_into(lv.neighbor, dest, lv.sent(), chunk, lv.tag + 2);
+      const auto decode = [&](const std::byte* run) {
+        rvh_decode_run(run, reinterpret_cast<float*>(dest), lv.sent(),
+                       levels - 1 - l, ctx.comp);
+      };
+      // Level 0's run is final; every other one is forwarded next level,
+      // into the slot range beside the kept half's run.
+      if (l == 0)
+        wc.recv_run_apply(lv.neighbor, lv.sent_wire, chunk, lv.tag + 2,
+                          decode);
+      else
+        decode(wc.recv_run(lv.neighbor,
+                           lv.is_left ? lv.kept_at + lv.kept_wire
+                                      : lv.kept_at - lv.sent_wire,
+                           lv.sent_wire, chunk, lv.tag + 2));
     } else {
       // The landed segment is final output the caller reads much later, so
       // the zero-copy path deposits the peer's span with non-temporal

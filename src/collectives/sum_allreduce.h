@@ -29,8 +29,8 @@ void ring_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
 // reduction to a subset of world ranks (empty = the whole world; all members
 // must call with the same group) — the hierarchical allreduce runs its
 // cross-node sum phase this way. Power-of-two group size. Runs on the RVH
-// executor shared with AdasumRVH (rvh_executor.h), so compressed doubling
-// requantizes exactly like the Adasum RVH unwind (see compressed.h).
+// executor shared with AdasumRVH (rvh_executor.h), so its compressed unwind
+// forwards owner sub-blobs exactly like the Adasum RVH (see compressed.h).
 void rvh_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
                        DType dtype, int tag_base = 0,
                        std::span<const int> group = {},

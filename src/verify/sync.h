@@ -37,6 +37,7 @@
 #include "base/thread_annotations.h"
 
 #if ADASUM_VERIFY
+#include "base/check.h"
 #include "verify/runtime.h"
 #endif
 
@@ -275,6 +276,15 @@ class ADASUM_CAPABILITY("mutex") mutex {
     } else {
       m_.unlock();
     }
+  }
+  // Not modeled: a failed try is a schedule-dependent branch the explorer
+  // would have to enumerate. Its one caller (the intra-op pool's job gate)
+  // runs its tiles in place under a Runtime and never gets here.
+  bool try_lock() ADASUM_TRY_ACQUIRE(true) {
+    ADASUM_CHECK_MSG(verify::current() == nullptr,
+                     "sync::mutex::try_lock is not modeled under a "
+                     "verify::Runtime");
+    return m_.try_lock();
   }
   std::mutex& native() { return m_; }
 

@@ -10,8 +10,9 @@
 //  * oracle — with one block covering the tensor and round-to-nearest, the
 //    blockwise int8 codec reproduces tensor/quantize.h bit-for-bit (that
 //    scalar per-tensor path is the ancestor of the wire format).
-//  * compressed collectives — every rank ends bit-identical (the requantize
-//    and verbatim-forwarding consistency argument), results stay near the
+//  * compressed collectives — every rank ends bit-identical (each final
+//    segment is its owner's single blob, forwarded verbatim, pinned for RVH
+//    against a serial simulation), results stay near the
 //    uncompressed reduction, non-fp32 payloads pass through uncompressed,
 //    and warm compressed iterations make zero pool allocations.
 //  * systems composition — the strict protocol analyzer validates the
@@ -536,7 +537,22 @@ INSTANTIATE_TEST_SUITE_P(
         CollectiveCase{AllreduceAlgo::kHierarchical, ReduceOp::kAdasum, 8,
                        1024, CompressionMode::kInt8, false, 2},
         CollectiveCase{AllreduceAlgo::kHierarchical, ReduceOp::kSum, 8, 777,
-                       CompressionMode::kInt8, true, 4}),
+                       CompressionMode::kInt8, true, 4},
+        // RVH unwind sub-blob edge cases: count < p leaves some final
+        // segments (and their sub-blobs) empty; at p = 16 a ragged count
+        // over 512-byte chunks streams runs whose chunk boundaries cross
+        // sub-blob boundaries; hierarchical Adasum runs the executor over
+        // its cross-node group.
+        CollectiveCase{AllreduceAlgo::kRvh, ReduceOp::kAdasum, 4, 3,
+                       CompressionMode::kInt8, false},
+        CollectiveCase{AllreduceAlgo::kRvh, ReduceOp::kSum, 4, 3,
+                       CompressionMode::kSign, true},
+        CollectiveCase{AllreduceAlgo::kRvh, ReduceOp::kAdasum, 16, 5001,
+                       CompressionMode::kInt8, true},
+        CollectiveCase{AllreduceAlgo::kRvh, ReduceOp::kSum, 16, 4099,
+                       CompressionMode::kInt4, true},
+        CollectiveCase{AllreduceAlgo::kHierarchical, ReduceOp::kAdasum, 16,
+                       3001, CompressionMode::kSign, true, 2}),
     [](const auto& param_info) {
       const CollectiveCase& c = param_info.param;
       std::string name = c.algo == AllreduceAlgo::kRvh    ? "rvh"
@@ -549,6 +565,80 @@ INSTANTIATE_TEST_SUITE_P(
       if (c.pipeline) name += "_pipe";
       return name;
     });
+
+// Serial simulation of compressed sum RVH under the owner-encodes-once
+// unwind: at each level every rank's sent half is encoded and fused
+// decode-added into its partner's kept half; then each rank's final segment
+// is encoded ONCE, and that one blob's decode is every rank's copy of it.
+std::vector<float> simulate_compressed_rvh_sum(
+    std::vector<std::vector<float>> bufs, const CompressionOptions& comp) {
+  const std::size_t p = bufs.size();
+  const std::size_t count = bufs[0].size();
+  std::vector<std::size_t> begin(p, 0);
+  std::vector<std::size_t> len(p, count);
+  for (std::size_t d = 1; d < p; d *= 2) {
+    std::vector<std::vector<std::byte>> blobs(p);
+    for (std::size_t r = 0; r < p; ++r) {
+      const bool left = (r / d) % 2 == 0;
+      const std::size_t mid = len[r] / 2;
+      const std::size_t sb = left ? begin[r] + mid : begin[r];
+      const std::size_t sn = left ? len[r] - mid : mid;
+      blobs[r].resize(compressed_wire_bytes(sn, comp));
+      if (sn > 0) compress_f32({bufs[r].data() + sb, sn}, comp, blobs[r].data());
+    }
+    for (std::size_t r = 0; r < p; ++r) {
+      const bool left = (r / d) % 2 == 0;
+      const std::size_t mid = len[r] / 2;
+      if (!left) begin[r] += mid;
+      len[r] = left ? mid : len[r] - mid;
+      const std::size_t partner = left ? r + d : r - d;
+      if (len[r] > 0)
+        decompress_add_f32(blobs[partner].data(), comp, len[r], 0,
+                           {bufs[r].data() + begin[r], len[r]});
+    }
+  }
+  std::vector<float> out(count);
+  for (std::size_t r = 0; r < p; ++r) {
+    if (len[r] == 0) continue;
+    std::vector<std::byte> blob(compressed_wire_bytes(len[r], comp));
+    compress_f32({bufs[r].data() + begin[r], len[r]}, comp, blob.data());
+    decompress_f32(blob.data(), comp, {out.data() + begin[r], len[r]});
+  }
+  return out;
+}
+
+// The compressed RVH contract: every final segment is the decode of its
+// owner's single blob, on every rank. The unwind is reducer-independent
+// executor code, so the sum pins Adasum's unwind too. A count that is no
+// block multiple gives ragged final segments whose sub-blobs need padding.
+TEST(CompressedRvh, FinalSegmentsAreTheOwnersSingleBlob) {
+  const std::size_t count = 3001;
+  for (const CompressionMode mode : kModes) {
+    const CompressionOptions comp = make_opts(mode, 1024, /*stochastic=*/true);
+    for (const int p : {2, 4, 8}) {
+      SCOPED_TRACE(std::string(compression_mode_name(mode)) + " p=" +
+                   std::to_string(p));
+      std::vector<std::vector<float>> inputs;
+      for (int r = 0; r < p; ++r)
+        inputs.push_back(random_floats(count, 1700 + static_cast<unsigned>(r)));
+      const std::vector<float> expected =
+          simulate_compressed_rvh_sum(inputs, comp);
+      std::vector<std::vector<float>> outputs(static_cast<std::size_t>(p));
+      World world(p);
+      world.run([&](Comm& comm) {
+        std::vector<float> v = inputs[static_cast<std::size_t>(comm.rank())];
+        rvh_allreduce_sum(comm, reinterpret_cast<std::byte*>(v.data()), count,
+                          DType::kFloat32, /*tag_base=*/0, {}, comp);
+        outputs[static_cast<std::size_t>(comm.rank())] = std::move(v);
+      });
+      for (int r = 0; r < p; ++r)
+        EXPECT_EQ(0, std::memcmp(expected.data(),
+                                 outputs[static_cast<std::size_t>(r)].data(),
+                                 count * sizeof(float)))
+            << "rank " << r << " differs from the owner-encodes-once result";
+    }
+  }
+}
 
 TEST(CompressedCollectives, NonF32PayloadsPassThroughUncompressed) {
   // The codec is fp32-only; an f64 allreduce under a world-level compression
