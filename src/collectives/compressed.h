@@ -20,10 +20,8 @@
 //    ring allgather forwards each owner's blob hop to hop; the RVH unwind
 //    forwards runs of owner sub-blobs (whole blobs laid end to end in segment
 //    order, each padded to 4 bytes) and decodes each at its element offset.
-// The codec is also a pure function of (bytes, options), which the halving
-// sends rely on only for scalar/AVX2 parity. tests/compress_test.cpp asserts
-// cross-rank bit-equality for every schedule and pins the RVH unwind against
-// a serial owner-encodes-once simulation.
+// tests/compress_test.cpp asserts cross-rank bit-equality for every schedule
+// and pins the RVH unwind against a serial owner-encodes-once simulation.
 #pragma once
 
 #include <cstddef>

@@ -18,8 +18,9 @@
 // against. Stochastic rounding is counter-based (a murmur3 finalizer of
 // seed + element index), so the codec is a pure function of (bytes, options)
 // with no RNG state: every rank compressing identical bytes produces an
-// identical stream, which is what keeps replicas bit-identical through the
-// compressed collectives (see collectives/compressed.h).
+// identical stream. Replicas stay bit-identical through the compressed
+// collectives because each segment is encoded once, by its owner, and every
+// rank decodes those bytes (see collectives/compressed.h).
 //
 // Runtime control, mirroring ADASUM_PIPELINE: ADASUM_COMPRESS=off|int8|int4|
 // sign selects the mode for every World constructed afterwards and
