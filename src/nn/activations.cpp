@@ -23,8 +23,12 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   const auto xs = cached_input_.span<float>();
   const auto gs = grad_out.span<float>();
   auto os = grad_in.span<float>();
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    os[i] = xs[i] > 0.0f ? gs[i] : 0.0f;
+  // gs[i] is loaded whether or not it is kept: a load under the condition
+  // cannot be if-converted, and the loop would stay a branch per element.
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float g = gs[i];
+    os[i] = xs[i] > 0.0f ? g : 0.0f;
+  }
   return grad_in;
 }
 

@@ -1,7 +1,10 @@
 #include "nn/conv.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "base/check.h"
 #include "nn/linear.h"
@@ -130,56 +133,165 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  const Tensor& x = cached_input_;
-  const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = out_size(h), ow = out_size(w);
-  ADASUM_CHECK_EQ(grad_out.size(), batch * out_c_ * oh * ow);
+namespace {
 
-  Tensor grad_in(x.shape());
-  const auto xs = x.span<float>();
-  const auto ws = weight_.value.span<float>();
-  const auto gys = grad_out.span<float>();
-  auto gxs = grad_in.span<float>();
-  auto gws = weight_.grad.span<float>();
-  auto gbs = bias_.grad.span<float>();
+struct ConvShape {
+  std::size_t batch, in_c, out_c, h, w, oh, ow, kernel, stride, padding;
+};
 
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float* gyplane = gys.data() + (b * out_c_ + oc) * oh * ow;
-      for (std::size_t i = 0; i < oh * ow; ++i) gbs[oc] += gyplane[i];
-      for (std::size_t ic = 0; ic < in_c_; ++ic) {
-        const float* xplane = xs.data() + (b * in_c_ + ic) * h * w;
-        float* gxplane = gxs.data() + (b * in_c_ + ic) * h * w;
-        const float* wplane =
-            ws.data() + (oc * in_c_ + ic) * kernel_ * kernel_;
-        float* gwplane = gws.data() + (oc * in_c_ + ic) * kernel_ * kernel_;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const float gy = gyplane[oy * ow + ox];
-            if (gy == 0.0f) continue;
-            for (std::size_t ky = 0; ky < kernel_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                const std::size_t xi =
-                    static_cast<std::size_t>(iy) * w +
-                    static_cast<std::size_t>(ix);
-                gwplane[ky * kernel_ + kx] += gy * xplane[xi];
-                gxplane[xi] += gy * wplane[ky * kernel_ + kx];
+// y[0, K) += a * x[0, K), four elements per vector op and the rest one by
+// one. A lane does the scalar statement's multiply and add for its element,
+// so the bits do not depend on the split. The explicit vector (a GCC/Clang
+// extension) keeps each op inside one row: left to itself, GCC vectorizes
+// the caller's row loop instead, gathering strided x and running slower than
+// scalar code.
+template <std::size_t K>
+void row_axpy(float* __restrict y, const float* __restrict x, float a) {
+  using Lanes = float __attribute__((vector_size(16)));
+  const Lanes av = {a, a, a, a};
+  std::size_t i = 0;
+  for (; i + 4 <= K; i += 4) {
+    Lanes vy, vx;
+    std::memcpy(&vy, y + i, sizeof vy);
+    std::memcpy(&vx, x + i, sizeof vx);
+    vy += av * vx;
+    std::memcpy(y + i, &vy, sizeof vy);
+  }
+  for (; i < K; ++i) y[i] += a * x[i];
+}
+
+// The data gradients of Conv2d::backward (the bias gradient is the caller's).
+// Every grad_w element sums over b, then raster order of the output; every
+// grad_x element over oc, then raster order: the same adds in the same order
+// as the direct loop b → oc → ic → raster that skips gy == 0. K is the kernel
+// size for the whole-row path; K == 0 sends every entry through the clipped
+// loop.
+template <std::size_t K>
+void conv_backward(const ConvShape& s, const float* xs, const float* ws,
+                   const float* gys, float* gxs, float* gws) {
+  const std::size_t positions = s.oh * s.ow, taps = s.kernel * s.kernel;
+  // Per output plane of one sample: the columns of its nonzero gradients in
+  // raster order, then 3 * oh + 1 bounds splitting each row's entries into
+  // those left of, inside and right of [xlo, xhi).
+  const std::size_t per_plane = positions + 3 * s.oh + 1;
+  std::size_t* const lists = index_scratch(s.out_c * per_plane);
+  // [xlo, xhi): the output columns whose windows lie inside the input's
+  // columns, ox * stride >= padding and ox * stride - padding + kernel <= w.
+  std::size_t xhi = s.w + s.padding < s.kernel
+                        ? 0
+                        : std::min(s.ow, (s.w + s.padding - s.kernel) /
+                                             s.stride + 1);
+  std::size_t xlo = std::min(xhi, (s.padding + s.stride - 1) / s.stride);
+  if (K == 0) xlo = xhi = s.ow;
+
+  // The taps of one window that fall inside the input along one axis:
+  // [k0, k1) for the window starting at o * stride in padded coordinates.
+  const auto tap_range = [&](std::size_t o, std::size_t in) {
+    const std::size_t at = o * s.stride, end = in + s.padding;
+    return std::pair<std::size_t, std::size_t>{
+        at < s.padding ? s.padding - at : 0,
+        at + s.kernel <= end ? s.kernel : (end > at ? end - at : 0)};
+  };
+
+  for (std::size_t b = 0; b < s.batch; ++b) {
+    const float* gysample = gys + b * s.out_c * positions;
+    for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+      const float* gyplane = gysample + oc * positions;
+      std::size_t* const ent = lists + oc * per_plane;
+      std::size_t* const seg = ent + positions;
+      std::size_t count = 0;
+      seg[0] = 0;
+      for (std::size_t oy = 0; oy < s.oh; ++oy) {
+        const float* gyrow = gyplane + oy * s.ow;
+        count += nonzero_indices(gyrow, xlo, 0, ent + count);
+        seg[3 * oy + 1] = count;
+        count += nonzero_indices(gyrow + xlo, xhi - xlo, xlo, ent + count);
+        seg[3 * oy + 2] = count;
+        count += nonzero_indices(gyrow + xhi, s.ow - xhi, xhi, ent + count);
+        seg[3 * oy + 3] = count;
+      }
+    }
+    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+      const float* xplane = xs + (b * s.in_c + ic) * s.h * s.w;
+      float* gxplane = gxs + (b * s.in_c + ic) * s.h * s.w;
+      for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+        const float* gyplane = gysample + oc * positions;
+        const std::size_t* ent = lists + oc * per_plane;
+        const std::size_t* seg = ent + positions;
+        const float* wplane = ws + (oc * s.in_c + ic) * taps;
+        float* gwplane = gws + (oc * s.in_c + ic) * taps;
+        for (std::size_t oy = 0; oy < s.oh; ++oy) {
+          const float* gyrow = gyplane + oy * s.ow;
+          const std::size_t* r = seg + 3 * oy;
+          const auto [ky0, ky1] = tap_range(oy, s.h);
+          // Input row of tap row ky is iy0 + ky; unsigned wrap-around in iy0
+          // cancels for ky >= ky0, and so does it in a column base below.
+          const std::size_t iy0 = oy * s.stride - s.padding;
+          const auto clipped = [&](std::size_t e) {
+            const std::size_t ox = ent[e], ix0 = ox * s.stride - s.padding;
+            const float gy = gyrow[ox];
+            const auto [kx0, kx1] = tap_range(ox, s.w);
+            for (std::size_t ky = ky0; ky < ky1; ++ky) {
+              const std::size_t row = (iy0 + ky) * s.w + ix0;
+              for (std::size_t kx = kx0; kx < kx1; ++kx) {
+                gwplane[ky * s.kernel + kx] += gy * xplane[row + kx];
+                gxplane[row + kx] += gy * wplane[ky * s.kernel + kx];
+              }
+            }
+          };
+          for (std::size_t e = r[0]; e < r[1]; ++e) clipped(e);
+          if constexpr (K != 0) {
+            for (std::size_t e = r[1]; e < r[2]; ++e) {
+              const std::size_t ox = ent[e], ix0 = ox * s.stride - s.padding;
+              const float gy = gyrow[ox];
+              for (std::size_t ky = ky0; ky < ky1; ++ky) {
+                const std::size_t row = (iy0 + ky) * s.w + ix0;
+                row_axpy<K>(gwplane + ky * K, xplane + row, gy);
+                row_axpy<K>(gxplane + row, wplane + ky * K, gy);
               }
             }
           }
+          for (std::size_t e = r[2]; e < r[3]; ++e) clipped(e);
         }
       }
     }
   }
+}
+
+}  // namespace
+
+Tensor Conv2d::backward(const Tensor& grad_out) {
+  const Tensor& x = cached_input_;
+  const ConvShape s{.batch = x.dim(0), .in_c = in_c_, .out_c = out_c_,
+                    .h = x.dim(2), .w = x.dim(3), .oh = out_size(x.dim(2)),
+                    .ow = out_size(x.dim(3)), .kernel = kernel_,
+                    .stride = stride_, .padding = padding_};
+  ADASUM_CHECK_EQ(grad_out.size(), s.batch * out_c_ * s.oh * s.ow);
+
+  Tensor grad_in(x.shape());
+  const float* xs = x.span<float>().data();
+  const float* ws = weight_.value.span<float>().data();
+  const float* gys = grad_out.span<float>().data();
+  float* gxs = grad_in.span<float>().data();
+  float* gws = weight_.grad.span<float>().data();
+  auto gbs = bias_.grad.span<float>();
+
+  // The bias gradient adds every element, zeros included (-0 + +0 is +0),
+  // b then raster per channel; the channels run side by side so that their
+  // add chains overlap.
+  const std::size_t positions = s.oh * s.ow;
+  for (std::size_t b = 0; b < s.batch; ++b) {
+    const float* gysample = gys + b * out_c_ * positions;
+    for (std::size_t i = 0; i < positions; ++i)
+      for (std::size_t oc = 0; oc < out_c_; ++oc)
+        gbs[oc] += gysample[oc * positions + i];
+  }
+  // LeNet's 5x5 kernels get the whole-row path. It was measured only there:
+  // for K = 3, row_axpy would have no whole vector op.
+  if (kernel_ == 5)
+    conv_backward<5>(s, xs, ws, gys, gxs, gws);
+  else
+    conv_backward<0>(s, xs, ws, gys, gxs, gws);
   return grad_in;
 }
 

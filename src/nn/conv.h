@@ -4,8 +4,10 @@
 // shared forward scratch (nn/linear.h) and accumulates each output channel
 // with the lanes running across output elements, so it vectorizes while every
 // element keeps the direct loop's summation order (DESIGN.md §18).
-// Conv2d::backward stays a direct loop that skips zero output gradients,
-// which the ReLU sparsity of the bench models makes the faster choice.
+// Conv2d::backward lists each output plane's nonzero gradients without a
+// branch per element and runs only those, with whole kernel rows as vector
+// ops where the window's columns lie inside the input; every gradient element
+// keeps the zero-skipping direct loop's adds and order (DESIGN.md §18).
 #pragma once
 
 #include "base/check.h"

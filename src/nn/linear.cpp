@@ -14,17 +14,26 @@ float* forward_scratch(std::size_t floats) {
   return scratch.data();
 }
 
+std::size_t* index_scratch(std::size_t n) {
+  thread_local std::vector<std::size_t> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
+}
+
 void matmul(const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n, bool accumulate) {
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
-  // i-k-j order: streams b and c rows, vectorizes the inner j loop.
+  // i-k-j order: streams b and c rows, vectorizes the inner j loop. Each row
+  // of a runs only its nonzero kk, in order, so every c element keeps the
+  // adds a zero-skipping loop makes.
+  std::size_t* const nz = index_scratch(k);
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * n;
+    const std::size_t count = nonzero_indices(arow, k, 0, nz);
+    for (std::size_t e = 0; e < count; ++e) {
+      const float av = arow[nz[e]];
+      const float* brow = b + nz[e] * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
@@ -64,14 +73,16 @@ void matmul_bt(const float* a, const float* b, float* c, std::size_t m,
 void matmul_at(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {
   if (!accumulate) std::memset(c, 0, k * n * sizeof(float));
-  // c[kk,j] += a[i,kk] * b[i,j]: outer-product accumulation per i.
+  // c[kk,j] += a[i,kk] * b[i,j]: outer-product accumulation per i, over the
+  // nonzero kk of row i only.
+  std::size_t* const nz = index_scratch(k);
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     const float* brow = b + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      float* crow = c + kk * n;
+    const std::size_t count = nonzero_indices(arow, k, 0, nz);
+    for (std::size_t e = 0; e < count; ++e) {
+      const float av = arow[nz[e]];
+      float* crow = c + nz[e] * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }

@@ -38,7 +38,9 @@ class Linear : public Layer {
 //   c[m,n] (+)= a[m,k] * b[k,n]          (matmul)
 //   c[m,n] (+)= a[m,k] * b[n,k]ᵀ         (matmul_bt)
 //   c[k,n] (+)= a[m,k]ᵀ * b[m,n]         (matmul_at)
-// `accumulate` false overwrites c. Sizes are in elements; all fp32.
+// `accumulate` false overwrites c. Sizes are in elements; all fp32. c must
+// not overlap a or b: matmul and matmul_at list a row's nonzero a values
+// before they write c, and matmul_bt packs b before it does.
 void matmul(const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n, bool accumulate = false);
 void matmul_bt(const float* a, const float* b, float* c, std::size_t m,
@@ -53,5 +55,23 @@ void matmul_at(const float* a, const float* b, float* c, std::size_t m,
 // next call.
 inline constexpr std::size_t kForwardScratchFloats = 64 * 1024 / sizeof(float);
 float* forward_scratch(std::size_t floats);
+
+// Per-thread index buffer for the backward kernels' nonzero lists, grown to
+// at least `n` and reused across calls. Contents do not survive the next call.
+std::size_t* index_scratch(std::size_t n);
+
+// Stores base + i for every i < n with v[i] != 0 (NaN counts, ±0 does not)
+// to idx in increasing order and returns how many it stored. idx needs room
+// for n: every index is stored and only the count decides whether it stays,
+// so the loop has no data-dependent branch to mispredict.
+inline std::size_t nonzero_indices(const float* v, std::size_t n,
+                                   std::size_t base, std::size_t* idx) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[count] = base + i;
+    count += v[i] != 0.0f;
+  }
+  return count;
+}
 
 }  // namespace adasum::nn

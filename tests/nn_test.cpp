@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "base/check.h"
 #include "base/rng.h"
@@ -380,18 +382,20 @@ TEST(ForwardParity, Conv2dMatchesDirectLoopBitForBit) {
           }
 }
 
+struct GemmDims {
+  std::size_t m, k, n;
+};
+
+// Ragged shapes, n = 1 and k = 1, and shapes whose packed bᵀ exceeds the
+// scratch: k = 300 packs n = 130 in three column blocks, k = 20000 one column
+// at a time.
+const std::vector<GemmDims> kGemmDims = {
+    {1, 1, 1},     {3, 1, 7},    {5, 9, 1},     {7, 13, 17},
+    {32, 64, 120}, {33, 120, 84}, {4, 300, 130}, {2, 20000, 3}};
+
 TEST(ForwardParity, MatmulBtMatchesDirectLoopBitForBit) {
   Rng rng(102);
-  struct Dims {
-    std::size_t m, k, n;
-  };
-  // Ragged shapes, n = 1 and k = 1, and shapes whose packed bᵀ exceeds the
-  // scratch: k = 300 packs n = 130 in three column blocks, k = 20000 one
-  // column at a time.
-  const std::vector<Dims> dims = {{1, 1, 1},   {3, 1, 7},    {5, 9, 1},
-                                  {7, 13, 17}, {32, 64, 120}, {33, 120, 84},
-                                  {4, 300, 130}, {2, 20000, 3}};
-  for (const Dims& d : dims)
+  for (const GemmDims& d : kGemmDims)
     for (bool accumulate : {false, true}) {
       SCOPED_TRACE(::testing::Message() << "m=" << d.m << " k=" << d.k
                                         << " n=" << d.n
@@ -436,6 +440,294 @@ TEST(ForwardParity, LeNet5LogitsMatchDirectLoopForward) {
   }
   EXPECT_EQ(convs, 2u);
   EXPECT_TRUE(same_bits(logits, h));
+}
+
+// ---- backward kernels vs the direct loops ---------------------------------
+//
+// Conv2d::backward (nonzero lists, whole-row taps), ReLU::backward (select)
+// and matmul/matmul_at (nonzero lists) must reproduce the zero-skipping
+// scalar loops they replaced bit for bit. The oracles below are those loops.
+
+// Accumulates into weight_grad and bias_grad; returns the input gradient.
+Tensor oracle_conv_backward(const Tensor& x, const Tensor& weight,
+                            const Tensor& grad_out, std::size_t stride,
+                            std::size_t padding, Tensor& weight_grad,
+                            Tensor& bias_grad) {
+  const std::size_t batch = x.dim(0), in_c = x.dim(1), h = x.dim(2),
+                    w = x.dim(3);
+  const std::size_t out_c = weight.dim(0), kernel = weight.dim(2);
+  const std::size_t oh = (h + 2 * padding - kernel) / stride + 1;
+  const std::size_t ow = (w + 2 * padding - kernel) / stride + 1;
+  Tensor grad_in(x.shape());
+  const auto xs = x.span<float>();
+  const auto ws = weight.span<float>();
+  const auto gys = grad_out.span<float>();
+  auto gxs = grad_in.span<float>();
+  auto gws = weight_grad.span<float>();
+  auto gbs = bias_grad.span<float>();
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+      const float* gyplane = gys.data() + (b * out_c + oc) * oh * ow;
+      for (std::size_t i = 0; i < oh * ow; ++i) gbs[oc] += gyplane[i];
+      for (std::size_t ic = 0; ic < in_c; ++ic) {
+        const float* xplane = xs.data() + (b * in_c + ic) * h * w;
+        float* gxplane = gxs.data() + (b * in_c + ic) * h * w;
+        const float* wplane = ws.data() + (oc * in_c + ic) * kernel * kernel;
+        float* gwplane = gws.data() + (oc * in_c + ic) * kernel * kernel;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const float gy = gyplane[oy * ow + ox];
+            if (gy == 0.0f) continue;
+            for (std::size_t ky = 0; ky < kernel; ++ky) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                  static_cast<std::ptrdiff_t>(padding);
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kx = 0; kx < kernel; ++kx) {
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                    static_cast<std::ptrdiff_t>(padding);
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+                const std::size_t xi = static_cast<std::size_t>(iy) * w +
+                                       static_cast<std::size_t>(ix);
+                gwplane[ky * kernel + kx] += gy * xplane[xi];
+                gxplane[xi] += gy * wplane[ky * kernel + kx];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_in;
+}
+
+void oracle_matmul(const float* a, const float* b, float* c, std::size_t m,
+                   std::size_t k, std::size_t n, bool accumulate) {
+  if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* brow = b + kk * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void oracle_matmul_at(const float* a, const float* b, float* c, std::size_t m,
+                      std::size_t k, std::size_t n, bool accumulate) {
+  if (!accumulate) std::memset(c, 0, k * n * sizeof(float));
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    const float* brow = b + i * n;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      float* crow = c + kk * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// Linear::backward with the oracle GEMMs; accumulates into the parameter
+// gradients given.
+Tensor oracle_linear_backward(const Tensor& x, Linear& fc,
+                              const Tensor& grad_out, Tensor& weight_grad,
+                              Tensor& bias_grad) {
+  const std::size_t rows = x.dim(0), in = fc.in_features(),
+                    out = fc.out_features();
+  oracle_matmul_at(grad_out.span<float>().data(), x.span<float>().data(),
+                   weight_grad.span<float>().data(), rows, out, in, true);
+  auto gb = bias_grad.span<float>();
+  const auto gy = grad_out.span<float>();
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t o = 0; o < out; ++o) gb[o] += gy[r * out + o];
+  Tensor grad_in(x.shape());
+  oracle_matmul(gy.data(), fc.weight().value.span<float>().data(),
+                grad_in.span<float>().data(), rows, out, in, false);
+  return grad_in;
+}
+
+// The platform's default NaN, made at run time the way Inf * 0 makes it (x86
+// and Arm differ in its sign bit). With every NaN in one bit pattern, a
+// result's bits cannot depend on which NaN operand an add propagates.
+float default_nan() {
+  volatile float zero = 0.0f;
+  return std::numeric_limits<float>::infinity() * zero;
+}
+
+// Overwrites a few scattered elements with NaN, +Inf and -Inf.
+void add_nonfinite(Tensor& t) {
+  auto s = t.span<float>();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {default_nan(), inf, -inf};
+  for (std::size_t i = 0, v = 0; i < s.size(); i += 97, ++v)
+    s[(i * 31) % s.size()] = values[v % 3];
+}
+
+TEST(BackwardParity, Conv2dMatchesDirectLoopBitForBit) {
+  // As ForwardParity's sweep, plus kernel 7 (no whole-row path), with
+  // parameter gradients that start non-zero (backward accumulates) and
+  // output gradients holding ±0 runs and, in half the cases, a few NaN/±Inf
+  // entries. grad_x is allocated by backward itself.
+  Rng rng(111);
+  for (std::size_t kernel : {1, 3, 5, 7})
+    for (std::size_t stride : {1, 2})
+      for (std::size_t padding : {0, 1, 2})
+        for (std::size_t batch : {1, 2, 7, 33})
+          for (bool smallest : {false, true})
+            for (bool nonfinite : {false, true}) {
+              const std::size_t min_hw =
+                  kernel > 2 * padding ? kernel - 2 * padding : 1;
+              const std::size_t h = smallest ? min_hw : 13;
+              const std::size_t w = smallest ? min_hw : 11;
+              SCOPED_TRACE(::testing::Message()
+                           << "k=" << kernel << " s=" << stride
+                           << " p=" << padding << " b=" << batch
+                           << " hw=" << h << "x" << w
+                           << " nonfinite=" << nonfinite);
+              Conv2d conv("conv", 3, 4, kernel, rng, stride, padding);
+              auto params = conv.parameters();
+              params[0]->grad = random_tensor(params[0]->grad.shape(), rng);
+              params[1]->grad = random_tensor({4}, rng);
+              const Tensor weight_grad0 = params[0]->grad.clone();
+              const Tensor bias_grad0 = params[1]->grad.clone();
+              // A non-finite x makes NaN of every zero gradient a loop fails
+              // to skip.
+              Tensor x = sparse_tensor({batch, 3, h, w}, rng);
+              if (nonfinite) add_nonfinite(x);
+              const Tensor y = conv.forward(x, true);
+              Tensor gy = sparse_tensor(y.shape(), rng);
+              if (nonfinite) add_nonfinite(gy);
+
+              const Tensor gx = conv.backward(gy);
+              Tensor want_weight_grad = weight_grad0.clone();
+              Tensor want_bias_grad = bias_grad0.clone();
+              const Tensor want_gx = oracle_conv_backward(
+                  x, params[0]->value, gy, stride, padding, want_weight_grad,
+                  want_bias_grad);
+              EXPECT_TRUE(same_bits(gx, want_gx));
+              EXPECT_TRUE(same_bits(params[0]->grad, want_weight_grad));
+              EXPECT_TRUE(same_bits(params[1]->grad, want_bias_grad));
+            }
+}
+
+TEST(BackwardParity, MatmulAndMatmulAtMatchDirectLoopsBitForBit) {
+  Rng rng(112);
+  for (const GemmDims& d : kGemmDims)
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << d.m << " k=" << d.k
+                                        << " n=" << d.n
+                                        << " accumulate=" << accumulate);
+      Tensor a = sparse_tensor({d.m, d.k}, rng);
+      add_nonfinite(a);
+      const float* as = a.span<float>().data();
+      // Non-finite a and b values: a zero a[i,kk] that is not skipped turns
+      // an Inf in b into NaN.
+      {
+        Tensor b = random_tensor({d.k, d.n}, rng);
+        add_nonfinite(b);
+        const Tensor c0 = random_tensor({d.m, d.n}, rng);
+        Tensor got = c0.clone(), want = c0.clone();
+        matmul(as, b.span<float>().data(), got.span<float>().data(), d.m, d.k,
+               d.n, accumulate);
+        oracle_matmul(as, b.span<float>().data(), want.span<float>().data(),
+                      d.m, d.k, d.n, accumulate);
+        EXPECT_TRUE(same_bits(got, want)) << "matmul";
+      }
+      {
+        Tensor b = random_tensor({d.m, d.n}, rng);
+        add_nonfinite(b);
+        const Tensor c0 = random_tensor({d.k, d.n}, rng);
+        Tensor got = c0.clone(), want = c0.clone();
+        matmul_at(as, b.span<float>().data(), got.span<float>().data(), d.m,
+                  d.k, d.n, accumulate);
+        oracle_matmul_at(as, b.span<float>().data(),
+                         want.span<float>().data(), d.m, d.k, d.n,
+                         accumulate);
+        EXPECT_TRUE(same_bits(got, want)) << "matmul_at";
+      }
+    }
+}
+
+TEST(BackwardParity, ReluMatchesDirectLoopBitForBit) {
+  // Inputs at ±0, NaN, ±denormal and ordinary values against gradients that
+  // include ±0 and non-finite values; 37 elements leave a ragged vector tail.
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float xs_in[] = {0.0f, -0.0f, default_nan(), denormal, -denormal,
+                         1.5f, -2.0f};
+  const float gs_in[] = {0.25f, -0.0f, 0.0f,  -3.0f, default_nan(),
+                         inf,   -inf,  7.0f,  -0.5f, 1e-40f, 2.0f};
+  Tensor x({37}), g({37});
+  auto xs = x.span<float>();
+  auto gs = g.span<float>();
+  for (std::size_t i = 0; i < 37; ++i) {
+    xs[i] = xs_in[i % std::size(xs_in)];
+    gs[i] = gs_in[i % std::size(gs_in)];
+  }
+  ReLU relu("relu");
+  relu.forward(x, true);
+  const Tensor got = relu.backward(g);
+  Tensor want({37});
+  auto ws = want.span<float>();
+  for (std::size_t i = 0; i < 37; ++i) ws[i] = xs[i] > 0.0f ? gs[i] : 0.0f;
+  EXPECT_TRUE(same_bits(got, want));
+}
+
+TEST(BackwardParity, LeNet5GradientsMatchDirectLoopBackward) {
+  // Two replicas from one seed: one runs Sequential::backward, the other the
+  // same layers with Conv2d and Linear through the oracles. Every parameter
+  // gradient and the input gradient must agree bit for bit.
+  Rng rng_a(113), rng_b(113);
+  auto net = make_lenet5(10, rng_a, /*relu=*/true, 16);
+  auto ref = make_lenet5(10, rng_b, /*relu=*/true, 16);
+  const auto params = net->parameters();
+  const auto ref_params = ref->parameters();
+  ASSERT_EQ(params.size(), 10u);
+  Rng rng(114);
+  for (std::size_t i = 1; i < params.size(); i += 2) {
+    params[i]->value = random_tensor(params[i]->value.shape(), rng, 0.1);
+    ref_params[i]->value = params[i]->value.clone();
+  }
+  const Tensor x = random_tensor({32, 1, 16, 16}, rng);
+  const Tensor logits = net->forward(x, true);
+  const Tensor grad_logits = random_tensor(logits.shape(), rng);
+  const Tensor grad_x = net->backward(grad_logits);
+
+  // Inputs of every reference layer, then its backward pass in reverse.
+  std::vector<Tensor> inputs;
+  Tensor h = x;
+  for (std::size_t i = 0; i < ref->size(); ++i) {
+    inputs.push_back(h);
+    h = ref->layer(i).forward(h, true);
+  }
+  EXPECT_TRUE(same_bits(h, logits));
+  const std::size_t paddings[] = {0, 2};  // conv2, conv1 in reverse order
+  std::size_t convs = 0;
+  Tensor g = grad_logits;
+  for (std::size_t i = ref->size(); i-- > 0;) {
+    Layer& layer = ref->layer(i);
+    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+      const auto p = conv->parameters();
+      g = oracle_conv_backward(inputs[i], p[0]->value, g, 1,
+                               paddings[convs++], p[0]->grad, p[1]->grad);
+    } else if (auto* fc = dynamic_cast<Linear*>(&layer)) {
+      g = oracle_linear_backward(inputs[i], *fc, g, fc->weight().grad,
+                                 fc->bias().grad);
+    } else {
+      g = layer.backward(g);
+    }
+  }
+  EXPECT_EQ(convs, 2u);
+  EXPECT_TRUE(same_bits(grad_x, g));
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    SCOPED_TRACE(params[i]->name);
+    EXPECT_TRUE(same_bits(params[i]->grad, ref_params[i]->grad));
+  }
 }
 
 // ---- argument validation --------------------------------------------------
