@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "tensor/parallel/pool.h"
 #include "tensor/simd/simd.h"
 
 namespace adasum::bench {
@@ -37,16 +36,13 @@ inline double median(std::vector<double> samples) {
 }
 
 // One-line JSON object describing the host and the knobs that move the
-// committed numbers: the CPU thread budget, the ADASUM_THREADS setting with
-// the helper-pool width it resolved to, and the active SIMD level. Every
+// committed numbers: the CPU thread budget and the active SIMD level. Every
 // BENCH_*.json embeds it as "host" so artifacts from different machines or
 // configurations are never compared blind.
 inline std::string host_json() {
   std::ostringstream os;
   os << "{\"hardware_concurrency\": " << std::thread::hardware_concurrency()
-     << ", \"adasum_threads\": \"" << parallel::env_setting() << "\""
-     << ", \"pool_threads\": " << parallel::threads() << ", \"simd\": \""
-     << simd::level_name(simd::active_level()) << "\"}";
+     << ", \"simd\": \"" << simd::level_name(simd::active_level()) << "\"}";
   return os.str();
 }
 

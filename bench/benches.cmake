@@ -36,4 +36,3 @@ adasum_add_bench(bench_async_baselines)
 adasum_add_bench(bench_pipeline)
 adasum_add_bench(bench_compress)
 adasum_add_bench(bench_scaleout)
-adasum_add_bench(bench_parallel)

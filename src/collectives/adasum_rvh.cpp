@@ -4,7 +4,6 @@
 
 #include "collectives/rvh_executor.h"
 #include "core/adasum.h"
-#include "tensor/parallel/pool.h"
 
 namespace adasum {
 namespace {
@@ -113,35 +112,15 @@ class AdasumReducer {
   void flush_dots(const RvhHalf& h, std::size_t received,
                   const LayerDot& layer_dot) {
     const std::size_t end = h.begin + h.count;
-    const std::size_t first = next_layer_;
     while (next_layer_ < layers_.size()) {
       const SliceLocal loc = intersect(layers_[next_layer_], h.begin, end);
       if (loc.count > 0 && loc.local_offset + loc.count > received) break;
-      ++next_layer_;
-    }
-    const auto dot_layer = [&](std::size_t l) {
-      const SliceLocal loc = intersect(layers_[l], h.begin, end);
       kernels::DotTriple t;
       if (loc.count > 0) t = layer_dot(loc);
-      triples_[3 * l + 0] = t.ab;
-      triples_[3 * l + 1] = t.aa;
-      triples_[3 * l + 2] = t.bb;
-    };
-    // Layer-level fan-out (DESIGN.md §17): the dot kernels stay monolithic
-    // (tiling their double accumulators would change the bits), so
-    // parallelism distributes WHOLE layers over the pool. Each layer writes
-    // its own triples_ slot, so the result is bit-identical no matter which
-    // thread runs which layer.
-    const std::size_t ready = next_layer_ - first;
-    if (ready > 1 && parallel::enabled() &&
-        h.count * ctx_.elem >= (std::size_t{1} << 20)) {
-      parallel::for_tiles(ready, /*grain=*/1, /*quantum=*/1,
-                          [&](std::size_t, std::size_t lb, std::size_t le) {
-                            for (std::size_t i = lb; i < le; ++i)
-                              dot_layer(first + i);
-                          });
-    } else {
-      for (std::size_t l = first; l < next_layer_; ++l) dot_layer(l);
+      triples_[3 * next_layer_ + 0] = t.ab;
+      triples_[3 * next_layer_ + 1] = t.aa;
+      triples_[3 * next_layer_ + 2] = t.bb;
+      ++next_layer_;
     }
   }
 

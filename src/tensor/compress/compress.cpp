@@ -3,51 +3,16 @@
 #include <algorithm>
 
 #include "base/check.h"
-#include "tensor/parallel/pool.h"
 #include "tensor/simd/simd.h"
 
 namespace adasum {
 namespace {
 
-// ---- codec tiling (DESIGN.md §17) -----------------------------------------
-//
-// Codec passes split at BLOCK boundaries, so every per-block quantity
-// (max/mean scale, nibble packing, sign bytes) is computed by exactly one
-// tile and the tiled stream is bit-identical to the monolithic one. The
-// stochastic-rounding counter is indexed by the span-global element index;
-// sr_uniform hashes seed + i * kSrIndexStride with uint32 wraparound, so a
-// tile starting at element b reproduces the global hashes by shifting its
-// seed base instead of its indices.
+// The stochastic-rounding counter is indexed by the span-global element
+// index; sr_uniform hashes seed + i * kSrIndexStride with uint32
+// wraparound, so a writeback tile starting at element b reproduces the
+// global hashes by shifting its seed base instead of its indices.
 constexpr std::uint32_t kSrIndexStride = 0x9E3779B9u;
-
-constexpr std::size_t kCodecParallelMinBytes = std::size_t{1} << 20;
-
-template <class Piece>
-void codec_tiled(std::size_t n, std::size_t block_elems, Piece&& piece) {
-  if (n * sizeof(float) < kCodecParallelMinBytes || !parallel::enabled()) {
-    piece(std::size_t{0}, n);
-    return;
-  }
-  const std::size_t grain = std::max(block_elems, std::size_t{65536});
-  parallel::for_tiles(
-      n, grain, block_elems,
-      [&](std::size_t, std::size_t b, std::size_t e) { piece(b, e); });
-}
-
-// Fused reduce slices split at 16-element boundaries RELATIVE TO THE SLICE:
-// the combine kernels partition their span into 4-lane groups from the slice
-// start (matching scaled_sum), so 16-aligned sub-slices preserve every
-// element's group membership — same quantum rule as tensor/kernels.cpp.
-template <class Piece>
-void fused_tiled(std::size_t n, Piece&& piece) {
-  if (n * sizeof(float) < kCodecParallelMinBytes || !parallel::enabled()) {
-    piece(std::size_t{0}, n);
-    return;
-  }
-  parallel::for_tiles(
-      n, std::size_t{65536}, std::size_t{16},
-      [&](std::size_t, std::size_t b, std::size_t e) { piece(b, e); });
-}
 
 // compress_f32's tile: whole blocks, at most 32 KiB of fp32 (at least one
 // block), so a `decoded` writeback re-reads the payload and scales the
@@ -136,25 +101,20 @@ void compress_f32(std::span<const float> values, const CompressionOptions& opts,
   const std::size_t tile =
       std::max(be, kWritebackTileBytes / sizeof(float) / be * be);
   const simd::KernelTable& t = simd::active_table();
-  codec_tiled(n, be, [&](std::size_t b, std::size_t e) {
-    // Each tile is read whole by the encode before the decode overwrites
-    // it, which is what makes exact aliasing of `decoded` and `values` safe.
-    for (std::size_t tb = b; tb < e; tb += tile) {
-      const std::size_t te = std::min(e, tb + tile);
-      encode_range(t, opts, values.data(), n, dst, tb, te);
-      if (writeback) decode_range(t, opts, dst, n, decoded.data(), tb, te);
-    }
-  });
+  // Each tile is read whole by the encode before the decode overwrites it,
+  // which is what makes exact aliasing of `decoded` and `values` safe.
+  for (std::size_t tb = 0; tb < n; tb += tile) {
+    const std::size_t te = std::min(n, tb + tile);
+    encode_range(t, opts, values.data(), n, dst, tb, te);
+    if (writeback) decode_range(t, opts, dst, n, decoded.data(), tb, te);
+  }
 }
 
 void decompress_f32(const std::byte* src, const CompressionOptions& opts,
                     std::span<float> values) {
   ADASUM_CHECK(opts.active());
-  const std::size_t n = values.size();
-  const simd::KernelTable& t = simd::active_table();
-  codec_tiled(n, opts.block_elems(), [&](std::size_t b, std::size_t e) {
-    decode_range(t, opts, src, n, values.data(), b, e);
-  });
+  decode_range(simd::active_table(), opts, src, values.size(), values.data(),
+               0, values.size());
 }
 
 void decompress_add_f32(const std::byte* src, const CompressionOptions& opts,
@@ -167,26 +127,23 @@ void decompress_add_f32(const std::byte* src, const CompressionOptions& opts,
   const std::byte* payload = src + blocks * sizeof(float);
   const std::size_t be = opts.block_elems();
   const simd::KernelTable& t = simd::active_table();
-  fused_tiled(dst.size(), [&](std::size_t b, std::size_t e) {
-    const std::size_t len = e - b;
-    float* d = dst.data() + b;
-    switch (opts.mode) {
-      case CompressionMode::kInt8:
-        t.dequant_add_int8(reinterpret_cast<const std::int8_t*>(payload),
-                           scales, offset + b, len, be, d);
-        break;
-      case CompressionMode::kInt4:
-        t.dequant_add_int4(reinterpret_cast<const std::uint8_t*>(payload),
-                           scales, offset + b, len, be, d);
-        break;
-      case CompressionMode::kSign:
-        t.dequant_add_sign(reinterpret_cast<const std::uint8_t*>(payload),
-                           scales, offset + b, len, be, d);
-        break;
-      default:
-        ADASUM_CHECK(false);
-    }
-  });
+  const std::size_t len = dst.size();
+  switch (opts.mode) {
+    case CompressionMode::kInt8:
+      t.dequant_add_int8(reinterpret_cast<const std::int8_t*>(payload), scales,
+                         offset, len, be, dst.data());
+      break;
+    case CompressionMode::kInt4:
+      t.dequant_add_int4(reinterpret_cast<const std::uint8_t*>(payload),
+                         scales, offset, len, be, dst.data());
+      break;
+    case CompressionMode::kSign:
+      t.dequant_add_sign(reinterpret_cast<const std::uint8_t*>(payload),
+                         scales, offset, len, be, dst.data());
+      break;
+    default:
+      ADASUM_CHECK(false);
+  }
 }
 
 void decompress_combine_f32(const std::byte* src,
@@ -202,30 +159,26 @@ void decompress_combine_f32(const std::byte* src,
   const std::byte* payload = src + blocks * sizeof(float);
   const std::size_t be = opts.block_elems();
   const simd::KernelTable& t = simd::active_table();
-  fused_tiled(out.size(), [&](std::size_t b, std::size_t e) {
-    const std::size_t len = e - b;
-    const float* o = other.data() + b;
-    float* d = out.data() + b;
-    switch (opts.mode) {
-      case CompressionMode::kInt8:
-        t.dequant_combine_int8(o, c_other, c_deq, deq_is_b,
-                               reinterpret_cast<const std::int8_t*>(payload),
-                               scales, offset + b, len, be, d);
-        break;
-      case CompressionMode::kInt4:
-        t.dequant_combine_int4(o, c_other, c_deq, deq_is_b,
-                               reinterpret_cast<const std::uint8_t*>(payload),
-                               scales, offset + b, len, be, d);
-        break;
-      case CompressionMode::kSign:
-        t.dequant_combine_sign(o, c_other, c_deq, deq_is_b,
-                               reinterpret_cast<const std::uint8_t*>(payload),
-                               scales, offset + b, len, be, d);
-        break;
-      default:
-        ADASUM_CHECK(false);
-    }
-  });
+  const std::size_t len = out.size();
+  switch (opts.mode) {
+    case CompressionMode::kInt8:
+      t.dequant_combine_int8(other.data(), c_other, c_deq, deq_is_b,
+                             reinterpret_cast<const std::int8_t*>(payload),
+                             scales, offset, len, be, out.data());
+      break;
+    case CompressionMode::kInt4:
+      t.dequant_combine_int4(other.data(), c_other, c_deq, deq_is_b,
+                             reinterpret_cast<const std::uint8_t*>(payload),
+                             scales, offset, len, be, out.data());
+      break;
+    case CompressionMode::kSign:
+      t.dequant_combine_sign(other.data(), c_other, c_deq, deq_is_b,
+                             reinterpret_cast<const std::uint8_t*>(payload),
+                             scales, offset, len, be, out.data());
+      break;
+    default:
+      ADASUM_CHECK(false);
+  }
 }
 
 kernels::DotTriple decompress_dot_triple_f32(const std::byte* src,

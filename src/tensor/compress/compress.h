@@ -23,7 +23,7 @@
 // rank decodes those bytes (see collectives/compressed.h).
 //
 // Runtime control, mirroring ADASUM_PIPELINE: ADASUM_COMPRESS=off|int8|int4|
-// sign selects the mode for every World constructed afterwards and
+// sign|1bit selects the mode for every World constructed afterwards and
 // ADASUM_COMPRESS_BLOCK overrides the block size (bytes of fp32 payload per
 // scale). Tests and benches set options programmatically via
 // World::set_compression.
@@ -33,12 +33,16 @@
 // compress.cpp and route through the dispatched SIMD tables.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <span>
 #include <string_view>
+#include <system_error>
 
+#include "base/logging.h"
 #include "tensor/kernels.h"
 
 namespace adasum {
@@ -90,6 +94,8 @@ struct CompressionOptions {
     return e < 8 ? 8 : e;
   }
 
+  // Unknown values keep the defaults (off, 1 KiB) and warn once per
+  // process, like ADASUM_TRANSPORT.
   static CompressionOptions from_env() {
     CompressionOptions o;
     o.mode = CompressionMode::kNone;
@@ -98,11 +104,31 @@ struct CompressionOptions {
       if (v == "int8") o.mode = CompressionMode::kInt8;
       else if (v == "int4") o.mode = CompressionMode::kInt4;
       else if (v == "sign" || v == "1bit") o.mode = CompressionMode::kSign;
+      else if (v != "off") {
+        static std::once_flag warned;
+        std::call_once(warned, [&] {
+          ADASUM_LOG(Warning) << "ADASUM_COMPRESS=" << v
+                              << " is not a known mode (off|int8|int4|sign|"
+                                 "1bit); using off";
+        });
+      }
     }
     if (const char* env = std::getenv("ADASUM_COMPRESS_BLOCK");
         env != nullptr) {
-      const unsigned long long n = std::strtoull(env, nullptr, 10);
-      if (n > 0) o.block_bytes = static_cast<std::size_t>(n);
+      const std::string_view v(env);
+      std::size_t n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec == std::errc() && end == v.data() + v.size() && n > 0) {
+        o.block_bytes = n;
+      } else {
+        static std::once_flag warned;
+        std::call_once(warned, [&] {
+          ADASUM_LOG(Warning) << "ADASUM_COMPRESS_BLOCK=" << v
+                              << " is not a positive whole number of bytes; "
+                                 "using "
+                              << o.block_bytes;
+        });
+      }
     }
     return o;
   }
@@ -164,7 +190,7 @@ inline CompressionOptions per_tensor_int8(std::size_t max_elems) {
 // most 32 KiB of fp32 and decodes each tile back while it is still in cache.
 // Bit contract: identical to compress_f32 followed by decompress_f32 on the
 // same dispatch level, for every input including NaN/Inf, because the
-// decode reads the freshly written blob (tests/parallel_test.cpp).
+// decode reads the freshly written blob (tests/compress_test.cpp).
 // `decoded` may alias `values` exactly (the requantize-in-place shape);
 // partial overlap is forbidden.
 void compress_f32(std::span<const float> values, const CompressionOptions& opts,
@@ -188,8 +214,7 @@ void decompress_f32(const std::byte* src, const CompressionOptions& opts,
 //
 // Bit contract: identical to decompress_f32 followed by kernels::add /
 // scaled_sum / dot_triple on the same dispatch level
-// (tests/parallel_test.cpp). The dot triple never tiles across the helper
-// pool: its double accumulation order is part of the contract.
+// (tests/compress_test.cpp).
 void decompress_add_f32(const std::byte* src, const CompressionOptions& opts,
                         std::size_t total, std::size_t offset,
                         std::span<float> dst);

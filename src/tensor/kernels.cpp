@@ -8,7 +8,6 @@
 #include <cstring>
 
 #include "base/check.h"
-#include "tensor/parallel/pool.h"
 #include "tensor/simd/simd.h"
 
 namespace adasum::kernels {
@@ -37,46 +36,8 @@ std::byte* bytes(T* p) {
   return reinterpret_cast<std::byte*>(p);
 }
 
-// ---- intra-op tiling (DESIGN.md §17) --------------------------------------
-//
-// Elementwise kernels and stream_copy route through the parallel engine once
-// the payload is big enough to amortize a pool handshake. The quantum keeps
-// every tile boundary on a position where the monolithic kernel call would
-// place a full vector group, so each element takes the exact instruction
-// path (FMA grouping, scalar tail) it takes in the single-call case — tiled
-// output is bit-identical to monolithic output, and therefore identical for
-// every ADASUM_THREADS setting including off (which never reaches this
-// path). Dot-family kernels are NOT tiled here: a tiled double accumulation
-// cannot reproduce the monolithic accumulator sequence bitwise, so dots stay
-// whole per call and parallelism for them comes from layer-level fan-out in
-// the collectives (disjoint kernel calls are exact).
-
-constexpr std::size_t kParallelMinBytes = std::size_t{1} << 20;
-constexpr std::size_t kParallelGrainBytes = std::size_t{256} << 10;
-
-inline std::size_t quantum_elems(DType dtype) {
-  // 16 covers every vector group in the f32/f64 AVX2 elementwise bodies
-  // (4/8/16-wide — group positions stay multiples of 4 and 8 under
-  // 16-aligned splits); fp16 may split only at its 2048-element F16C staging
-  // tile so the staged conversions stay put.
-  return dtype == DType::kFloat16 ? std::size_t{2048} : std::size_t{16};
-}
-
-template <class Piece>
-inline void tiled(std::size_t count, DType dtype, Piece&& piece) {
-  if (count * dtype_size(dtype) < kParallelMinBytes || !parallel::enabled()) {
-    piece(std::size_t{0}, count);
-    return;
-  }
-  parallel::for_tiles(
-      count, kParallelGrainBytes / dtype_size(dtype), quantum_elems(dtype),
-      [&](std::size_t, std::size_t b, std::size_t e) { piece(b, e); });
-}
-
 }  // namespace
 
-// Dot-family wrappers run monolithic on the caller at every ADASUM_THREADS
-// setting (see the tiling note above).
 template <typename T>
 double dot(std::span<const T> a, std::span<const T> b) {
   ADASUM_CHECK_EQ(a.size(), b.size());
@@ -101,10 +62,8 @@ DotTriple dot_triple(std::span<const T> a, std::span<const T> b) {
 template <typename T>
 void axpy(double alpha, std::span<const T> x, std::span<T> y) {
   ADASUM_CHECK_EQ(x.size(), y.size());
-  auto* k = simd::active_table().axpy[kIdx<T>];
-  tiled(x.size(), dtype_of<T>, [&](std::size_t b, std::size_t e) {
-    k(alpha, bytes(x.data() + b), bytes(y.data() + b), e - b);
-  });
+  simd::active_table().axpy[kIdx<T>](alpha, bytes(x.data()),
+                                      bytes(y.data()), x.size());
 }
 
 template <typename T>
@@ -173,28 +132,16 @@ DotTriple dot_triple_bytes(const std::byte* a, const std::byte* b,
 void scaled_sum_bytes(const std::byte* a, double ca, const std::byte* b,
                       double cb, std::byte* out, std::size_t count,
                       DType dtype) {
-  auto* k = simd::active_table().scaled_sum[idx(dtype)];
-  const std::size_t es = dtype_size(dtype);
-  tiled(count, dtype, [&](std::size_t b0, std::size_t e) {
-    k(a + b0 * es, ca, b + b0 * es, cb, out + b0 * es, e - b0);
-  });
+  simd::active_table().scaled_sum[idx(dtype)](a, ca, b, cb, out, count);
 }
 
 void add_bytes(const std::byte* x, std::byte* y, std::size_t count,
                DType dtype) {
-  auto* k = simd::active_table().add[idx(dtype)];
-  const std::size_t es = dtype_size(dtype);
-  tiled(count, dtype, [&](std::size_t b, std::size_t e) {
-    k(x + b * es, y + b * es, e - b);
-  });
+  simd::active_table().add[idx(dtype)](x, y, count);
 }
 
 void scale_bytes(double alpha, std::byte* x, std::size_t count, DType dtype) {
-  auto* k = simd::active_table().scale[idx(dtype)];
-  const std::size_t es = dtype_size(dtype);
-  tiled(count, dtype, [&](std::size_t b, std::size_t e) {
-    k(alpha, x + b * es, e - b);
-  });
+  simd::active_table().scale[idx(dtype)](alpha, x, count);
 }
 
 double norm_squared_bytes(const std::byte* a, std::size_t count, DType dtype) {
@@ -213,17 +160,7 @@ void copy_bytes(const std::byte* src, std::byte* dst, std::size_t count,
 
 void stream_copy_bytes(const std::byte* src, std::byte* dst,
                        std::size_t bytes) {
-  auto* k = simd::active_table().stream_copy;
-  // A pure byte copy is split-invariant; tiles stay >= 2 MiB so each keeps
-  // the non-temporal path (the AVX2 body falls back to memcpy under 1 MiB).
-  if (bytes < (std::size_t{4} << 20) || !parallel::enabled()) {
-    k(src, dst, bytes);
-    return;
-  }
-  parallel::for_tiles(bytes, std::size_t{2} << 20, std::size_t{64},
-                      [&](std::size_t, std::size_t b, std::size_t e) {
-                        k(src + b, dst + b, e - b);
-                      });
+  simd::active_table().stream_copy(src, dst, bytes);
 }
 
 }  // namespace adasum::kernels

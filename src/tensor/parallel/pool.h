@@ -1,109 +1,10 @@
-// Intra-op parallel reduction engine (DESIGN.md §17).
-//
-// A process-wide, fixed-size helper-thread pool behind a deterministic
-// `parallel_for` over fixed tiles. The contract that makes it safe to drop
-// into numerical hot paths:
-//
-//   * The tile decomposition is a PURE FUNCTION of (n, grain, quantum) —
-//     never of the thread count, the pool state, or scheduling. Callers pick
-//     a quantum that preserves each element's exact instruction path in the
-//     underlying kernel (see tensor/kernels.cpp), so a tiled call is
-//     bit-identical to the monolithic call and therefore bit-identical for
-//     every ADASUM_THREADS value, `off` included.
-//   * Per-tile outputs land in caller-owned, tile-indexed storage; any
-//     combine runs on the caller in ascending tile order. Which thread
-//     executed a tile is unobservable.
-//   * The submit path performs no heap allocation (helpers spawn once, the
-//     job descriptor is inline) and never blocks on a busy pool: if another
-//     job is in flight the caller simply runs its own tiles serially — so
-//     concurrent rank threads on one process degrade to the seed behavior
-//     instead of queueing.
-//
-// Thread budget: ADASUM_THREADS=<n>|auto|off (default off). `off` keeps the
-// seed path byte- and allocation-identical — parallel_for is never reached
-// (callers check enabled() first). n counts workers INCLUDING the caller, so
-// 1 exercises the tiled code path with zero helpers. The handshake uses the
-// sync:: layer exclusively, so the PR 9 model checker and the TSan pass can
-// audit it, and the spin policy is oversubscription-aware like the shm
-// transport's (a 1-core box yields instead of pause-spinning).
+// What perfbench's config line prints for the intra-op helper pool, which
+// was removed (DESIGN.md §17); the next benchmark change deletes this stub.
 #pragma once
-
-#include <cstddef>
-#include <utility>
-
-#include "verify/sync.h"
 
 namespace adasum::parallel {
 
-// Upper bound on tiles per job: per-tile partial storage in callers is a
-// fixed stack array, and 64 tiles saturate any pool this size.
-inline constexpr std::size_t kMaxTiles = 64;
-// Upper bound on total workers (helpers + caller).
-inline constexpr int kMaxThreads = 16;
-
-// Resolved worker budget: 0 = off (the default), n >= 1 = n workers
-// including the caller. Fixed from ADASUM_THREADS at first call; configure()
-// overrides it programmatically.
-int threads();
-inline bool enabled() { return threads() >= 1; }
-
-// Programmatic override (benches/tests measure several settings in one
-// process). Joins existing helpers and respawns; must not race in-flight
-// parallel_for calls. 0 disables the engine entirely.
-void configure(int workers);
-
-// The ADASUM_THREADS string as seen at resolution time ("off" when unset),
-// for bench headers.
-const char* env_setting();
-
-// Fixed tile decomposition. Boundaries are multiples of `quantum` (except
-// the final end = n), tiles hold at least `grain` elements (except when
-// n < grain), and the tile count never exceeds kMaxTiles.
-struct Tiling {
-  std::size_t count = 1;  // number of tiles
-  std::size_t n = 0;
-  std::size_t quantum = 1;
-
-  std::size_t begin(std::size_t t) const {
-    const std::size_t pos = n * t / count;
-    return pos - pos % quantum;
-  }
-  std::size_t end(std::size_t t) const {
-    return t + 1 == count ? n : begin(t + 1);
-  }
-};
-
-inline Tiling tiles_for(std::size_t n, std::size_t grain,
-                        std::size_t quantum) {
-  if (grain == 0) grain = 1;
-  if (quantum == 0) quantum = 1;
-  std::size_t count = grain > 0 ? n / grain : n;
-  if (count > kMaxTiles) count = kMaxTiles;
-  if (count < 1) count = 1;
-  return Tiling{count, n, quantum};
-}
-
-// Invokes fn(ctx, tile, begin, end) for every tile of `t` exactly once, on
-// an unspecified worker, and returns when all tiles have completed. Empty
-// tiles (begin == end, possible under a coarse quantum) are skipped. Falls
-// back to serial in-order execution when the pool is off, busy, or under a
-// model-check runtime.
-using TileFn = void (*)(void* ctx, std::size_t tile, std::size_t begin,
-                        std::size_t end);
-void parallel_for(const Tiling& t, TileFn fn, void* ctx);
-
-// Type-erasing convenience: f(tile, begin, end). `f` lives on the caller's
-// stack for the duration of the call — no allocation.
-template <class F>
-void for_tiles(std::size_t n, std::size_t grain, std::size_t quantum, F&& f) {
-  const Tiling t = tiles_for(n, grain, quantum);
-  auto& fn = f;
-  parallel_for(
-      t,
-      [](void* ctx, std::size_t tile, std::size_t b, std::size_t e) {
-        (*static_cast<std::remove_reference_t<F>*>(ctx))(tile, b, e);
-      },
-      const_cast<void*>(static_cast<const void*>(&fn)));
-}
+inline const char* env_setting() { return "off"; }
+inline int threads() { return 0; }
 
 }  // namespace adasum::parallel

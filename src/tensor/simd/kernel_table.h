@@ -120,7 +120,7 @@ struct KernelTable {
   // `dst`/`other`/`out` address the slice directly (their element 0 is global
   // element `offset`).
   //
-  // Bit contract (tests/parallel_test.cpp): within one TU, dequant_add_* is
+  // Bit contract (tests/compress_test.cpp): within one TU, dequant_add_* is
   // bitwise equal to dequantize-then-add composed from the SAME table, and
   // dequant_combine_* to dequantize-then-scaled_sum with the decoded operand
   // in the position selected by `deq_is_b` (b when true, a when false) and

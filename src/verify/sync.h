@@ -37,7 +37,6 @@
 #include "base/thread_annotations.h"
 
 #if ADASUM_VERIFY
-#include "base/check.h"
 #include "verify/runtime.h"
 #endif
 
@@ -82,7 +81,6 @@ class ADASUM_CAPABILITY("mutex") mutex {
 
   void lock() ADASUM_ACQUIRE() { m_.lock(); }
   void unlock() ADASUM_RELEASE() { m_.unlock(); }
-  bool try_lock() ADASUM_TRY_ACQUIRE(true) { return m_.try_lock(); }
   std::mutex& native() { return m_; }
 
  private:
@@ -276,15 +274,6 @@ class ADASUM_CAPABILITY("mutex") mutex {
     } else {
       m_.unlock();
     }
-  }
-  // Not modeled: a failed try is a schedule-dependent branch the explorer
-  // would have to enumerate. Its one caller (the intra-op pool's job gate)
-  // runs its tiles in place under a Runtime and never gets here.
-  bool try_lock() ADASUM_TRY_ACQUIRE(true) {
-    ADASUM_CHECK_MSG(verify::current() == nullptr,
-                     "sync::mutex::try_lock is not modeled under a "
-                     "verify::Runtime");
-    return m_.try_lock();
   }
   std::mutex& native() { return m_; }
 

@@ -1,7 +1,7 @@
 // Tests for the blockwise wire codec (src/tensor/compress/, DESIGN.md §13)
 // and the compressed collectives (src/collectives/compressed.h).
 //
-// Four layers of guarantees:
+// Five layers of guarantees:
 //  * codec kernels — scalar vs AVX2 bit parity for every mode across odd
 //    tails, block sizes, stochastic rounding and unaligned inputs; per-block
 //    scale edge cases (all-zero block, single huge outlier, denormal max,
@@ -10,6 +10,12 @@
 //  * oracle — with one block covering the tensor and round-to-nearest, the
 //    blockwise int8 codec reproduces tensor/quantize.h bit-for-bit (that
 //    scalar per-tensor path is the ancestor of the wire format).
+//  * fused decode-reduce kernels — bitwise equal to dequantize-then-add /
+//    dequantize-then-scaled_sum / dequantize-then-dot_triple composed from
+//    the SAME kernel table, across modes, block sizes, stochastic rounding,
+//    ragged tails, slice offsets, operand positions and exact aliasing, on
+//    every compiled table; compress_f32's decoded writeback is bitwise
+//    compress-then-decompress, in place and not, hostile blocks included.
 //  * compressed collectives — every rank ends bit-identical (each final
 //    segment is its owner's single blob, forwarded verbatim, pinned for RVH
 //    against a serial simulation), results stay near the
@@ -21,7 +27,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,6 +56,7 @@
 namespace adasum {
 namespace {
 
+using simd::kF32;
 using simd::KernelTable;
 using simd::Level;
 
@@ -57,6 +66,21 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed,
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.normal(0, 1)) * scale;
   return v;
+}
+
+template <typename T>
+std::vector<T> pattern(std::size_t n, std::uint32_t salt) {
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<T>(
+        static_cast<float>((i * 2654435761u + salt) % 1000) / 1000.0f - 0.5f);
+  return v;
+}
+
+template <typename T>
+bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 CompressionOptions make_opts(CompressionMode mode, std::size_t block_bytes,
@@ -429,16 +453,341 @@ TEST(CompressCodec, OneBlockRtnMatchesPerTensorOracle) {
 
 TEST(CompressCodec, DeterministicAcrossCalls) {
   // The codec is a pure function of (bytes, options) — the property replica
-  // consistency rests on. Two calls, two buffers, identical streams.
-  const std::vector<float> src = random_floats(2048, 1234);
-  for (const CompressionMode mode : kModes) {
-    const CompressionOptions opts = make_opts(mode, 256, true);
-    std::vector<std::byte> a(compressed_wire_bytes(src.size(), opts),
-                             std::byte{0x00});
-    std::vector<std::byte> b(a.size(), std::byte{0xFF});
-    compress_f32(src, opts, a.data());
-    compress_f32(src, opts, b.data());
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size()));
+  // consistency rests on. Two calls, two buffers, identical streams, and
+  // both equal to one whole-span kernel call: the larger size spans several
+  // of compress_f32's 32 KiB writeback tiles, so the stochastic seed rebase
+  // per tile must reproduce the untiled hashes.
+  for (const std::size_t n : {std::size_t{2048}, std::size_t{3 * 8192 + 5}}) {
+    const std::vector<float> src = random_floats(n, 1234);
+    for (const CompressionMode mode : kModes) {
+      const CompressionOptions opts = make_opts(mode, 256, true);
+      std::vector<std::byte> a(compressed_wire_bytes(n, opts),
+                               std::byte{0x00});
+      std::vector<std::byte> b(a.size(), std::byte{0xFF});
+      compress_f32(src, opts, a.data());
+      compress_f32(src, opts, b.data());
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size()));
+      const CodecRun whole =
+          run_table(simd::active_table(), mode, src, opts.block_elems(),
+                    opts.seed, opts.stochastic);
+      const std::size_t scale_bytes = whole.scales.size() * sizeof(float);
+      EXPECT_EQ(0, std::memcmp(a.data(), whole.scales.data(), scale_bytes))
+          << "n=" << n << " mode=" << compression_mode_name(mode);
+      EXPECT_EQ(0, std::memcmp(a.data() + scale_bytes, whole.payload.data(),
+                               whole.payload.size()))
+          << "n=" << n << " mode=" << compression_mode_name(mode);
+    }
+  }
+}
+
+// Restores one environment variable on scope exit.
+class EnvRestore {
+ public:
+  explicit EnvRestore(const char* name) : name_(name) {
+    if (const char* v = std::getenv(name)) old_ = v;
+  }
+  ~EnvRestore() {
+    if (old_) setenv(name_, old_->c_str(), 1);
+    else unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// ADASUM_COMPRESS / ADASUM_COMPRESS_BLOCK: known values apply, anything else
+// keeps the default (off, 1 KiB) instead of being half-parsed.
+TEST(CompressCodec, FromEnvRejectsUnknownValues) {
+  const EnvRestore restore_mode("ADASUM_COMPRESS");
+  const EnvRestore restore_block("ADASUM_COMPRESS_BLOCK");
+  const auto mode_for = [](const char* v) {
+    setenv("ADASUM_COMPRESS", v, 1);
+    return CompressionOptions::from_env().mode;
+  };
+  EXPECT_EQ(mode_for("int8"), CompressionMode::kInt8);
+  EXPECT_EQ(mode_for("int4"), CompressionMode::kInt4);
+  EXPECT_EQ(mode_for("sign"), CompressionMode::kSign);
+  EXPECT_EQ(mode_for("1bit"), CompressionMode::kSign);
+  EXPECT_EQ(mode_for("off"), CompressionMode::kNone);
+  EXPECT_EQ(mode_for("int-8"), CompressionMode::kNone);
+  EXPECT_EQ(mode_for(""), CompressionMode::kNone);
+  unsetenv("ADASUM_COMPRESS");
+  EXPECT_EQ(CompressionOptions::from_env().mode, CompressionMode::kNone);
+
+  const std::size_t def = CompressionOptions{}.block_bytes;
+  const auto block_for = [](const char* v) {
+    setenv("ADASUM_COMPRESS_BLOCK", v, 1);
+    return CompressionOptions::from_env().block_bytes;
+  };
+  EXPECT_EQ(block_for("4096"), 4096u);
+  EXPECT_EQ(block_for("32"), 32u);
+  for (const char* bad : {"-1", "4k", "0", "", " 64", "+64", "1e3",
+                          "99999999999999999999999"})
+    EXPECT_EQ(block_for(bad), def) << "ADASUM_COMPRESS_BLOCK=" << bad;
+  unsetenv("ADASUM_COMPRESS_BLOCK");
+  EXPECT_EQ(CompressionOptions::from_env().block_bytes, def);
+}
+
+// ---- fused decode-reduce: bitwise equal to the two-pass composition --------
+
+struct FusedCase {
+  CompressionMode mode;
+  std::size_t block_elems;
+  bool stochastic;
+};
+
+std::vector<FusedCase> fused_cases() {
+  std::vector<FusedCase> cases;
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4, CompressionMode::kSign})
+    for (const std::size_t be : {std::size_t{8}, std::size_t{32},
+                                 std::size_t{256}})
+      for (const bool sr : {false, true})
+        cases.push_back({mode, be, sr});
+  return cases;
+}
+
+std::vector<const KernelTable*> compiled_tables() {
+  std::vector<const KernelTable*> tables{simd::table_for(Level::kScalar)};
+  if (const KernelTable* avx2 = simd::table_for(Level::kAvx2))
+    tables.push_back(avx2);
+  return tables;
+}
+
+constexpr std::size_t kFusedLens[] = {1, 7, 8, 9, 255, 256, 257, 1000};
+constexpr std::size_t kFusedOffsets[] = {0, 1, 3, 8, 17};
+
+void run_fused_mode(const KernelTable& t, const CompressionOptions& opts,
+                    std::size_t total, const std::byte* blob,
+                    const std::vector<float>& dec) {
+  const std::size_t blocks = compressed_num_blocks(total, opts);
+  const auto* scales = reinterpret_cast<const float*>(blob);
+  const std::byte* payload = blob + blocks * sizeof(float);
+  const std::size_t be = opts.block_elems();
+  const auto bytes_of = [](const float* p) {
+    return reinterpret_cast<const std::byte*>(p);
+  };
+  for (const std::size_t len : kFusedLens) {
+    for (const std::size_t off : kFusedOffsets) {
+      if (off + len > total) continue;
+      SCOPED_TRACE("mode=" + std::string(compression_mode_name(opts.mode)) +
+                   " block=" + std::to_string(be) + " len=" +
+                   std::to_string(len) + " off=" + std::to_string(off) +
+                   (opts.stochastic ? " sr" : " rne") + " table=" + t.name);
+      // dequant_add vs dequantize-then-add from the same table.
+      {
+        const std::vector<float> dst0 = pattern<float>(len, 77);
+        std::vector<float> ref = dst0, got = dst0;
+        t.add[kF32](bytes_of(dec.data() + off),
+                    reinterpret_cast<std::byte*>(ref.data()), len);
+        switch (opts.mode) {
+          case CompressionMode::kInt8:
+            t.dequant_add_int8(
+                reinterpret_cast<const std::int8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          case CompressionMode::kInt4:
+            t.dequant_add_int4(
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          default:
+            t.dequant_add_sign(
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+        }
+        EXPECT_TRUE(bytes_equal(ref, got)) << "dequant_add mismatch";
+      }
+      // dequant_combine vs dequantize-then-scaled_sum, both operand
+      // positions, out aliasing other exactly (the RVH combine shape).
+      for (const bool deq_is_b : {true, false}) {
+        const double c_other = 0.9980469, c_deq = 1.0113281;
+        const std::vector<float> other = pattern<float>(len, 99);
+        std::vector<float> ref(len);
+        const float* a = deq_is_b ? other.data() : dec.data() + off;
+        const float* b = deq_is_b ? dec.data() + off : other.data();
+        const double ca = deq_is_b ? c_other : c_deq;
+        const double cb = deq_is_b ? c_deq : c_other;
+        t.scaled_sum[kF32](bytes_of(a), ca, bytes_of(b), cb,
+                           reinterpret_cast<std::byte*>(ref.data()), len);
+        std::vector<float> got = other;  // out aliases other
+        switch (opts.mode) {
+          case CompressionMode::kInt8:
+            t.dequant_combine_int8(
+                got.data(), c_other, c_deq, deq_is_b,
+                reinterpret_cast<const std::int8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          case CompressionMode::kInt4:
+            t.dequant_combine_int4(
+                got.data(), c_other, c_deq, deq_is_b,
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          default:
+            t.dequant_combine_sign(
+                got.data(), c_other, c_deq, deq_is_b,
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+        }
+        EXPECT_TRUE(bytes_equal(ref, got))
+            << "dequant_combine mismatch, deq_is_b=" << deq_is_b;
+      }
+      // dequant_dot_triple vs dequantize-then-dot_triple, both operand
+      // positions: the three doubles must match bit for bit.
+      for (const bool deq_is_b : {true, false}) {
+        const std::vector<float> other = pattern<float>(len, 123);
+        const float* a = deq_is_b ? other.data() : dec.data() + off;
+        const float* b = deq_is_b ? dec.data() + off : other.data();
+        std::vector<double> ref(3), got(3);
+        t.dot_triple[kF32](bytes_of(a), bytes_of(b), len, ref.data());
+        switch (opts.mode) {
+          case CompressionMode::kInt8:
+            t.dequant_dot_triple_int8(
+                other.data(), deq_is_b,
+                reinterpret_cast<const std::int8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          case CompressionMode::kInt4:
+            t.dequant_dot_triple_int4(
+                other.data(), deq_is_b,
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+          default:
+            t.dequant_dot_triple_sign(
+                other.data(), deq_is_b,
+                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
+                len, be, got.data());
+            break;
+        }
+        EXPECT_TRUE(bytes_equal(ref, got))
+            << "dequant_dot_triple mismatch, deq_is_b=" << deq_is_b;
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, MatchTwoPassBitwiseOnEveryCompiledTable) {
+  const std::size_t total = 1536;
+  const std::vector<float> src = pattern<float>(total, 5);
+  for (const FusedCase& c : fused_cases()) {
+    CompressionOptions opts;
+    opts.mode = c.mode;
+    opts.block_bytes = c.block_elems * sizeof(float);
+    opts.stochastic = c.stochastic;
+    ASSERT_EQ(opts.block_elems(), c.block_elems);
+    std::vector<std::byte> blob(compressed_wire_bytes(total, opts));
+    compress_f32(src, opts, blob.data());
+    std::vector<float> dec(total);
+    decompress_f32(blob.data(), opts, dec);
+    for (const KernelTable* t : compiled_tables())
+      run_fused_mode(*t, opts, total, blob.data(), dec);
+  }
+}
+
+// The public fused entry points must match decompress + public add /
+// scaled_sum (the dispatched composition the collectives replaced) — this is
+// the exact substitution adasum_rvh.cpp and sum_allreduce.cpp perform.
+TEST(FusedKernels, PublicEntryPointsMatchTwoPass) {
+  const std::size_t total = 400001;  // many AVX2 decode tiles, ragged tail
+  const std::vector<float> src = pattern<float>(total, 6);
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4,
+        CompressionMode::kSign}) {
+    CompressionOptions opts;
+    opts.mode = mode;
+    std::vector<std::byte> blob(compressed_wire_bytes(total, opts));
+    compress_f32(src, opts, blob.data());
+    std::vector<float> dec(total);
+    decompress_f32(blob.data(), opts, dec);
+
+    std::vector<float> add_ref = pattern<float>(total, 7);
+    std::vector<float> add_got = add_ref;
+    kernels::add(std::span<const float>(dec), std::span<float>(add_ref));
+    std::vector<float> comb_other = pattern<float>(total, 8);
+    std::vector<float> comb_ref(total);
+    kernels::scaled_sum(std::span<const float>(comb_other), 0.75,
+                        std::span<const float>(dec), -1.25,
+                        std::span<float>(comb_ref));
+    decompress_add_f32(blob.data(), opts, total, 0, add_got);
+    EXPECT_TRUE(bytes_equal(add_ref, add_got))
+        << compression_mode_name(mode) << " add";
+    std::vector<float> out = comb_other;
+    decompress_combine_f32(blob.data(), opts, total, 0, out, 0.75, -1.25,
+                           /*deq_is_b=*/true, out);
+    EXPECT_TRUE(bytes_equal(comb_ref, out))
+        << compression_mode_name(mode) << " combine";
+    // The dot triple spans many of the AVX2 body's decode tiles here; one
+    // call per operand slot suffices.
+    const std::size_t off = 13;
+    const std::span<const float> other(comb_other.data() + off, total - off);
+    const std::span<const float> deq(dec.data() + off, total - off);
+    for (const bool deq_is_b : {true, false}) {
+      const kernels::DotTriple ref =
+          deq_is_b ? kernels::dot_triple(other, deq)
+                   : kernels::dot_triple(deq, other);
+      const kernels::DotTriple got = decompress_dot_triple_f32(
+          blob.data(), opts, total, off, other, deq_is_b);
+      EXPECT_EQ(0, std::memcmp(&ref, &got, sizeof ref))
+          << compression_mode_name(mode) << " dot triple deq_is_b "
+          << deq_is_b;
+    }
+  }
+}
+
+// compress_f32's `decoded` output must be exactly compress-then-
+// decompress_f32, into a separate buffer and in place, with the blob itself
+// unchanged. The payload covers the hostile blocks too — NaN, ±Inf, a
+// denormal maximum (the reciprocal fallback) and all zeros — because the
+// writeback decodes the blob it just wrote rather than recomputing levels.
+// Sizes span several 32 KiB writeback tiles and a block larger than one
+// tile.
+TEST(FusedKernels, CompressWritebackMatchesCompressThenDecompress) {
+  const std::size_t total = 300001;  // many writeback tiles, ragged tail
+  std::vector<float> src = pattern<float>(total, 9);
+  const auto fill = [&](std::size_t at, std::size_t len, float v) {
+    std::fill_n(src.begin() + static_cast<std::ptrdiff_t>(at), len, v);
+  };
+  fill(4096, 256, 0.0f);
+  fill(9216, 256, 1e-40f);
+  src[20003] = std::numeric_limits<float>::quiet_NaN();
+  src[40000] = std::numeric_limits<float>::infinity();
+  src[40001] = -std::numeric_limits<float>::infinity();
+  src[123457] = -std::numeric_limits<float>::quiet_NaN();
+  src[total - 1] = std::numeric_limits<float>::infinity();
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4,
+        CompressionMode::kSign}) {
+    for (const std::size_t block_bytes :
+         {std::size_t{32}, std::size_t{1024}, std::size_t{65536}}) {
+      for (const bool sr : {false, true}) {
+        CompressionOptions opts;
+        opts.mode = mode;
+        opts.block_bytes = block_bytes;
+        opts.stochastic = sr;
+        const std::size_t wire = compressed_wire_bytes(total, opts);
+        std::vector<std::byte> ref_blob(wire);
+        std::vector<float> ref_dec(total);
+        compress_f32(src, opts, ref_blob.data());
+        decompress_f32(ref_blob.data(), opts, ref_dec);
+        SCOPED_TRACE(std::string(compression_mode_name(mode)) + " block " +
+                     std::to_string(block_bytes) + (sr ? " sr" : " rne"));
+        std::vector<std::byte> blob(wire);
+        std::vector<float> dec(total);
+        compress_f32(src, opts, blob.data(), dec);
+        EXPECT_TRUE(bytes_equal(ref_blob, blob)) << "separate: blob";
+        EXPECT_TRUE(bytes_equal(ref_dec, dec)) << "separate: decoded";
+        std::vector<float> inplace = src;
+        std::vector<std::byte> blob2(wire);
+        compress_f32(inplace, opts, blob2.data(), inplace);
+        EXPECT_TRUE(bytes_equal(ref_blob, blob2)) << "aliased: blob";
+        EXPECT_TRUE(bytes_equal(ref_dec, inplace)) << "aliased: decoded";
+      }
+    }
   }
 }
 
