@@ -95,11 +95,15 @@ echo "=== strict analyzer: compressed and zero-copy schedules ==="
 # included) must match what it sends and receives, across the compressed
 # matrix on both transports (the zero-copy unwind copies forwarded sub-blob
 # runs out of the peer's view) and the hierarchical cases on the zero-copy
-# transport. The TSan stage also runs collectives_test strictly, but
-# SKIP_SAN=1 skips it.
+# transport. With chunking forced on, the ring primitives declare their
+# chunk streams, including the hierarchical allreduce's node-local rings.
+# The TSan stage also runs collectives_test strictly, but SKIP_SAN=1 skips
+# it.
 ADASUM_ANALYZE=on ./build/tests/compress_test
 ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/compress_test
 ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/collectives_test
+ADASUM_ANALYZE=on ADASUM_PIPELINE=on ./build/tests/collectives_test
+ADASUM_ANALYZE=on ADASUM_PIPELINE=on ./build/tests/primitives_test
 
 echo "=== transport gate: zero-copy throughput floor ==="
 # Writes BENCH_rvh.json and exits nonzero unless the shm transport holds

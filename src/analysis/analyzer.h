@@ -28,10 +28,11 @@
 // aborts the run; inspect violations() after World::run returns.
 //
 // Cost model: everything here is behind World::enable_analyzer (or the
-// ADASUM_ANALYZE=on environment variable). With the analyzer disabled the
-// transport performs one null-pointer test per operation and allocates
-// nothing; with -DADASUM_ANALYZE=OFF at configure time the hooks compile out
-// entirely.
+// ADASUM_ANALYZE=on environment variable), a runtime switch only — the hooks
+// are always compiled in. With the analyzer disabled the transport performs
+// one null-pointer test per operation and allocates nothing
+// (Chaos.AnalyzerOffPathIsByteAndAllocationIdenticalToSeed pins this), and a
+// collective's EpochGuard skips its declaration.
 #pragma once
 
 #include <atomic>

@@ -46,12 +46,10 @@ class AdasumReducer {
         subgroup_(subgroup_buf_.as<int>(static_cast<std::size_t>(ctx.size))) {
   }
 
-#if ADASUM_ANALYZE
   void declare(analysis::EpochExpectation& ex, const RvhLevel& lv,
                int level) {
     ex.allreduce_doubles(subgroup(level), ctx_.comm.rank(), lv.tag + 1);
   }
-#endif
 
   // Dots each layer the moment the last element of its intersection with
   // the kept half lands, so the dot of chunk i overlaps the transfer of

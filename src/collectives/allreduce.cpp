@@ -26,7 +26,6 @@ void adasum_gather_tree(Comm& comm, Tensor& tensor,
                         std::span<const TensorSlice> slices, int tag_base) {
   const int p = comm.size();
   if (p == 1) return;
-#if ADASUM_ANALYZE
   // Star schedule: every rank sends its gradient to rank 0 on tag_base and
   // receives the combined result back on tag_base + 1.
   analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
@@ -43,7 +42,6 @@ void adasum_gather_tree(Comm& comm, Tensor& tensor,
       ex.recv(0, tag_base + 1);
     }
   }
-#endif
   if (comm.rank() == 0) {
     std::vector<Tensor> grads;
     grads.reserve(p);

@@ -17,11 +17,9 @@
 namespace adasum {
 namespace {
 
-int index_in_group(std::span<const int> group, int rank) {
-  for (std::size_t i = 0; i < group.size(); ++i)
-    if (group[i] == rank) return static_cast<int>(i);
-  return -1;
-}
+// The node-local phases model fast local links and stay exact whatever the
+// World's wire default (hierarchical.h).
+const CompressionOptions kExact{.mode = CompressionMode::kNone};
 
 // The world splits on a uniform S = ranks_per_node shard grid. A node of
 // size s < S (the ragged last node) runs its local ring phases over s
@@ -72,7 +70,6 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
     // Extra rank: hand the shard to the core partner, wait for the result.
     const int core_peer = group[static_cast<std::size_t>(idx - m)];
     {
-#if ADASUM_ANALYZE
       analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
                                  "hierarchical_fold_in");
       if (epoch.declaring()) {
@@ -80,10 +77,8 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
         for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
           ex.send(core_peer, fold_in_tag);
       }
-#endif
       comm.send_chunks(core_peer, {data, bytes}, chunk, fold_in_tag);
     }
-#if ADASUM_ANALYZE
     analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
                                "hierarchical_fold_out");
     if (epoch.declaring()) {
@@ -91,7 +86,6 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
       for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
         ex.recv(core_peer, fold_out_tag);
     }
-#endif
     comm.recv_chunks_into(core_peer, {data, bytes}, chunk, fold_out_tag);
     return;
   }
@@ -101,7 +95,6 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
     const int extra_peer = group[static_cast<std::size_t>(m + idx)];
     PooledBuffer peer(comm.pool(), bytes);
     {
-#if ADASUM_ANALYZE
       analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
                                  "hierarchical_fold_in");
       if (epoch.declaring()) {
@@ -109,7 +102,6 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
         for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
           ex.recv(extra_peer, fold_in_tag);
       }
-#endif
       comm.recv_chunks_into(extra_peer, peer.bytes(bytes), chunk,
                             fold_in_tag);
     }
@@ -141,7 +133,6 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
 
   if (folds) {
     const int extra_peer = group[static_cast<std::size_t>(m + idx)];
-#if ADASUM_ANALYZE
     analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
                                "hierarchical_fold_out");
     if (epoch.declaring()) {
@@ -149,7 +140,6 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
       for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
         ex.send(extra_peer, fold_out_tag);
     }
-#endif
     comm.send_chunks(extra_peer, {data, bytes}, chunk, fold_out_tag);
   }
 }
@@ -175,13 +165,11 @@ void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
   const int s = std::min(S, world - node_base);  // my node's size
   const std::size_t elem = dtype_size(dtype);
 
-#if ADASUM_ANALYZE
   // The phases below are collectives that declare their own epochs; this
   // outer epoch is observational only (declaring the traffic here too would
   // double-count the nested schedules).
   analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
                              "hierarchical_allreduce");
-#endif
 
   // Per-call scratch lives in thread_local vectors whose capacity persists
   // across calls, so warm steady-state iterations allocate nothing (the
@@ -203,8 +191,8 @@ void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
   for (int c = 0; c <= s; ++c)
     bounds[static_cast<std::size_t>(c)] =
         chunk_range(count, S, first_shard_of_chunk(S, s, c)).begin;
-  ring_reduce_scatter_sum(comm, data, count, dtype, node_group, bounds,
-                          tag_base);
+  ring_reduce_scatter_sum(comm, data, count, dtype, node_group, tag_base,
+                          bounds, kExact);
 
   const int owned_chunk = owned_chunk_after_reduce_scatter(local, s);
   const std::size_t cb = bounds[static_cast<std::size_t>(owned_chunk)];
@@ -261,8 +249,8 @@ void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
   }
 
   // ---- Phase 3: local ring allgather --------------------------------------
-  ring_allgather(comm, data, count, dtype, node_group, bounds,
-                 tag_base + 3000);
+  ring_allgather(comm, data, count, dtype, node_group, tag_base + 3000,
+                 bounds, kExact);
 }
 
 void hierarchical_allreduce(Comm& comm, Tensor& tensor, int ranks_per_node,
@@ -273,24 +261,6 @@ void hierarchical_allreduce(Comm& comm, Tensor& tensor, int ranks_per_node,
   hierarchical_allreduce(comm, tensor.data(), tensor.size(), tensor.dtype(),
                          ranks_per_node, use_adasum, slices, tag_base,
                          compression);
-}
-
-void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
-                            DType dtype, const Topology& topology,
-                            bool use_adasum,
-                            std::span<const TensorSlice> slices, int tag_base,
-                            const CompressionOptions& compression) {
-  hierarchical_allreduce(comm, data, count, dtype,
-                         topology.group_size_by_link_speed(comm.size()),
-                         use_adasum, slices, tag_base, compression);
-}
-
-void hierarchical_allreduce(Comm& comm, Tensor& tensor,
-                            const Topology& topology, bool use_adasum,
-                            std::span<const TensorSlice> slices, int tag_base,
-                            const CompressionOptions& compression) {
-  hierarchical_allreduce(comm, tensor.data(), tensor.size(), tensor.dtype(),
-                         topology, use_adasum, slices, tag_base, compression);
 }
 
 }  // namespace adasum

@@ -14,15 +14,15 @@
 // a non-power-of-two group runs the standard fold — the extra nodes
 // pre-combine pairwise into the power-of-two core before the RVH recursion
 // and receive the result afterwards. The local phases of a ragged node use
-// shard-aligned chunk boundaries (primitives.h bounds variants) so every
-// node partitions the payload on the same world-wide `ranks_per_node`-way
-// shard grid and the per-shard cross groups reduce matching element ranges;
+// shard-aligned chunk boundaries (the `bounds` of the primitives.h rings) so
+// every node partitions the payload on the same world-wide
+// `ranks_per_node`-way shard grid and the per-shard cross groups reduce
+// matching element ranges;
 // a ragged rank simply owns several shards and runs their cross collectives
 // back to back (the groups are channel-disjoint, so they cannot interfere).
-// The overloads taking a Topology derive the grouping from modeled link
-// speed — `Topology::group_size_by_link_speed` — instead of a caller-fixed
-// arity: grouping collapses to flat when the local fabric is no faster than
-// the network.
+// Callers that derive the arity from modeled link speed pass
+// `Topology::group_size_by_link_speed`, which collapses the grouping to flat
+// when the local fabric is no faster than the network.
 //
 // Note on dot-product scope: the cross-node Adasum computes its dot products
 // within each shard (further split by any layer boundaries that intersect
@@ -34,7 +34,6 @@
 
 #include <span>
 
-#include "comm/topology.h"
 #include "comm/world.h"
 #include "tensor/fusion.h"
 #include "tensor/tensor.h"
@@ -60,23 +59,6 @@ void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
 
 void hierarchical_allreduce(Comm& comm, Tensor& tensor, int ranks_per_node,
                             bool use_adasum,
-                            std::span<const TensorSlice> slices = {},
-                            int tag_base = 0,
-                            const CompressionOptions& compression = {});
-
-// Topology-aware overloads: the grouping arity comes from the modeled link
-// speeds (Topology::group_size_by_link_speed) instead of the caller — flat
-// when intra is no faster than inter, gpus_per_node otherwise. Identical to
-// calling the explicit-arity form with that derived value (tests pin this).
-void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
-                            DType dtype, const Topology& topology,
-                            bool use_adasum,
-                            std::span<const TensorSlice> slices = {},
-                            int tag_base = 0,
-                            const CompressionOptions& compression = {});
-
-void hierarchical_allreduce(Comm& comm, Tensor& tensor,
-                            const Topology& topology, bool use_adasum,
                             std::span<const TensorSlice> slices = {},
                             int tag_base = 0,
                             const CompressionOptions& compression = {});

@@ -48,7 +48,6 @@ void degraded_reduce(Comm& comm, Tensor& tensor,
   const int root = group[0];
   const std::span<const TensorSlice> slices{options.slices};
 
-#if ADASUM_ANALYZE
   // Star over the survivor group: gather on `tag`, broadcast on `tag + 1`.
   // In fault runs the analyzer is observe-only so this declaration is
   // skipped; it validates when the degraded path is driven directly.
@@ -66,7 +65,6 @@ void degraded_reduce(Comm& comm, Tensor& tensor,
       ex.recv(root, tag + 1);
     }
   }
-#endif
 
   if (comm.rank() == root) {
     if (options.op == ReduceOp::kAdasum) {

@@ -137,13 +137,8 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   if (size == 1 || count == 0) return;
   ADASUM_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(size)),
                    "RVH requires a power-of-two group size");
-  int rank = comm.rank();
-  if (!group.empty()) {
-    rank = -1;
-    for (std::size_t i = 0; i < group.size(); ++i)
-      if (group[i] == comm.rank()) rank = static_cast<int>(i);
-    ADASUM_CHECK_MSG(rank >= 0, "calling rank must belong to the group");
-  }
+  const int rank = index_in_group(group, comm.rank());
+  ADASUM_CHECK_MSG(rank >= 0, "calling rank must belong to the group");
   const std::size_t elem = dtype_size(dtype);
   // Chunk size for the bulk transfers (0 = monolithic), resolved through the
   // transport: a zero-copy transport collapses each transfer to one view, and
@@ -190,7 +185,6 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
     seg_count = lv.kept();
   }
 
-#if ADASUM_ANALYZE
   // Declare the full message schedule up front from the plan the loops below
   // execute: a drifted tag, partner or chunk count becomes an
   // expected-vs-observed diff in the epoch report instead of a hang. Every
@@ -216,7 +210,6 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
         ex.recv(lv.neighbor, lv.tag + 2);
     }
   }
-#endif
 
   // Compressed-wire helper (inert when the codec is off); the largest single
   // blob is the level-0 half, the largest run either level-0 half's.

@@ -1,8 +1,10 @@
 // Elementwise sum/average allreduces — the synchronous-SGD baselines.
 //
 // Two schedules are provided:
-//  * ring: the classic bandwidth-optimal chunked ring (reduce-scatter phase
-//    of p-1 steps, allgather phase of p-1 steps), works for any world size;
+//  * ring: the classic bandwidth-optimal ring, works for any world size. It
+//    is the ring reduce-scatter (p-1 steps) followed by the ring allgather
+//    (p-1 steps) of primitives.h, the same pair the hierarchical allreduce
+//    runs inside each node;
 //  * rvh: recursive vector halving + doubling, latency-and-bandwidth optimal
 //    on hypercubes (Chan et al.), power-of-two world sizes.
 // Both produce the identical elementwise sum; tests assert so.
@@ -16,7 +18,8 @@
 
 namespace adasum {
 
-// In-place ring sum-allreduce. Any world size. `compression` selects the
+// In-place ring sum-allreduce over the whole world: ring_reduce_scatter_sum
+// on tag_base, then ring_allgather on tag_base + p. `compression` selects the
 // wire codec (DESIGN.md §13; kAuto follows the World): reduce-scatter
 // segments ship as fresh blobs, while the allgather forwards each owner's
 // blob VERBATIM hop to hop so every rank decodes the same stream and

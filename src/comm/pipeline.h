@@ -11,14 +11,19 @@
 //
 // Runtime control: ADASUM_PIPELINE=1|on enables chunking for every World
 // constructed afterwards, ADASUM_CHUNK_BYTES overrides the chunk size
-// (bytes). Tests and benches set the options programmatically via
+// (bytes); a malformed value warns once and keeps the default. Tests and benches set the options programmatically via
 // World::set_pipeline.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <cstdlib>
+#include <mutex>
 #include <string_view>
+#include <system_error>
+
+#include "base/logging.h"
 
 namespace adasum {
 
@@ -37,15 +42,38 @@ struct PipelineOptions {
     return std::max(chunk_bytes - chunk_bytes % elem_size, elem_size);
   }
 
+  // ADASUM_PIPELINE accepts on|1|off|0 and ADASUM_CHUNK_BYTES a whole
+  // positive decimal; any other value keeps the default (off, 256 KiB) and
+  // warns once per process, like ADASUM_COMPRESS.
   static PipelineOptions from_env() {
     PipelineOptions o;
     if (const char* env = std::getenv("ADASUM_PIPELINE"); env != nullptr) {
       const std::string_view v(env);
-      o.enabled = v == "1" || v == "on";
+      if (v == "1" || v == "on") {
+        o.enabled = true;
+      } else if (v != "0" && v != "off") {
+        static std::once_flag warned;
+        std::call_once(warned, [&] {
+          ADASUM_LOG(Warning) << "ADASUM_PIPELINE=" << v
+                              << " is not one of on|1|off|0; using off";
+        });
+      }
     }
     if (const char* env = std::getenv("ADASUM_CHUNK_BYTES"); env != nullptr) {
-      const unsigned long long n = std::strtoull(env, nullptr, 10);
-      if (n > 0) o.chunk_bytes = static_cast<std::size_t>(n);
+      const std::string_view v(env);
+      std::size_t n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec == std::errc() && end == v.data() + v.size() && n > 0) {
+        o.chunk_bytes = n;
+      } else {
+        static std::once_flag warned;
+        std::call_once(warned, [&] {
+          ADASUM_LOG(Warning) << "ADASUM_CHUNK_BYTES=" << v
+                              << " is not a positive whole number of bytes; "
+                                 "using "
+                              << o.chunk_bytes;
+        });
+      }
     }
     return o;
   }

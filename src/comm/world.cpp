@@ -9,7 +9,6 @@
 #include <string_view>
 #include <thread>
 
-#include "base/logging.h"
 
 namespace adasum {
 
@@ -50,25 +49,17 @@ World::World(int size) : size_(size) {
   // Wire compression likewise opts in from the environment
   // (ADASUM_COMPRESS=int8|int4|sign); off by default since it is lossy.
   compression_ = CompressionOptions::from_env();
-#if ADASUM_ANALYZE
   // Opt into the protocol analyzer from the environment so any existing test
   // binary can run under analysis without a code change.
   if (const char* env = std::getenv("ADASUM_ANALYZE"); env != nullptr) {
     const std::string_view v(env);
     if (v == "1" || v == "on") enable_analyzer();
   }
-#endif
 }
 
 void World::enable_analyzer(analysis::AnalyzerOptions options) {
-#if ADASUM_ANALYZE
   analyzer_ = std::make_unique<analysis::ProtocolAnalyzer>(
       size_, options, [this]() { request_abort(); });
-#else
-  (void)options;
-  ADASUM_LOG(Warning) << "enable_analyzer(): protocol-analyzer hooks were "
-                         "compiled out (-DADASUM_ANALYZE=OFF); request ignored";
-#endif
 }
 
 void World::enable_fault_tolerance(FaultToleranceOptions options) {
@@ -113,13 +104,11 @@ void World::run(const std::function<void(Comm&)>& fn) {
   vote_generation_ = 0;
   enroll_count_ = 0;
   enroll_generation_ = 0;
-#if ADASUM_ANALYZE
   if (analyzer_ != nullptr) {
     // Injected faults legitimately break schedules and channel balance, so
     // they downgrade the analyzer's strict checks to observe-only.
     analyzer_->begin_run(/*faults_possible=*/injector_ != nullptr);
   }
-#endif
 
   std::vector<std::exception_ptr> errors(size_);
   std::vector<std::thread> threads;
@@ -136,12 +125,10 @@ void World::run(const std::function<void(Comm&)>& fn) {
         errors[r] = std::current_exception();
         request_abort();
       }
-#if ADASUM_ANALYZE
       // Every exit path (clean return, kill, error) makes the rank "done":
       // the watchdog uses this to tell a transient wait from a stall on a
       // peer that can never send again.
       if (analyzer_ != nullptr) analyzer_->on_rank_done(r);
-#endif
     });
   }
   for (auto& t : threads) t.join();
@@ -151,13 +138,9 @@ void World::run(const std::function<void(Comm&)>& fn) {
   for (int r = 0; r < size_ && !first_error; ++r)
     if (errors[r]) first_error = errors[r];
 
-#if ADASUM_ANALYZE
   const bool analyzer_on = analyzer_ != nullptr;
   if (analyzer_on) analyzer_->end_run();
   const bool analyzer_violations = analyzer_on && analyzer_->has_violations();
-#else
-  constexpr bool analyzer_violations = false;
-#endif
   const bool injected_message_faults =
       injector_ != nullptr && injector_->spec().any_message_faults();
   if (first_error != nullptr || had_deaths || injected_message_faults ||
@@ -170,7 +153,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
     // steady-state recycling set.
     transport_->drain_all();
   }
-#if ADASUM_ANALYZE
   if (analyzer_on) {
     // Surface analyzer findings only when they are the most specific story:
     // a real rank error (anything but the secondary WorldAborted unwinds the
@@ -191,7 +173,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
         throw analysis::ProtocolError(analyzer_->report());
     }
   }
-#endif
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
@@ -311,14 +292,12 @@ void Comm::send_bytes_owned(int dst, std::vector<std::byte> payload, int tag) {
     if (world_->aborted_.load()) throw WorldAborted();
     TransportMeta meta;
     meta.tag = tag;
-#if ADASUM_ANALYZE
     // Stamp the channel sequence number after the kill/abort gates so every
     // logged send corresponds to a message that actually reached the wire
     // (or the injector, which counts: drops break balance only in runs where
     // the strict checks are already downgraded).
     if (world_->analyzed())
       meta.seq = world_->analyzer_->on_send(rank_, dst, tag, bytes);
-#endif
     // The checksum is computed BEFORE the injector gets at the payload, so a
     // wire corruption is a mismatch the receiver can detect.
     meta.checked = world_->checksums_;
@@ -358,7 +337,6 @@ void Comm::send_bytes_owned(int dst, std::vector<std::byte> payload, int tag) {
 Transport::Inbound Comm::chaos_recv_inbound(
     int src, int tag, std::chrono::steady_clock::time_point deadline) {
   maybe_kill();
-#if ADASUM_ANALYZE
   analysis::ProtocolAnalyzer* an = world_->analyzer_.get();
   if (an != nullptr) {
     an->on_recv_started(rank_, src, tag);
@@ -367,12 +345,10 @@ Transport::Inbound Comm::chaos_recv_inbound(
     // window. The edge MUST be cleared on every exit of recv_wait.
     an->on_recv_blocked(rank_, src, tag);
   }
-#endif
   Transport::Inbound in;
   const Transport::RecvStatus status = world_->transport_->recv_wait(
       src, rank_, tag, world_->aborted_,
       world_->dead_[static_cast<std::size_t>(src)], deadline, in);
-#if ADASUM_ANALYZE
   if (an != nullptr) {
     an->on_recv_unblocked(rank_);
     if (status == Transport::RecvStatus::kOk)
@@ -380,7 +356,6 @@ Transport::Inbound Comm::chaos_recv_inbound(
     else if (status == Transport::RecvStatus::kAborted)
       an->on_abort_observed(rank_);
   }
-#endif
   switch (status) {
     case Transport::RecvStatus::kOk:
       break;
@@ -482,13 +457,11 @@ void Comm::send_bulk(int dst, std::span<const std::byte> data,
   if (world_->aborted_.load()) throw WorldAborted();
   TransportMeta meta;
   meta.tag = tag;
-#if ADASUM_ANALYZE
   // Views skip chaos (no injector/checksum can touch a live window into the
   // sender's buffer) but NOT analysis: the analyzer sees one monolithic
   // message per bulk publish, matching bulk_chunk_bytes() == 0.
   if (world_->analyzed())
     meta.seq = world_->analyzer_->on_send(rank_, dst, tag, data.size());
-#endif
   world_->transport_->send_view(rank_, dst, meta, data);
   CommStats& s = world_->stats_[rank_];
   ++s.messages_sent;
@@ -549,16 +522,6 @@ void Comm::barrier() {
     throw WorldAborted();
 }
 
-namespace {
-
-int index_in_group(std::span<const int> group, int rank) {
-  for (std::size_t i = 0; i < group.size(); ++i)
-    if (group[i] == rank) return static_cast<int>(i);
-  return -1;
-}
-
-}  // namespace
-
 std::vector<double> Comm::allreduce_sum_doubles(std::span<const double> values,
                                                 std::span<const int> group,
                                                 int tag) {
@@ -570,7 +533,8 @@ std::vector<double> Comm::allreduce_sum_doubles(std::span<const double> values,
 void Comm::allreduce_sum_doubles_inplace(std::span<double> values,
                                          std::span<const int> group, int tag) {
   const int me = index_in_group(group, rank_);
-  ADASUM_CHECK_MSG(me >= 0, "calling rank must be a member of the group");
+  ADASUM_CHECK_MSG(!group.empty() && me >= 0,
+                   "calling rank must be a member of the group");
   const int p = static_cast<int>(group.size());
   if (p == 1) return;
 

@@ -49,6 +49,16 @@ namespace adasum {
 
 class Comm;
 
+// Index of world rank `rank` in `group`, or -1 if it is not a member. An
+// empty group stands for the whole world (the index is the rank itself), the
+// convention of every collective that takes a rank group.
+inline int index_in_group(std::span<const int> group, int rank) {
+  if (group.empty()) return rank;
+  for (std::size_t i = 0; i < group.size(); ++i)
+    if (group[i] == rank) return static_cast<int>(i);
+  return -1;
+}
+
 // Per-rank traffic statistics, for tests and cost-model validation.
 struct CommStats {
   std::uint64_t messages_sent = 0;
@@ -110,8 +120,7 @@ class World {
   // non-overtaking/duplicate detection on every message, a deadlock
   // watchdog, per-collective schedule validation and end-of-run channel
   // balance. Also enabled automatically when the ADASUM_ANALYZE environment
-  // variable is "1" or "on" at World construction. A no-op (with a warning)
-  // when the hooks were compiled out via -DADASUM_ANALYZE=OFF.
+  // variable is "1" or "on" at World construction.
   void enable_analyzer(analysis::AnalyzerOptions options = {});
   analysis::ProtocolAnalyzer* analyzer() { return analyzer_.get(); }
 
@@ -160,15 +169,9 @@ class World {
     return ft_enabled_ || checksums_ || injector_ != nullptr;
   }
 
-  // Is the protocol analyzer observing this world? Constant false when the
-  // hooks are compiled out, so the branch folds away entirely.
-  bool analyzed() const {
-#if ADASUM_ANALYZE
-    return analyzer_ != nullptr;
-#else
-    return false;
-#endif
-  }
+  // Is the protocol analyzer observing this world? One null test per
+  // operation when it is not.
+  bool analyzed() const { return analyzer_ != nullptr; }
 
   // Called by a dying rank (fault-injector kill) before it unwinds: flips
   // the liveness flag, releases anything it held "on the wire", and

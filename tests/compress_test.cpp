@@ -52,6 +52,7 @@
 #include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 #include "chaos_util.h"
+#include "env_restore.h"
 
 namespace adasum {
 namespace {
@@ -479,22 +480,6 @@ TEST(CompressCodec, DeterministicAcrossCalls) {
     }
   }
 }
-
-// Restores one environment variable on scope exit.
-class EnvRestore {
- public:
-  explicit EnvRestore(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) old_ = v;
-  }
-  ~EnvRestore() {
-    if (old_) setenv(name_, old_->c_str(), 1);
-    else unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
 
 // ADASUM_COMPRESS / ADASUM_COMPRESS_BLOCK: known values apply, anything else
 // keeps the default (off, 1 KiB) instead of being half-parsed.
@@ -1078,7 +1063,6 @@ TEST(CompressedCollectives, WarmCompressedIterationsMakeNoPoolAllocations) {
   EXPECT_GT(warm.reuses, 0u);
 }
 
-#if ADASUM_ANALYZE
 TEST(CompressedCollectives, StrictAnalyzerValidatesCompressedSchedules) {
   // The EpochGuard declarations account compressed wire bytes through the
   // same wire_transfer_bytes() formula the transfers use; a drift would
@@ -1106,7 +1090,6 @@ TEST(CompressedCollectives, StrictAnalyzerValidatesCompressedSchedules) {
   EXPECT_GT(world.analyzer()->epochs_validated(), 0u);
   EXPECT_FALSE(world.analyzer()->deadlock_detected());
 }
-#endif
 
 TEST(CompressedCollectives, CorruptionStillDetectedWithCompressionOn) {
   // Compressed blobs are ordinary byte messages: per-message checksums must

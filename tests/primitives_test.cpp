@@ -1,11 +1,17 @@
 // Tests for the collective primitives (broadcast / reduce-scatter /
-// allgather) that the hierarchical allreduce composes.
+// allgather): the ring pair under ring_allreduce_sum and the hierarchical
+// allreduce's node-local phases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <mutex>
 #include <numeric>
+#include <vector>
 
 #include "base/rng.h"
 #include "collectives/primitives.h"
+#include "comm/pipeline.h"
 
 namespace adasum {
 namespace {
@@ -127,6 +133,122 @@ TEST(ReduceScatterAllgatherTest, ComposeIntoAllreduce) {
     for (std::size_t i = 0; i < count; ++i)
       ASSERT_NEAR(t.at(i), expected[i], 1e-4) << i;
   });
+}
+
+// Runs a ring reduce-scatter + allgather over `group` (with `bounds`) on
+// every member's seeded input; returns each world rank's output bytes
+// (empty for non-members).
+std::vector<std::vector<std::byte>> ring_pair(
+    World& world, DType dtype, std::size_t count, const std::vector<int>& group,
+    const std::vector<std::size_t>& bounds,
+    const CompressionOptions& comp = {CompressionMode::kNone}) {
+  std::vector<std::vector<std::byte>> out(
+      static_cast<std::size_t>(world.size()));
+  std::mutex mu;
+  world.run([&](Comm& comm) {
+    if (!group.empty() &&
+        std::find(group.begin(), group.end(), comm.rank()) == group.end())
+      return;
+    Rng rng(11 + static_cast<std::uint64_t>(comm.rank()));
+    Tensor t({count}, dtype);
+    for (std::size_t i = 0; i < count; ++i) t.set(i, rng.normal());
+    ring_reduce_scatter_sum(comm, t.data(), count, dtype, group, 0, bounds,
+                            comp);
+    ring_allgather(comm, t.data(), count, dtype, group, 100, bounds, comp);
+    std::lock_guard<std::mutex> lock(mu);
+    out[static_cast<std::size_t>(comm.rank())].assign(
+        t.data(), t.data() + t.nbytes());
+  });
+  return out;
+}
+
+// Chunk streaming never changes the bits: a non-contiguous group with
+// ragged (including empty) shard bounds gives memcmp-equal results with
+// 1 KiB chunks and with pipelining off, and every member ends identical.
+TEST(RingPrimitives, ChunkedRingBitIdenticalOnRaggedBoundsAndGroup) {
+  const std::vector<int> group{5, 1, 6, 3};
+  const std::size_t count = 3001;
+  const std::vector<std::size_t> bounds{0, 10, 10, 1700, count};
+  for (const DType dtype : {DType::kFloat32, DType::kFloat16}) {
+    SCOPED_TRACE(dtype_name(dtype));
+    World off(7);
+    const auto mono = ring_pair(off, dtype, count, group, bounds);
+    World on(7);
+    on.set_pipeline(PipelineOptions{true, 1024});
+    const auto chunked = ring_pair(on, dtype, count, group, bounds);
+    for (const int r : group) {
+      const auto& m = mono[static_cast<std::size_t>(r)];
+      const auto& c = chunked[static_cast<std::size_t>(r)];
+      ASSERT_EQ(m.size(), count * dtype_size(dtype));
+      ASSERT_EQ(c.size(), m.size());
+      EXPECT_EQ(std::memcmp(m.data(), c.data(), m.size()), 0) << "rank " << r;
+      EXPECT_EQ(m, mono[static_cast<std::size_t>(group[0])]) << "rank " << r;
+    }
+  }
+}
+
+// The chunk count the analyzer declarations use is the one the transfers
+// send: each rank's messages_sent is the sum of chunk_messages over both
+// phases' steps, exact and compressed.
+TEST(RingPrimitives, MessagesSentIsTheSumOfChunkMessagesOverSteps) {
+  const std::vector<int> group{2, 0, 3};
+  const std::size_t count = 5000;
+  const std::vector<std::size_t> bounds{0, 1000, 1003, count};
+  const int p = static_cast<int>(group.size());
+  const std::size_t chunk = 1024;
+  for (const CompressionMode mode :
+       {CompressionMode::kNone, CompressionMode::kInt8}) {
+    CompressionOptions comp;
+    comp.mode = mode;
+    World world(4);
+    world.set_pipeline(PipelineOptions{true, chunk});
+    ring_pair(world, DType::kFloat32, count, group, bounds, comp);
+    const auto seg_messages = [&](int c) {
+      c = ((c % p) + p) % p;
+      const std::size_t n = bounds[static_cast<std::size_t>(c) + 1] -
+                            bounds[static_cast<std::size_t>(c)];
+      return chunk_messages(
+          comp.active() ? compressed_wire_bytes(n, comp) : n * sizeof(float),
+          chunk);
+    };
+    for (int me = 0; me < p; ++me) {
+      std::size_t expected = 0;
+      for (int s = 0; s < p - 1; ++s)
+        expected += seg_messages(me - s) + seg_messages(me + 1 - s);
+      EXPECT_EQ(world.stats()[static_cast<std::size_t>(group[
+                    static_cast<std::size_t>(me)])].messages_sent,
+                expected)
+          << compression_mode_name(mode) << " group index " << me;
+    }
+    EXPECT_EQ(world.stats()[1].messages_sent, 0u);  // not a member
+  }
+}
+
+// An empty group is the whole world in rank order, with chunk_range bounds.
+TEST(RingPrimitives, EmptyGroupCoversTheWholeWorld) {
+  const int ranks = 5;
+  const std::size_t count = 1234;
+  std::vector<std::size_t> bounds;
+  for (int c = 0; c <= ranks; ++c)
+    bounds.push_back(c == ranks ? count : chunk_range(count, ranks, c).begin);
+  World implicit(ranks);
+  const auto whole = ring_pair(implicit, DType::kFloat64, count, {}, {});
+  World expl(ranks);
+  const auto listed =
+      ring_pair(expl, DType::kFloat64, count, iota_group(ranks), bounds);
+  std::vector<double> expected(count, 0.0);
+  for (int r = 0; r < ranks; ++r) {
+    Rng rng(11 + static_cast<std::uint64_t>(r));
+    for (std::size_t i = 0; i < count; ++i) expected[i] += rng.normal();
+  }
+  for (int r = 0; r < ranks; ++r) {
+    const auto& w = whole[static_cast<std::size_t>(r)];
+    ASSERT_EQ(w.size(), count * sizeof(double));
+    EXPECT_EQ(w, listed[static_cast<std::size_t>(r)]) << "rank " << r;
+    const double* v = reinterpret_cast<const double*>(w.data());
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_NEAR(v[i], expected[i], 1e-9) << "rank " << r << " i=" << i;
+  }
 }
 
 TEST(PrimitivesTest, NonMemberRankRejected) {
