@@ -96,7 +96,9 @@ echo "=== strict analyzer: compressed and zero-copy schedules ==="
 # matrix on both transports (the zero-copy unwind copies forwarded sub-blob
 # runs out of the peer's view) and the hierarchical cases on the zero-copy
 # transport. With chunking forced on, the ring primitives declare their
-# chunk streams, including the hierarchical allreduce's node-local rings.
+# chunk streams, including the hierarchical allreduce's node-local rings
+# and, on ragged shapes and non-power-of-two node counts, the RVH executor's
+# fold.
 # The TSan stage also runs collectives_test strictly, but SKIP_SAN=1 skips
 # it.
 ADASUM_ANALYZE=on ./build/tests/compress_test
@@ -104,6 +106,8 @@ ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/compress_test
 ADASUM_ANALYZE=on ADASUM_TRANSPORT=shm ./build/tests/collectives_test
 ADASUM_ANALYZE=on ADASUM_PIPELINE=on ./build/tests/collectives_test
 ADASUM_ANALYZE=on ADASUM_PIPELINE=on ./build/tests/primitives_test
+ADASUM_ANALYZE=on ADASUM_PIPELINE=on ./build/tests/scaleout_test \
+  --gtest_filter='ScaleOut.RaggedLastNodeAndNonPow2NodeCountsPinned'
 
 echo "=== transport gate: zero-copy throughput floor ==="
 # Writes BENCH_rvh.json and exits nonzero unless the shm transport holds

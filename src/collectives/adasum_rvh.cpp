@@ -101,6 +101,21 @@ class AdasumReducer {
     });
   }
 
+  // The fold's pairwise Adasum: a = this core member's payload, b = the
+  // extra member's. The pair is complete here, so the dots stay local (no
+  // triple allreduce).
+  void fold(std::byte* own, const std::byte* theirs, std::size_t) const {
+    for (const TensorSlice& s : layers_) {
+      const std::size_t off = s.offset * ctx_.elem;
+      const kernels::DotTriple t =
+          kernels::dot_triple_bytes(own + off, theirs + off, s.count,
+                                    ctx_.dtype);
+      const AdasumFactors f = adasum_factors(t);
+      kernels::scaled_sum_bytes(own + off, f.ca, theirs + off, f.cb, own + off,
+                                s.count, ctx_.dtype);
+    }
+  }
+
  private:
   // Advances past every layer whose intersection with the kept half lies
   // within the first `received` elements and stores its triple; layers

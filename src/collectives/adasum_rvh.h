@@ -14,9 +14,10 @@
 // After the recursion bottoms out, a mirrored allgather reassembles the
 // combined vector on all ranks.
 //
-// Requires a power-of-two world size (Algorithm 1's precondition); the
-// dispatcher in allreduce.h falls back to a gather-based tree for other
-// sizes.
+// Algorithm 1 needs a power-of-two group; any other group size first folds
+// each extra member into a core member with a pairwise Adasum
+// (rvh_executor.h). The dispatcher's kAuto still sends non-power-of-two
+// worlds to a gather-based tree (allreduce.h).
 #pragma once
 
 #include <span>

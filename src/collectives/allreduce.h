@@ -6,6 +6,9 @@
 //                          other sizes, a gather→serial-tree→broadcast
 //                          fallback that computes the identical tree
 //                          reduction of §3.4.
+//   … + kRvh            → RVH / AdasumRVH at any world size (a
+//                          non-power-of-two world folds its extra ranks
+//                          into the power-of-two core, rvh_executor.h).
 //   … + kRing           → ring sum / linear (chain-order) Adasum.
 //   … + kHierarchical   → §4.2.2 hierarchy with options.ranks_per_node.
 // Average is sum scaled by 1/p after the reduction.

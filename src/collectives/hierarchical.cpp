@@ -1,8 +1,7 @@
 #include "collectives/hierarchical.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -10,8 +9,6 @@
 #include "collectives/adasum_rvh.h"
 #include "collectives/primitives.h"
 #include "collectives/sum_allreduce.h"
-#include "comm/pipeline.h"
-#include "core/adasum.h"
 #include "tensor/kernels.h"
 
 namespace adasum {
@@ -38,110 +35,6 @@ int chunk_of_shard(int S, int s, int k) { return (s * (k + 1) - 1) / S; }
 // backwards). For a full node this is the familiar (k-1+S) % S.
 int local_owner_of_shard(int S, int s, int k) {
   return (chunk_of_shard(S, s, k) - 1 + s) % s;
-}
-
-// Cross-node allreduce over `group` (one rank per node) that accepts ANY
-// group size. A non-power-of-two group runs the standard fold: extra rank
-// group[m+e] (m = bit_floor) ships its shard to core rank group[e], which
-// pre-combines it (Adasum pairwise or plain sum), the power-of-two core
-// group[0..m) runs the RVH recursion, and the result ships back. The fold
-// transfers travel exact (see hierarchical.h) but are chunk-streamed like
-// every other bulk transfer. `slices` must be rebased to [0, n) and
-// non-empty in Adasum mode.
-void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
-                     bool use_adasum, std::span<const TensorSlice> slices,
-                     int tag, std::span<const int> group,
-                     const CompressionOptions& compression) {
-  const int G = static_cast<int>(group.size());
-  if (G <= 1 || n == 0) return;
-  const int m = static_cast<int>(std::bit_floor(static_cast<unsigned>(G)));
-  const int extras = G - m;
-  const int idx = index_in_group(group, comm.rank());
-  ADASUM_CHECK_MSG(idx >= 0, "calling rank must be in the cross group");
-  const std::size_t elem = dtype_size(dtype);
-  const std::size_t bytes = n * elem;
-  const std::size_t chunk = comm.pipeline().chunk_bytes_for(elem);
-  // Fold tags sit above the RVH tag range (tag+0..tag+8*levels+2, levels
-  // <= 30) and well below the next collective's namespace.
-  const int fold_in_tag = tag + 800;
-  const int fold_out_tag = tag + 801;
-
-  if (extras > 0 && idx >= m) {
-    // Extra rank: hand the shard to the core partner, wait for the result.
-    const int core_peer = group[static_cast<std::size_t>(idx - m)];
-    {
-      analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
-                                 "hierarchical_fold_in");
-      if (epoch.declaring()) {
-        analysis::EpochExpectation& ex = epoch.expect();
-        for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
-          ex.send(core_peer, fold_in_tag);
-      }
-      comm.send_chunks(core_peer, {data, bytes}, chunk, fold_in_tag);
-    }
-    analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
-                               "hierarchical_fold_out");
-    if (epoch.declaring()) {
-      analysis::EpochExpectation& ex = epoch.expect();
-      for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
-        ex.recv(core_peer, fold_out_tag);
-    }
-    comm.recv_chunks_into(core_peer, {data, bytes}, chunk, fold_out_tag);
-    return;
-  }
-
-  const bool folds = extras > 0 && idx < extras;
-  if (folds) {
-    const int extra_peer = group[static_cast<std::size_t>(m + idx)];
-    PooledBuffer peer(comm.pool(), bytes);
-    {
-      analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
-                                 "hierarchical_fold_in");
-      if (epoch.declaring()) {
-        analysis::EpochExpectation& ex = epoch.expect();
-        for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
-          ex.recv(extra_peer, fold_in_tag);
-      }
-      comm.recv_chunks_into(extra_peer, peer.bytes(bytes), chunk,
-                            fold_in_tag);
-    }
-    if (use_adasum) {
-      // Pairwise Adasum: a = this core rank's shard, b = the extra's. The
-      // dots are local — no triple allreduce, the pair is complete here.
-      for (const TensorSlice& s : slices) {
-        const std::size_t off = s.offset * elem;
-        const kernels::DotTriple t = kernels::dot_triple_bytes(
-            data + off, peer.data() + off, s.count, dtype);
-        const AdasumFactors f = adasum_factors(t);
-        kernels::scaled_sum_bytes(data + off, f.ca, peer.data() + off, f.cb,
-                                  data + off, s.count, dtype);
-      }
-    } else {
-      kernels::add_bytes(peer.data(), data, n, dtype);
-    }
-  }
-
-  if (m > 1) {
-    const std::span<const int> core = group.first(static_cast<std::size_t>(m));
-    if (use_adasum) {
-      adasum_rvh_allreduce(comm, data, n, dtype, slices, tag, core,
-                           compression);
-    } else {
-      rvh_allreduce_sum(comm, data, n, dtype, tag, core, compression);
-    }
-  }
-
-  if (folds) {
-    const int extra_peer = group[static_cast<std::size_t>(m + idx)];
-    analysis::EpochGuard epoch(comm.analyzer(), comm.rank(),
-                               "hierarchical_fold_out");
-    if (epoch.declaring()) {
-      analysis::EpochExpectation& ex = epoch.expect();
-      for (std::size_t c = chunk_messages(bytes, chunk); c > 0; --c)
-        ex.send(extra_peer, fold_out_tag);
-    }
-    comm.send_chunks(extra_peer, {data, bytes}, chunk, fold_out_tag);
-  }
 }
 
 }  // namespace
@@ -206,11 +99,14 @@ void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
   }
 
   // ---- Phase 2: cross-node reduction, one collective per owned shard -----
-  // A full-node rank owns exactly one shard; a ragged rank owns several and
-  // runs their cross collectives back to back. The groups of distinct
-  // shards never share a (src, dst) channel — every group has at most one
-  // ragged member, and a full node's shard->owner map is injective — so the
-  // collectives cannot interfere even though they share a tag namespace.
+  // Each shard runs one RVH over its cross group, whatever the node count:
+  // the RVH executor folds a non-power-of-two group itself (exact fold
+  // transfers, see hierarchical.h). A full-node rank owns exactly one shard;
+  // a ragged rank owns several and runs their cross collectives back to
+  // back. The groups of distinct shards never share a (src, dst) channel —
+  // every group has at most one ragged member, and a full node's
+  // shard->owner map is injective — so the collectives cannot interfere
+  // even though they share a tag namespace.
   if (num_nodes > 1) {
     const int k_begin = first_shard_of_chunk(S, s, owned_chunk);
     const int k_end = first_shard_of_chunk(S, s, owned_chunk + 1);
@@ -237,13 +133,12 @@ void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
             rebased.push_back(
                 TensorSlice{std::string(), lo - shard.begin, hi - lo});
         }
-        cross_allreduce(comm, data + shard.begin * elem, shard.size(), dtype,
-                        /*use_adasum=*/true, rebased, tag_base + 1000,
-                        cross_group, compression);
+        adasum_rvh_allreduce(comm, data + shard.begin * elem, shard.size(),
+                             dtype, rebased, tag_base + 1000, cross_group,
+                             compression);
       } else {
-        cross_allreduce(comm, data + shard.begin * elem, shard.size(), dtype,
-                        /*use_adasum=*/false, {}, tag_base + 2000,
-                        cross_group, compression);
+        rvh_allreduce_sum(comm, data + shard.begin * elem, shard.size(),
+                          dtype, tag_base + 2000, cross_group, compression);
       }
     }
   }

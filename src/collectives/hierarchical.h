@@ -11,9 +11,10 @@
 // Group formation is no longer fixed-arity. The world splits into nodes of
 // `ranks_per_node` consecutive ranks with a possibly RAGGED last node (world
 // need not be a multiple), and the cross-node phase handles ANY node count:
-// a non-power-of-two group runs the standard fold — the extra nodes
-// pre-combine pairwise into the power-of-two core before the RVH recursion
-// and receive the result afterwards. The local phases of a ragged node use
+// each shard's cross phase is one RVH call on its cross group, and the RVH
+// executor folds a non-power-of-two group — the extra nodes pre-combine
+// pairwise into the power-of-two core before the recursion and receive the
+// result afterwards (rvh_executor.h). The local phases of a ragged node use
 // shard-aligned chunk boundaries (the `bounds` of the primitives.h rings) so
 // every node partitions the payload on the same world-wide
 // `ranks_per_node`-way shard grid and the per-shard cross groups reduce
@@ -48,9 +49,8 @@ namespace adasum {
 // `use_adasum` is true (sum mode matches plain sum). `compression` applies
 // to the CROSS-NODE phase only — that is the slow inter-node wire the codec
 // exists for; the intra-node reduce-scatter and allgather model fast local
-// links and stay exact (DESIGN.md §13). The non-power-of-two fold transfers
-// also stay exact: they are one hop each way and carry a payload the codec
-// would requantize twice for no wire saved on the critical path.
+// links and stay exact (DESIGN.md §13), and so do the fold transfers of a
+// non-power-of-two node count (rvh_executor.h).
 void hierarchical_allreduce(Comm& comm, std::byte* data, std::size_t count,
                             DType dtype, int ranks_per_node, bool use_adasum,
                             std::span<const TensorSlice> slices = {},

@@ -1,5 +1,6 @@
 // The recursive-vector-halving (RVH) halving/doubling executor behind both
-// rvh_allreduce_sum and adasum_rvh_allreduce (DESIGN.md §8.1).
+// rvh_allreduce_sum and adasum_rvh_allreduce (DESIGN.md §8.1), for any group
+// size.
 //
 // Algorithm 1 is the sum RVH schedule with a different per-level reduce, so
 // one function owns the schedule and a REDUCER (a template parameter — no
@@ -10,7 +11,13 @@
 //     unwind all read that one plan;
 //   * the halving send and the receive of the kept half;
 //   * the allgather unwind (forwarding owner sub-blobs on a compressed wire)
-//     and the closing bulk_fence.
+//     and the closing bulk_fence;
+//   * the standard fold of a non-power-of-two group. With m = bit_floor(size)
+//     the halving runs on the core, the group's first m members. Extra member
+//     m+e ships its payload to core member e and waits for the result; core
+//     member e folds it into its own with the reducer's fold hook before the
+//     halving and ships the result back after the closing fence. The fold
+//     transfers travel exact, as chunk streams at the pipeline chunk size.
 //
 // Zero-copy schedule: this rank's segment is always a contiguous window of
 // the CALLER'S buffer. Per level only the partner's half is staged (one
@@ -21,7 +28,8 @@
 //
 // Tag layout: level l exchanges halves on tag_base + 8*l, leaves +1 to the
 // reducer (Adasum's dot-triple allreduce; the sum does not use it) and
-// unwinds on +2. hierarchical.cpp places its fold tags above this range.
+// unwinds on +2. The fold ships in on tag_base + 3 and back on tag_base + 4,
+// in level 0's unused slots.
 //
 // Reducer contract:
 //   static constexpr const char* kEpoch;  // analyzer epoch name
@@ -35,6 +43,9 @@
 //   void landed(const RvhHalf&, const std::byte* theirs);
 //   // Compressed wire: the partner's whole blob, readable until this returns:
 //   void blob(const RvhHalf&, const std::byte* blob);
+//   // Fold: combines an extra member's whole payload `theirs` (count
+//   // elements) into this core member's `own`, in place:
+//   void fold(std::byte* own, const std::byte* theirs, std::size_t count);
 //   // Optional: declare the reducer's own messages for the strict analyzer.
 //   void declare(analysis::EpochExpectation&, const RvhLevel&, int level);
 #pragma once
@@ -61,7 +72,7 @@ namespace adasum {
 struct RvhContext {
   Comm& comm;
   std::span<const int> group;  // empty = the whole world
-  int size;                    // group size (a power of two)
+  int size;                    // core size: the group's first `size` members
   int rank;                    // this rank's index in the group
   DType dtype;
   std::size_t elem;
@@ -132,11 +143,11 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
                    DType dtype, int tag_base, std::span<const int> group,
                    const CompressionOptions& compression,
                    Args&&... reducer_args) {
-  const int size =
+  const int group_size =
       group.empty() ? comm.size() : static_cast<int>(group.size());
-  if (size == 1 || count == 0) return;
-  ADASUM_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(size)),
-                   "RVH requires a power-of-two group size");
+  if (group_size == 1 || count == 0) return;
+  const int size =
+      static_cast<int>(std::bit_floor(static_cast<unsigned>(group_size)));
   const int rank = index_in_group(group, comm.rank());
   ADASUM_CHECK_MSG(rank >= 0, "calling rank must belong to the group");
   const std::size_t elem = dtype_size(dtype);
@@ -153,13 +164,52 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
                        resolve_compression(comm, compression, dtype)};
   const int levels = std::countr_zero(static_cast<unsigned>(size));
 
-  // Pooled workspace, leased once per call: the staged incoming half (the
-  // largest is the level-0 one; uncompressed only, since the compressed
-  // reducers read straight off the wire blob), the reducer's scratch, and
-  // the plan.
+  // The fold partner (-1 = none): core member e for extra member size+e and
+  // the other way round. Each fold transfer is one whole-payload stream of
+  // fold_messages chunks.
+  const std::span<const std::byte> payload{data, count * elem};
+  const bool extra = rank >= size;
+  int fold_peer = -1;
+  if (extra)
+    fold_peer = ctx.world_rank(rank - size);
+  else if (rank + size < group_size)
+    fold_peer = ctx.world_rank(rank + size);
+  const int fold_in_tag = tag_base + 3;
+  const int fold_out_tag = tag_base + 4;
+  const std::size_t fold_chunk = comm.pipeline().chunk_bytes_for(elem);
+  const std::size_t fold_messages =
+      fold_peer >= 0 ? chunk_messages(payload.size(), fold_chunk) : 0;
+
+  // One analyzer epoch per call. Every message is declared before it moves:
+  // the fold transfers here, the core's level messages off the plan below.
+  // A drifted tag, partner or chunk count becomes an expected-vs-observed
+  // diff in the epoch report instead of a hang.
+  analysis::EpochGuard epoch(comm.analyzer(), comm.rank(), Reducer::kEpoch);
+  if (epoch.declaring()) {
+    for (std::size_t c = fold_messages; c > 0; --c) {
+      epoch.expect().send(fold_peer, extra ? fold_in_tag : fold_out_tag);
+      epoch.expect().recv(fold_peer, extra ? fold_out_tag : fold_in_tag);
+    }
+  }
+
+  if (extra) {
+    // Ship the payload to the core partner, take the result back. Nothing
+    // else: no workspace, no plan.
+    comm.send_chunks(fold_peer, payload, fold_chunk, fold_in_tag);
+    comm.recv_chunks_into(fold_peer, {data, payload.size()}, fold_chunk,
+                          fold_out_tag);
+    return;
+  }
+
+  // Pooled workspace, leased once per call: the staging buffer, the
+  // reducer's scratch, and the plan. The staging buffer receives a folding
+  // rank's incoming payload, then every incoming half (the largest is the
+  // level-0 one; uncompressed only, since the compressed reducers read
+  // straight off the wire blob).
+  std::size_t staged = ctx.comp.active() ? 0 : (count + 1) / 2;
+  if (fold_peer >= 0) staged = count;
   std::optional<PooledBuffer> half_buf;
-  if (!ctx.comp.active())
-    half_buf.emplace(comm.pool(), ((count + 1) / 2) * elem);
+  if (staged > 0) half_buf.emplace(comm.pool(), staged * elem);
   std::byte* const half = half_buf ? half_buf->data() : nullptr;
   Reducer reducer(ctx, std::forward<Args>(reducer_args)...);
   PooledBuffer plan_buf(comm.pool(),
@@ -185,12 +235,9 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
     seg_count = lv.kept();
   }
 
-  // Declare the full message schedule up front from the plan the loops below
-  // execute: a drifted tag, partner or chunk count becomes an
-  // expected-vs-observed diff in the epoch report instead of a hang. Every
-  // payload transfer goes through the wire codec, so messages are sized by
-  // the same formula as the streams.
-  analysis::EpochGuard epoch(comm.analyzer(), comm.rank(), Reducer::kEpoch);
+  // Declare the level messages up front from the plan the loops below
+  // execute. Every payload transfer goes through the wire codec, so messages
+  // are sized by the same formula as the streams.
   if (epoch.declaring()) {
     analysis::EpochExpectation& ex = epoch.expect();
     const auto messages = [&](std::size_t n) {
@@ -209,6 +256,12 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
       for (std::size_t c = chunk_messages(lv.sent_wire, chunk); c > 0; --c)
         ex.recv(lv.neighbor, lv.tag + 2);
     }
+  }
+
+  if (fold_peer >= 0) {
+    comm.recv_chunks_into(fold_peer, {half, payload.size()}, fold_chunk,
+                          fold_in_tag);
+    reducer.fold(data, half, count);
   }
 
   // Compressed-wire helper (inert when the codec is off); the largest single
@@ -312,6 +365,8 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   comm.bulk_fence();
   ADASUM_CHECK_EQ(seg_begin, 0u);
   ADASUM_CHECK_EQ(seg_count, count);
+  if (fold_peer >= 0)
+    comm.send_chunks(fold_peer, payload, fold_chunk, fold_out_tag);
 }
 
 }  // namespace adasum

@@ -30,6 +30,9 @@ class SumReducer {
     decompress_add_f32(blob, ctx_.comp, h.count, /*offset=*/0,
                        {reinterpret_cast<float*>(h.own), h.count});
   }
+  void fold(std::byte* own, const std::byte* theirs, std::size_t count) const {
+    kernels::add_bytes(theirs, own, count, ctx_.dtype);
+  }
 
  private:
   const RvhContext& ctx_;

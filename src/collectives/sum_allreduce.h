@@ -6,7 +6,8 @@
 //    (p-1 steps) of primitives.h, the same pair the hierarchical allreduce
 //    runs inside each node;
 //  * rvh: recursive vector halving + doubling, latency-and-bandwidth optimal
-//    on hypercubes (Chan et al.), power-of-two world sizes.
+//    on hypercubes (Chan et al.); other sizes fold their extra ranks into the
+//    power-of-two core.
 // Both produce the identical elementwise sum; tests assert so.
 #pragma once
 
@@ -31,9 +32,10 @@ void ring_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
 // In-place recursive-vector-halving sum-allreduce. `group` restricts the
 // reduction to a subset of world ranks (empty = the whole world; all members
 // must call with the same group) — the hierarchical allreduce runs its
-// cross-node sum phase this way. Power-of-two group size. Runs on the RVH
-// executor shared with AdasumRVH (rvh_executor.h), so its compressed unwind
-// forwards owner sub-blobs exactly like the Adasum RVH (see compressed.h).
+// cross-node sum phase this way. Any group size (a non-power-of-two group
+// folds). Runs on the RVH executor shared with AdasumRVH (rvh_executor.h),
+// so its compressed unwind forwards owner sub-blobs exactly like the Adasum
+// RVH (see compressed.h).
 void rvh_allreduce_sum(Comm& comm, std::byte* data, std::size_t count,
                        DType dtype, int tag_base = 0,
                        std::span<const int> group = {},

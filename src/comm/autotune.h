@@ -14,10 +14,9 @@
 // tolerance there is the 1.2x of ISSUE/EXPERIMENTS.md.
 //
 // Layering note: src/comm cannot see src/collectives, so the planner speaks
-// its own TunedAlgo enum; the optimizer maps it onto AllreduceAlgo (and maps
-// kRvh on a non-power-of-two world to the fold-capable hierarchical path
-// with ranks_per_node = 1, which runs the identical flat schedule plus the
-// fold).
+// its own TunedAlgo enum; the optimizer maps it onto AllreduceAlgo one to
+// one (kRvh runs at any world size: the RVH executor folds a
+// non-power-of-two world itself).
 #pragma once
 
 #include <cstddef>

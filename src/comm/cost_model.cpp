@@ -12,7 +12,7 @@ namespace {
 // Levels of the power-of-two RVH core. Non-power-of-two rank counts run the
 // standard fold: the G - bit_floor(G) extra ranks pre-combine pairwise into
 // the core before the recursion and receive the result after it (the
-// schedule hierarchical.cpp's cross phase executes); the fold's own transfers
+// schedule the RVH executor runs, rvh_executor.h); the fold's own transfers
 // are priced by the callers below.
 int core_levels(int p) {
   return std::countr_zero(std::bit_floor(static_cast<unsigned>(p)));
@@ -134,8 +134,9 @@ double CostModel::rvh_allreduce_adasum(double bytes, int num_layers) const {
   const int levels = core_levels(p);
   const double triple_bytes = 3.0 * 8.0 * num_layers;  // 3 doubles per layer
   double total = 0.0;
-  // Non-power-of-two fold (see rvh_allreduce_sum): the pairwise pre-combine
-  // is a local Adasum — dot-triple pass plus scaled sum, no triple allreduce.
+  // Non-power-of-two fold (see CostModel::rvh_allreduce_sum): the pairwise
+  // pre-combine is a local Adasum — dot-triple pass plus scaled sum, no
+  // triple allreduce.
   if (fold_extras(p) > 0) {
     const LinkParams& link = link_for_distance(1 << levels);
     total += 2.0 * link.transfer_time(bytes) + bytes / compute_.dot_Bps +

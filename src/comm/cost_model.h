@@ -72,9 +72,9 @@ class CostModel {
 
   // Recursive-vector-halving (reduce-scatter + allgather) sum-allreduce.
   // Non-power-of-two rank counts are priced as the power-of-two core plus
-  // the pairwise fold the implementation runs (hierarchical.cpp cross
-  // phase): extras ship their payload in, the core recurses, results ship
-  // back. The rvh_/*adasum*/ predictions below fold the same way.
+  // the pairwise fold the RVH executor runs (rvh_executor.h): extras ship
+  // their payload in, the core recurses, results ship back. The
+  // rvh_/*adasum*/ predictions below fold the same way.
   double rvh_allreduce_sum(double bytes) const;
 
   // Paper Algorithm 1: RVH data movement + per-level dot-product triple

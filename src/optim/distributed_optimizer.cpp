@@ -1,7 +1,6 @@
 #include "optim/distributed_optimizer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "base/check.h"
@@ -46,16 +45,8 @@ void DistributedOptimizer::resolve_autotune() {
       options_.ranks_per_node = 1;
       break;
     case TunedAlgo::kRvh:
-      if (std::has_single_bit(static_cast<unsigned>(comm_.size()))) {
-        options_.algo = AllreduceAlgo::kRvh;
-        options_.ranks_per_node = 1;
-      } else {
-        // Flat RVH on a non-power-of-two world runs as the hierarchical
-        // path with single-rank nodes: identical schedule plus the fold,
-        // which plain kRvh cannot express.
-        options_.algo = AllreduceAlgo::kHierarchical;
-        options_.ranks_per_node = 1;
-      }
+      options_.algo = AllreduceAlgo::kRvh;
+      options_.ranks_per_node = 1;
       break;
     case TunedAlgo::kHierarchical:
       options_.algo = AllreduceAlgo::kHierarchical;

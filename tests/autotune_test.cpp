@@ -19,6 +19,7 @@
 #include "comm/fault_injector.h"
 #include "comm/topology.h"
 #include "comm/world.h"
+#include "env_restore.h"
 #include "nn/models.h"
 #include "nn/module.h"
 #include "optim/distributed_optimizer.h"
@@ -316,6 +317,7 @@ TEST(Autotune, DegenerateInputsFallBackCleanly) {
 }
 
 TEST(Autotune, EnvGateParsesOnOneTrue) {
+  const EnvRestore restore("ADASUM_AUTOTUNE");
   unsetenv("ADASUM_AUTOTUNE");
   EXPECT_FALSE(autotune_enabled_from_env());
   setenv("ADASUM_AUTOTUNE", "on", 1);
@@ -326,7 +328,6 @@ TEST(Autotune, EnvGateParsesOnOneTrue) {
   EXPECT_TRUE(autotune_enabled_from_env());
   setenv("ADASUM_AUTOTUNE", "off", 1);
   EXPECT_FALSE(autotune_enabled_from_env());
-  unsetenv("ADASUM_AUTOTUNE");
 }
 
 // ---- measured validation --------------------------------------------------
@@ -410,6 +411,8 @@ TEST(Autotune, PickIsWithin1p2xOfBestMeasuredCandidate) {
 // ADASUM_AUTOTUNE resolves a kAuto algorithm at the first step and exposes
 // the pick; an explicitly chosen algorithm is never overridden.
 TEST(Autotune, OptimizerResolvesAlgoFromEnvGate) {
+  const EnvRestore restore_autotune("ADASUM_AUTOTUNE");
+  const EnvRestore restore_topology("ADASUM_TOPOLOGY");
   setenv("ADASUM_AUTOTUNE", "on", 1);
   setenv("ADASUM_TOPOLOGY", "4x2:nvlink/tcp40", 1);
   World world(8);
@@ -451,8 +454,6 @@ TEST(Autotune, OptimizerResolvesAlgoFromEnvGate) {
     EXPECT_TRUE(opt.step(0.1));
     ASSERT_NE(opt.tuned(), nullptr);
   });
-  unsetenv("ADASUM_AUTOTUNE");
-  unsetenv("ADASUM_TOPOLOGY");
 }
 
 }  // namespace

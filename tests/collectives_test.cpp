@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <type_traits>
 
@@ -14,6 +15,7 @@
 #include "collectives/adasum_rvh_reference.h"
 #include "collectives/allreduce.h"
 #include "collectives/hierarchical.h"
+#include "collectives/hierarchical_reference.h"
 #include "collectives/sum_allreduce.h"
 #include "core/adasum.h"
 #include "core/orthogonality.h"
@@ -156,13 +158,52 @@ INSTANTIATE_TEST_SUITE_P(
              dtype_name(param_info.param.dtype);
     });
 
-TEST(AdasumRvh, RejectsNonPowerOfTwo) {
-  World world(3);
-  EXPECT_THROW(world.run([](Comm& comm) {
-    Tensor t({8});
-    adasum_rvh_allreduce(comm, t);
-  }),
-               CheckError);
+// A non-power-of-two group runs the RVH executor's fold. Flat, that is the
+// schedule of the hierarchical allreduce with single-rank nodes, so both
+// collectives must equal the hand-written hierarchical oracle bit for bit.
+TEST(AdasumRvh, NonPowerOfTwoFoldMatchesHierarchicalReference) {
+  struct Case {
+    int ranks;
+    DType dtype;
+    std::size_t chunk_bytes;  // 0 = the World's pipeline default
+  };
+  const std::vector<Case> cases{
+      {3, DType::kFloat32, 0}, {5, DType::kFloat32, 0},
+      {6, DType::kFloat32, 0}, {7, DType::kFloat32, 0},
+      {3, DType::kFloat64, 0}, {5, DType::kFloat64, 0},
+      {6, DType::kFloat64, 0}, {7, DType::kFloat64, 0},
+      {6, DType::kFloat32, 64}};
+  const std::size_t count = 96;
+  const std::vector<TensorSlice> slices{
+      {"conv1", 0, 30}, {"conv2", 30, 50}, {"fc", 80, 16}};
+  for (const Case& c : cases) {
+    for (const bool use_adasum : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "p=" << c.ranks << " " << dtype_name(c.dtype)
+                   << " chunk=" << c.chunk_bytes
+                   << (use_adasum ? " adasum" : " sum"));
+      const auto grads = make_gradients(c.ranks, count, c.dtype, 107);
+      World world(c.ranks);
+      if (c.chunk_bytes > 0) {
+        PipelineOptions pipe;
+        pipe.enabled = true;
+        pipe.chunk_bytes = c.chunk_bytes;
+        world.set_pipeline(pipe);
+      }
+      world.run([&](Comm& comm) {
+        Tensor mine = grads[static_cast<std::size_t>(comm.rank())].clone();
+        Tensor reference = mine.clone();
+        if (use_adasum)
+          adasum_rvh_allreduce(comm, mine, slices);
+        else
+          rvh_allreduce_sum(comm, mine);
+        hierarchical_allreduce_reference(comm, reference, 1, use_adasum,
+                                         slices, /*tag_base=*/10000);
+        ASSERT_EQ(std::memcmp(mine.data(), reference.data(), mine.nbytes()),
+                  0);
+      });
+    }
+  }
 }
 
 TEST(AdasumRvh, LayerwiseMatchesSerialLayerwiseTree) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "base/rng.h"
 #include "core/adasum.h"
@@ -275,6 +276,44 @@ TEST(DistributedOptimizerTest, AllRanksStayInSync) {
   for (int r = 1; r < ranks; ++r)
     for (std::size_t i = 0; i < finals[0].size(); ++i)
       ASSERT_EQ(finals[static_cast<std::size_t>(r)].at(i), finals[0].at(i));
+}
+
+// kRvh runs at any world size: on a non-power-of-two world the RVH
+// executor folds the extra ranks itself, which is the schedule of the
+// hierarchical allreduce with single-rank nodes. A step must therefore leave
+// the parameters of every rank bit-identical under the two settings.
+TEST(DistributedOptimizerTest, FlatRvhOnSixRanksMatchesSingleRankNodes) {
+  const int ranks = 6;
+  const auto step_params = [&](ReduceOp op, AllreduceAlgo algo) {
+    std::vector<Tensor> finals(ranks);
+    World world(ranks);
+    world.run([&](Comm& comm) {
+      auto model = small_model(23);
+      auto params = model->parameters();
+      DistributedOptions opts;
+      opts.op = op;
+      opts.algo = algo;
+      opts.ranks_per_node = 1;
+      DistributedOptimizer dopt(comm, std::make_unique<Sgd>(params), opts);
+      forward_backward(*model, batch_for(comm.rank(), 0));
+      EXPECT_TRUE(dopt.step(0.05));
+      finals[static_cast<std::size_t>(comm.rank())] =
+          train::params_to_flat(params);
+    });
+    return finals;
+  };
+  for (const ReduceOp op : {ReduceOp::kAdasum, ReduceOp::kSum}) {
+    const std::vector<Tensor> rvh = step_params(op, AllreduceAlgo::kRvh);
+    const std::vector<Tensor> hier =
+        step_params(op, AllreduceAlgo::kHierarchical);
+    for (int r = 0; r < ranks; ++r) {
+      const Tensor& a = rvh[static_cast<std::size_t>(r)];
+      const Tensor& b = hier[static_cast<std::size_t>(r)];
+      ASSERT_EQ(a.nbytes(), b.nbytes());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.nbytes()), 0)
+          << reduce_op_name(op) << " rank " << r;
+    }
+  }
 }
 
 TEST(DistributedOptimizerTest, Fp16CompressionStaysClose) {
