@@ -196,5 +196,13 @@ cmake --build --preset asan-ubsan -j "$(nproc)"
 # statistical coverage.
 ASAN_OPTIONS="detect_leaks=1" CHAOS_SCHEDULES=48 CHAOS_SEED_BASE=1000 \
   SCALEOUT_MAX_P=256 ctest --preset asan-ubsan -j "$(nproc)"
+# The compressed and uncompressed collectives once more with chunking forced
+# on: an eager bulk receive reads a monolithic message in place (a pooled
+# payload held past the receive) but stages a chunked stream in scratch, so
+# both eager receive paths run under ASan.
+ASAN_OPTIONS="detect_leaks=1" ADASUM_PIPELINE=on \
+  ./build-asan/tests/compress_test
+ASAN_OPTIONS="detect_leaks=1" ADASUM_PIPELINE=on \
+  ./build-asan/tests/collectives_test
 
 echo "=== all checks passed ==="

@@ -13,10 +13,8 @@ WireCompressor::WireCompressor(Comm& comm, DType dtype,
     : comm_(comm), opts_(opts), bulk_views_(bulk_views) {
   if (!opts_.active()) return;  // inactive: touch neither pool nor dtype
   ADASUM_CHECK(dtype == DType::kFloat32);
-  const std::size_t bytes =
+  slot_bytes_ =
       std::max(compressed_wire_bytes(max_elems, opts_), max_run_bytes);
-  blobs_[0].emplace(comm.pool(), bytes);
-  blobs_[1].emplace(comm.pool(), bytes);
 }
 
 WireCompressor::~WireCompressor() {
@@ -34,15 +32,20 @@ WireCompressor::~WireCompressor() {
   }
 }
 
-std::byte* WireCompressor::writable_slot(int slot) {
+std::byte* WireCompressor::slot_data(int s) {
+  if (!blobs_[s]) blobs_[s].emplace(comm_.pool(), slot_bytes_);
+  return blobs_[s]->data();
+}
+
+std::byte* WireCompressor::writable_slot(int s) {
   // Writing a slot that still backs a published view would race the peer's
   // decode. In the RVH schedules the peer's consuming receive only waits on
   // transfers this rank already completed, so the fence always terminates.
-  if (view_out_[slot]) {
+  if (view_out_[s]) {
     comm_.bulk_fence();  // retires every view, both slots'
     view_out_[0] = view_out_[1] = false;
   }
-  return blobs_[slot]->data();
+  return slot_data(s);
 }
 
 void WireCompressor::encode(int slot, const std::byte* data,
@@ -58,26 +61,37 @@ void WireCompressor::requantize(int slot, std::byte* data, std::size_t elems,
 }
 
 void WireCompressor::decode(int slot, std::byte* dest, std::size_t elems) {
-  decompress_f32(blobs_[slot]->data(), opts_,
+  decompress_f32(slot_data(slot), opts_,
                  {reinterpret_cast<float*>(dest), elems});
 }
 
 void WireCompressor::send_blob(int dst, int slot, std::size_t elems,
                                std::size_t chunk, int tag) {
-  comm_.send_chunks(dst, blobs_[slot]->bytes(wire_bytes(elems)), chunk, tag);
+  comm_.send_chunks(dst, {slot_data(slot), wire_bytes(elems)}, chunk, tag);
 }
 
 void WireCompressor::recv_blob(int src, int slot, std::size_t elems,
                                std::size_t chunk, int tag) {
-  comm_.recv_chunks_into(src, blobs_[slot]->bytes(wire_bytes(elems)), chunk,
+  comm_.recv_chunks_into(src, {slot_data(slot), wire_bytes(elems)}, chunk,
                          tag);
 }
 
 void WireCompressor::send(int dst, const std::byte* data, std::size_t elems,
                           std::size_t chunk, int tag) {
+  const std::size_t bytes = wire_bytes(elems);
+  const bool view = bulk_views_ && comm_.bulk_zero_copy();
+  if (!view && (chunk == 0 || bytes <= chunk)) {
+    // One eager message: it IS the blob, so encode into the pooled payload
+    // and hand it over without a staging copy.
+    std::vector<std::byte> payload = comm_.pool().acquire(bytes);
+    compress_f32({reinterpret_cast<const float*>(data), elems}, opts_,
+                 payload.data());
+    comm_.send_bytes_owned(dst, std::move(payload), tag);
+    return;
+  }
   encode(0, data, elems);
   if (bulk_views_)
-    send_view(dst, 0, 0, wire_bytes(elems), chunk, tag);
+    send_view(dst, 0, 0, bytes, chunk, tag);
   else
     send_blob(dst, 0, elems, chunk, tag);
 }
@@ -85,8 +99,7 @@ void WireCompressor::send(int dst, const std::byte* data, std::size_t elems,
 void WireCompressor::send_view(int dst, int slot, std::size_t at,
                                std::size_t bytes, std::size_t chunk, int tag) {
   if (comm_.bulk_zero_copy()) view_out_[slot] = true;
-  comm_.send_bulk(dst, blobs_[slot]->bytes(at + bytes).subspan(at), chunk,
-                  tag);
+  comm_.send_bulk(dst, {slot_data(slot) + at, bytes}, chunk, tag);
 }
 
 void WireCompressor::send_run(int dst, std::size_t at, std::size_t bytes,
@@ -101,7 +114,7 @@ const std::byte* WireCompressor::recv_run(int src, std::size_t at,
   ADASUM_CHECK(bulk_views_);
   // No writable_slot() fence: the range is disjoint from every run this rank
   // has published and not yet fenced.
-  const std::span<std::byte> dest = blobs_[1]->bytes(at + bytes).subspan(at);
+  const std::span<std::byte> dest{slot_data(1) + at, bytes};
   comm_.recv_bulk_into(src, dest, chunk, tag);
   return dest.data();
 }

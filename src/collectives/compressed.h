@@ -66,11 +66,14 @@ inline std::size_t sub_blob_bytes(std::size_t elems,
   return (compressed_wire_bytes(elems, opts) + 3) / 4 * 4;
 }
 
-// Pooled compress/transfer helper, leased once per collective call (zero
+// Pooled compress/transfer helper, one per collective call (zero
 // steady-state allocation, DESIGN.md §8). Two blob slots sized for the
-// largest transfer: the ring allgather holds a received blob in one slot
-// while the next lands in the other; the RVH schedules use slot 0 for the
-// halving blobs and slot 1 for the unwind's sub-blob runs.
+// largest transfer, each leased from the pool on its first use: the ring
+// allgather holds a received blob in one slot while the next lands in the
+// other; the RVH schedules use slot 0 for the halving blobs and slot 1 for
+// the unwind's sub-blob runs. An eager monolithic transfer needs no slot 0
+// at all: send() encodes straight into the leased message and the bulk
+// receives read the delivered message in place (DESIGN.md §13).
 // Inactive options make active() false and the collectives keep their
 // uncompressed code paths byte-identical to before.
 class WireCompressor {
@@ -113,7 +116,8 @@ class WireCompressor {
   // ---- one-shot transfers ------------------------------------------------
   // Compress `data` and stream the blob. For payloads whose local copy is
   // dead after the send (reduce-scatter halves — ownership moves to the
-  // receiver).
+  // receiver). An eager monolithic transfer encodes straight into the
+  // pooled message it sends; a view or a chunk stream goes through slot 0.
   void send(int dst, const std::byte* data, std::size_t elems,
             std::size_t chunk, int tag);
 
@@ -132,7 +136,7 @@ class WireCompressor {
       return;
     }
     recv_blob(src, 0, elems, chunk, tag);
-    fn(static_cast<const std::byte*>(blobs_[0]->data()));
+    fn(static_cast<const std::byte*>(slot_data(0)));
   }
 
   // ---- sub-blob runs (the RVH unwind, bulk mode only) --------------------
@@ -148,19 +152,23 @@ class WireCompressor {
   const std::byte* recv_run(int src, std::size_t at, std::size_t bytes,
                             std::size_t chunk, int tag);
   // Receive a run that is not forwarded and hand its bytes to `fn(run)`
-  // while the (possibly zero-copy) view is still held; the eager path stages
-  // it in slot 0, like recv_apply.
+  // while the delivered message (the peer's view, or an eager transfer's
+  // pooled payload) is still held; only a chunked eager stream is staged,
+  // in slot 0.
   template <class Fn>
   void recv_run_apply(int src, std::size_t bytes, std::size_t chunk, int tag,
                       Fn&& fn) {
-    const std::byte* run = blobs_[0]->data();
+    const std::byte* run = nullptr;
     BulkRecv held = comm_.recv_bulk(
-        src, blobs_[0]->bytes(bytes), chunk, tag,
+        src, bytes, comm_.bulk_in_place(bytes, chunk) ? nullptr : slot_data(0),
+        chunk, tag,
         [&](const std::byte* base, std::size_t, std::size_t) { run = base; });
     fn(run);
   }
 
  private:
+  // Slot `s`'s storage, leased from the pool on first use.
+  std::byte* slot_data(int s);
   // Slot `slot`'s storage, once no published view of it is outstanding.
   std::byte* writable_slot(int slot);
   // Bulk-path send of slot bytes [at, at + bytes), recording the view.
@@ -175,10 +183,12 @@ class WireCompressor {
   // Cleared by the fence in writable_slot() and by the destructor's safety
   // fence.
   bool view_out_[2] = {false, false};
-  // Engaged only when active: an inactive compressor must not lease from the
-  // pool at all — even a zero-byte lease would pull a warmed buffer off the
-  // shared free list and perturb concurrent ranks' capacity hits (the
-  // zero-warm-allocation chaos gates measure exactly this).
+  // Engaged on first use, so only while active: an inactive compressor must
+  // not lease from the pool at all — even a zero-byte lease would pull a
+  // warmed buffer off the shared free list and perturb concurrent ranks'
+  // capacity hits (the zero-warm-allocation chaos gates measure exactly
+  // this).
+  std::size_t slot_bytes_ = 0;
   std::optional<PooledBuffer> blobs_[2];
 };
 

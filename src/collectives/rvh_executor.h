@@ -20,11 +20,12 @@
 //     transfers travel exact, as chunk streams at the pipeline chunk size.
 //
 // Zero-copy schedule: this rank's segment is always a contiguous window of
-// the CALLER'S buffer. Per level only the partner's half is staged (one
-// pooled scratch reused at every level, uncompressed wire only), the reducer
-// writes straight into the caller's storage, and the unwind receives each
-// half directly at its final offset: no steady-state heap allocation and no
-// trailing memcpy.
+// the CALLER'S buffer. The partner's half is read where it was delivered
+// (its published view, or the pooled payload of an eager message); only a
+// chunked eager stream is staged, in one pooled scratch reused at every
+// level. The reducer writes straight into the caller's storage, and the
+// unwind lands each half at its final offset: no steady-state heap
+// allocation and no trailing memcpy.
 //
 // Tag layout: level l exchanges halves on tag_base + 8*l, leaves +1 to the
 // reducer (Adasum's dot-triple allreduce; the sum does not use it) and
@@ -203,10 +204,13 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
 
   // Pooled workspace, leased once per call: the staging buffer, the
   // reducer's scratch, and the plan. The staging buffer receives a folding
-  // rank's incoming payload, then every incoming half (the largest is the
-  // level-0 one; uncompressed only, since the compressed reducers read
-  // straight off the wire blob).
-  std::size_t staged = ctx.comp.active() ? 0 : (count + 1) / 2;
+  // rank's incoming payload, then every incoming half that arrives as a
+  // chunked eager stream (the largest is the level-0 one; uncompressed only,
+  // since the compressed reducers read straight off the wire blob). A half
+  // that arrives as one message is read in place and needs none.
+  std::size_t staged = 0;
+  if (!ctx.comp.active() && !comm.bulk_in_place((count + 1) / 2 * elem, chunk))
+    staged = (count + 1) / 2;
   if (fold_peer >= 0) staged = count;
   std::optional<PooledBuffer> half_buf;
   if (staged > 0) half_buf.emplace(comm.pool(), staged * elem);
@@ -292,11 +296,12 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
                     [&](const std::byte* blob) { reducer.blob(h, blob); });
     } else {
       // `theirs` is where the partner's half actually lives: the pooled
-      // scratch on the eager path, the PEER's published span on a zero-copy
-      // transport. `held` keeps a view alive until landed() returns.
+      // scratch for a chunked eager stream, else the delivered message (the
+      // PEER's published span on a zero-copy transport). `held` keeps it
+      // alive until landed() returns.
       const std::byte* theirs = half;
       BulkRecv held = comm.recv_bulk(
-          lv.neighbor, {half, h.count * elem}, chunk, lv.tag,
+          lv.neighbor, h.count * elem, half, chunk, lv.tag,
           [&](const std::byte* base, std::size_t off, std::size_t len) {
             theirs = base;
             reducer.span(h, base, off, len);
@@ -346,11 +351,12 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
                            lv.sent_wire, chunk, lv.tag + 2));
     } else {
       // The landed segment is final output the caller reads much later, so
-      // the zero-copy path deposits the peer's span with non-temporal
-      // stores; the eager path already received straight into `dest`
-      // (base == dest) and needs no copy at all.
+      // a message read in place (the peer's view, or an eager monolithic
+      // payload) is deposited with non-temporal stores; a chunked eager
+      // stream already landed straight in `dest` (base == dest) and needs
+      // no copy at all.
       BulkRecv held = comm.recv_bulk(
-          lv.neighbor, {dest, lv.sent() * elem}, chunk, lv.tag + 2,
+          lv.neighbor, lv.sent() * elem, dest, chunk, lv.tag + 2,
           [&](const std::byte* base, std::size_t off, std::size_t len) {
             if (base != dest)
               kernels::stream_copy_bytes(base + off, dest + off, len);

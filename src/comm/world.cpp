@@ -435,14 +435,16 @@ void Comm::recv_bytes_into(int src, std::span<std::byte> dest, int tag) {
   if (ok && !dest.empty())
     std::memcpy(dest.data(), in.data().data(), got);
   world_->transport_->release(std::move(in));
-  if (!ok) {
-    if (world_->ft_enabled_)
-      throw CommProtocol("rank " + std::to_string(rank_) + " recv(src=" +
-                         std::to_string(src) + ", tag=" + std::to_string(tag) +
-                         "): got " + std::to_string(got) + " bytes, want " +
-                         std::to_string(dest.size()));
-    ADASUM_CHECK_EQ(got, dest.size());
-  }
+  if (!ok) fail_size(src, tag, got, dest.size());
+}
+
+void Comm::fail_size(int src, int tag, std::size_t got, std::size_t want) {
+  if (world_->ft_enabled_)
+    throw CommProtocol("rank " + std::to_string(rank_) + " recv(src=" +
+                       std::to_string(src) + ", tag=" + std::to_string(tag) +
+                       "): got " + std::to_string(got) + " bytes, want " +
+                       std::to_string(want));
+  ADASUM_CHECK_EQ(got, want);
 }
 
 void Comm::send_bulk(int dst, std::span<const std::byte> data,

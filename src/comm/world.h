@@ -225,11 +225,13 @@ class World {
   std::vector<int> recovery_group_;
 };
 
-// RAII handle to one received bulk message. On a zero-copy transport data()
-// aliases the SENDER's buffer; destruction (or release()) retires the view
-// so the sender's Comm::bulk_fence can complete. On the buffered path the
-// payload was already deposited into the receiver's scratch and this handle
-// is empty. Must not outlive the World::run that produced it.
+// RAII handle to one received bulk message: the delivered message itself,
+// read in place. On a zero-copy transport data() aliases the SENDER's
+// buffer and destruction (or release()) retires the view so the sender's
+// Comm::bulk_fence can complete; on an eager transport it holds the pooled
+// payload of a monolithic transfer and destruction returns it to the pool.
+// A chunked eager stream was deposited into the receiver's scratch and this
+// handle is empty. Must not outlive the World::run that produced it.
 class BulkRecv {
  public:
   BulkRecv() = default;
@@ -349,33 +351,45 @@ class Comm {
   // caller must keep `data` stable until bulk_fence() returns.
   void send_bulk(int dst, std::span<const std::byte> data,
                  std::size_t chunk_bytes, int tag = 0);
-  // Receives a matching send_bulk. On the eager path the payload lands in
-  // `scratch` chunk by chunk; zero-copy delivers one monolithic span of the
-  // peer's buffer and `scratch` is untouched. Either way on_data(base, off,
-  // len) fires per chunk with base+off addressing the bytes — reduce from
-  // there, NOT from `scratch`, to be transport-agnostic. The returned handle
-  // keeps base valid after this returns (for reads that must happen later,
-  // e.g. the combiner after a dot allreduce); drop it as soon as the last
-  // read is done so the sender's fence can retire the view.
+  // True when a recv_bulk of `bytes` in `chunk_bytes` chunks reads ONE
+  // delivered message in place and never writes its scratch: always on a
+  // zero-copy transport (the peer's view), and on the eager path whenever
+  // the transfer is monolithic (chunk_bytes == 0 or the bytes fit a chunk).
+  bool bulk_in_place(std::size_t bytes, std::size_t chunk_bytes) const {
+    return bulk_zero_copy() || chunk_bytes == 0 || bytes <= chunk_bytes;
+  }
+  // Receives a matching send_bulk of `bytes`. A chunked eager stream lands
+  // in `scratch` (`bytes` long; may be null when bulk_in_place) chunk by
+  // chunk. Otherwise the one message is read where it was delivered — the
+  // peer's published span, or the pooled payload of an eager transfer — and
+  // `scratch` is untouched. Either way on_data(base, off, len) fires per
+  // chunk with base+off addressing the bytes — reduce from there, NOT from
+  // `scratch`, to be transport-agnostic. The returned handle keeps base
+  // valid after this returns (for reads that must happen later, e.g. the
+  // combiner after a dot allreduce); drop it as soon as the last read is
+  // done so the sender's fence can retire a view and the payload returns to
+  // the pool. A size mismatch fails like recv_bytes_into.
   template <typename OnData>
-  [[nodiscard]] BulkRecv recv_bulk(int src, std::span<std::byte> scratch,
-                                   std::size_t chunk_bytes, int tag,
-                                   OnData&& on_data) {
-    if (!bulk_zero_copy()) {
-      recv_chunks_into(src, scratch, chunk_bytes, tag,
+  [[nodiscard]] BulkRecv recv_bulk(int src, std::size_t bytes,
+                                   std::byte* scratch, std::size_t chunk_bytes,
+                                   int tag, OnData&& on_data) {
+    if (!bulk_in_place(bytes, chunk_bytes)) {
+      ADASUM_CHECK(scratch != nullptr);
+      recv_chunks_into(src, {scratch, bytes}, chunk_bytes, tag,
                        [&](std::size_t off, std::size_t len) {
-                         on_data(scratch.data(), off, len);
+                         on_data(static_cast<const std::byte*>(scratch), off,
+                                 len);
                        });
       return BulkRecv();
     }
-    Transport::Inbound in = recv_inbound(src, tag);
-    const std::size_t got = in.data().size();
-    if (got != scratch.size()) {
-      world_->transport_->release(std::move(in));
-      ADASUM_CHECK_EQ(got, scratch.size());
+    BulkRecv held(world_, recv_inbound(src, tag));
+    const std::size_t got = held.data().size();
+    if (got != bytes) {
+      held.release();
+      fail_size(src, tag, got, bytes);
     }
-    on_data(in.data().data(), std::size_t{0}, got);
-    return BulkRecv(world_, std::move(in));
+    on_data(held.data().data(), std::size_t{0}, got);
+    return held;
   }
   // Receives a matching send_bulk directly into `dest` (the allgather /
   // unwind pattern, where the bytes must persist in the receiver's own
@@ -500,6 +514,9 @@ class Comm {
   // Slow-path receive honoring deadline / liveness / checksum / analyzer.
   Transport::Inbound chaos_recv_inbound(
       int src, int tag, std::chrono::steady_clock::time_point deadline);
+  // A received message of `got` bytes where `want` were expected, already
+  // retired: CommProtocol under fault tolerance, a failed CHECK otherwise.
+  void fail_size(int src, int tag, std::size_t got, std::size_t want);
   // Extracts an owned payload from an Inbound (materializing a copy in the
   // view case), retiring the Inbound.
   std::vector<std::byte> take_payload(Transport::Inbound&& in);

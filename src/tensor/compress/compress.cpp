@@ -122,6 +122,7 @@ void decompress_add_f32(const std::byte* src, const CompressionOptions& opts,
                         std::span<float> dst) {
   ADASUM_CHECK(opts.active());
   ADASUM_CHECK(offset + dst.size() <= total);
+  if (dst.empty()) return;  // an empty slice's blob may be a 0-byte message
   const std::size_t blocks = compressed_num_blocks(total, opts);
   const auto* scales = reinterpret_cast<const float*>(src);
   const std::byte* payload = src + blocks * sizeof(float);
@@ -154,6 +155,7 @@ void decompress_combine_f32(const std::byte* src,
   ADASUM_CHECK(opts.active());
   ADASUM_CHECK_EQ(other.size(), out.size());
   ADASUM_CHECK(offset + out.size() <= total);
+  if (out.empty()) return;
   const std::size_t blocks = compressed_num_blocks(total, opts);
   const auto* scales = reinterpret_cast<const float*>(src);
   const std::byte* payload = src + blocks * sizeof(float);
@@ -189,6 +191,7 @@ kernels::DotTriple decompress_dot_triple_f32(const std::byte* src,
                                              bool deq_is_b) {
   ADASUM_CHECK(opts.active());
   ADASUM_CHECK(offset + other.size() <= total);
+  if (other.empty()) return kernels::DotTriple{};
   const std::size_t blocks = compressed_num_blocks(total, opts);
   const auto* scales = reinterpret_cast<const float*>(src);
   const std::byte* payload = src + blocks * sizeof(float);

@@ -23,6 +23,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -804,308 +805,250 @@ void ax_dequantize_sign_blocks(const std::uint8_t* bits, std::size_t n,
 // Bit contract: fused == the two-pass composition from THIS table, per
 // element. The decoded value float(q)*scale is a single correctly-rounded
 // multiply whether it comes from an 8-wide mul_ps lane or the scalar
-// expression, so the decode staging below is free to vectorize only the
-// uniform in-block groups. What is NOT free is the combine arithmetic:
+// expression, so the walk is free to decode in registers wherever a group
+// shares one scale. What is NOT free is the reduce arithmetic, and the
+// bodies below keep each two-pass kernel's element partition:
 //  * dequant_add's 8-wide body matches add_f32_block because the double add
 //    + narrow is path-independent per lane; the sub-8 tail stages the
 //    decoded floats and delegates to add_f32_block itself — composing the
 //    decode multiply into the add expression lets -ffp-contract fuse them
 //    into one single-precision FMA, which skips the product rounding.
-//  * dequant_combine must reproduce scaled_sum_f32_block's exact element
-//    partition (4-lane groups from the slice start, scalar tail after
-//    floor4(n)) and its FMA shape fmadd(b, cb, mul(a, ca)) with the decoded
-//    operand in the slot `deq_is_b` selects. The sub-4 tail delegates to
-//    scaled_sum_f32_block itself so both tails are the same machine code
+//  * dequant_combine keeps scaled_sum_f32_block's FMA shape fmadd(b, cb,
+//    mul(a, ca)) with the decoded operand in the slot `deq_is_b` selects.
+//    That shape is per lane, so the 8-wide body equals the kernel's 4-lane
+//    groups; the sub-8 tail delegates to scaled_sum_f32_block itself, which
+//    runs its own 4-lane group and scalar tail with the same machine code
 //    (FMA contraction of a spelled-out scalar expression is
 //    toolchain-dependent inside this TU).
+//  * dequant_dot_triple feeds dot_triple_f32_block's six accumulators in
+//    its order: element j of the slice lands in t[0/2/4] (j % 8 < 4) or
+//    t[1/3/5] of group j / 8, and the last n % 8 elements go to the scalar
+//    tail through dot_triple_f32_block itself.
 
-// Scale sideband cursor: scales[g / block] for a non-decreasing stream of
-// global indices, without the per-element division. `block` is a runtime
-// divisor, so the literal lookup costs a hardware DIV per element (or per
-// straddle check) that dominated the fused loops' profile. The cursor pays
-// one division at construction; after that advancing is a compare and an
-// add. `next` — the global index where the current scale expires — doubles
-// as the vector bodies' uniformity test: `gi + K <= next` means the whole
-// K-wide group shares one scale and can take the splat path. Only the scale
-// LOOKUP changes; the decode multiply sees the identical value, so the bit
-// contract above is untouched.
-struct FxScaleCursor {
-  const float* scales;
-  std::size_t block;
-  std::size_t blk;
-  std::size_t next;
-  float scale;
-
-  FxScaleCursor(const float* scales_, std::size_t block_, std::size_t start)
-      : scales(scales_), block(block_), blk(start / block_) {
-    next = (blk + 1) * block;
-    scale = scales[blk];
+// Per-codec decode. dec1 is the scalar oracle's expression; dec8 decodes
+// the 8 elements at global index gi with one splatted scale, and vec8(gi)
+// says whether it may (int4 needs gi on a byte boundary).
+struct FxInt8 {
+  const std::int8_t* q;
+  static bool vec8(std::size_t) { return true; }
+  __m256 dec8(std::size_t gi, __m256 vs) const {
+    const __m128i b8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + gi));
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b8)), vs);
   }
-  float at(std::size_t g) {
-    while (g >= next) {
-      ++blk;
-      next += block;
-      scale = scales[blk];
-    }
-    return scale;
+  float dec1(std::size_t gi, float scale) const {
+    return static_cast<float>(q[gi]) * scale;
   }
 };
 
-inline float fx_deq_int8(const std::int8_t* q, std::size_t i, float scale) {
-  return static_cast<float>(q[i]) * scale;
+// The 8 nibbles at an even gi sit exactly in 4 bytes, so one 32-bit load +
+// byte shuffles replace 8 scalar extracts. (nib ^ 8) - 8 in epi8 is the
+// scalar sign-extension expression verbatim.
+struct FxInt4 {
+  const std::uint8_t* packed;
+  static bool vec8(std::size_t gi) { return (gi & 1) == 0; }
+  __m256 dec8(std::size_t gi, __m256 vs) const {
+    std::uint32_t raw;
+    std::memcpy(&raw, packed + gi / 2, sizeof raw);
+    const __m128i v = _mm_cvtsi32_si128(static_cast<std::int32_t>(raw));
+    const __m128i m15 = _mm_set1_epi8(0x0F);
+    const __m128i lo = _mm_and_si128(v, m15);
+    const __m128i hi = _mm_and_si128(_mm_srli_epi16(v, 4), m15);
+    __m128i nib = _mm_unpacklo_epi8(lo, hi);
+    nib = _mm_sub_epi8(_mm_xor_si128(nib, _mm_set1_epi8(8)), _mm_set1_epi8(8));
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(nib)), vs);
+  }
+  float dec1(std::size_t gi, float scale) const {
+    const int nib = (gi & 1) ? (packed[gi / 2] >> 4) : (packed[gi / 2] & 0x0F);
+    return static_cast<float>((nib ^ 8) - 8) * scale;
+  }
+};
+
+// Gathers the 8 bits into one byte (the second sideband byte exists whenever
+// the shift is nonzero, because element gi+7 then lives in it), then selects
+// scale vs -scale by sign-bit flip — IEEE negation IS the flip, so the lanes
+// match the scalar ternary bit for bit, ±0 included.
+struct FxSign {
+  const std::uint8_t* bits;
+  static bool vec8(std::size_t) { return true; }
+  __m256 dec8(std::size_t gi, __m256 vs) const {
+    const std::size_t sh = gi & 7;
+    unsigned m = static_cast<unsigned>(bits[gi / 8]) >> sh;
+    if (sh != 0) m |= static_cast<unsigned>(bits[gi / 8 + 1]) << (8 - sh);
+    const __m128i lanes =
+        _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, static_cast<char>(-128), 0, 0,
+                      0, 0, 0, 0, 0, 0);
+    const __m128i mb = _mm_set1_epi8(static_cast<char>(m));
+    const __m128i on = _mm_cmpeq_epi8(_mm_and_si128(mb, lanes), lanes);
+    const __m256 flip = _mm256_andnot_ps(
+        _mm256_castsi256_ps(_mm256_cvtepi8_epi32(on)), _mm256_set1_ps(-0.0F));
+    return _mm256_xor_ps(vs, flip);
+  }
+  float dec1(std::size_t gi, float scale) const {
+    return ((bits[gi / 8] >> (gi & 7)) & 1) ? scale : -scale;
+  }
+};
+
+inline __m256d lo4_pd(__m256 v) {
+  return _mm256_cvtps_pd(_mm256_castps256_ps128(v));
 }
-inline float fx_deq_int4(const std::uint8_t* packed, std::size_t i,
-                         float scale) {
-  const int nib = (i & 1) ? (packed[i / 2] >> 4) : (packed[i / 2] & 0x0F);
-  return static_cast<float>((nib ^ 8) - 8) * scale;
-}
-inline float fx_deq_sign(const std::uint8_t* bits, std::size_t i, float scale) {
-  return ((bits[i / 8] >> (i & 7)) & 1) ? scale : -scale;
+inline __m256d hi4_pd(__m256 v) {
+  return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
 }
 
-// Decodes global elements [gi, gi+8) into dq, vectorizing the common case of
-// a group that does not straddle a block boundary.
-inline void fx_deq8_int8(const std::int8_t* q, FxScaleCursor& cur,
-                         std::size_t gi, float* dq) {
-  const float s = cur.at(gi);
-  if (gi + 8 <= cur.next) {
-    const __m128i b8 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + gi));
-    _mm256_storeu_ps(dq,
-                     _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b8)),
-                                   _mm256_set1_ps(s)));
-  } else {
-    for (int k = 0; k < 8; ++k)
-      dq[k] = fx_deq_int8(q, gi + k, cur.at(gi + k));
+// The one fused walk: decoded elements [offset, offset + n) of an encoded
+// stream, block by block, in 8-groups counted from the slice start (the
+// partition every two-pass kernel above uses). body(j, d) gets the group at
+// slice index j as 8 floats in a register; tail(j, dq, rem) gets the last
+// n % 8 decoded floats staged in dq. Inside a block the scale is loaded
+// once and each group decodes in registers. Only a group that straddles a
+// block boundary (or an int4 group on an odd nibble) and the tail decode
+// per element through dq. An empty slice touches nothing, not even the
+// scales: its blob may be a 0-byte message.
+template <class Codec, class Body, class Tail>
+void fused_walk(const Codec& c, const float* scales, std::size_t block,
+                std::size_t offset, std::size_t n, Body&& body, Tail&& tail) {
+  if (n == 0) return;
+  std::size_t blk = offset / block;        // block of the walk's position,
+  std::size_t bend = (blk + 1) * block;    // and the global index it ends at
+  alignas(32) float dq[8];
+  // Per-element decode of [gi, gi + len) into dq, following the blocks.
+  const auto stage = [&](std::size_t gi, std::size_t len) {
+    std::size_t b = blk;
+    std::size_t e = bend;
+    for (std::size_t k = 0; k < len; ++k) {
+      while (gi + k >= e) {
+        ++b;
+        e += block;
+      }
+      dq[k] = c.dec1(gi + k, scales[b]);
+    }
+  };
+  const std::size_t n8 = n - n % 8;
+  std::size_t j = 0;
+  while (j < n8) {
+    const std::size_t gi = offset + j;
+    while (gi >= bend) {
+      ++blk;
+      bend += block;
+    }
+    if (gi + 8 > bend) {
+      stage(gi, 8);
+      body(j, _mm256_load_ps(dq));
+      j += 8;
+      continue;
+    }
+    // Every group in [j, jend) lies inside block blk.
+    const std::size_t jend = std::min(n8, j + (bend - gi) / 8 * 8);
+    const float s = scales[blk];
+    if (c.vec8(gi)) {
+      const __m256 vs = _mm256_set1_ps(s);
+      for (; j < jend; j += 8) body(j, c.dec8(offset + j, vs));
+    } else {
+      for (; j < jend; j += 8) {
+        for (std::size_t k = 0; k < 8; ++k) dq[k] = c.dec1(offset + j + k, s);
+        body(j, _mm256_load_ps(dq));
+      }
+    }
   }
-}
-// Decodes 8 int4 elements starting at EVEN gi with one shared scale: the 8
-// nibbles sit exactly in 4 bytes, so one 32-bit load + byte shuffles replace
-// 8 scalar extract/store round-trips (narrow stores into dq followed by the
-// caller's 256-bit reload defeat store-to-load forwarding). (nib ^ 8) - 8 in
-// epi8 is the scalar sign-extension expression verbatim.
-inline void fx_deq8_int4_uniform_even(const std::uint8_t* packed,
-                                      std::size_t gi, float s, float* dq) {
-  std::uint32_t raw;
-  std::memcpy(&raw, packed + gi / 2, sizeof raw);
-  const __m128i v = _mm_cvtsi32_si128(static_cast<std::int32_t>(raw));
-  const __m128i m15 = _mm_set1_epi8(0x0F);
-  const __m128i lo = _mm_and_si128(v, m15);
-  const __m128i hi = _mm_and_si128(_mm_srli_epi16(v, 4), m15);
-  __m128i nib = _mm_unpacklo_epi8(lo, hi);
-  nib = _mm_sub_epi8(_mm_xor_si128(nib, _mm_set1_epi8(8)), _mm_set1_epi8(8));
-  _mm256_storeu_ps(
-      dq, _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(nib)),
-                        _mm256_set1_ps(s)));
-}
-
-// Decodes 8 sign elements starting at gi with one shared scale: gathers the
-// 8 bits into one byte (the second sideband byte exists whenever the shift
-// is nonzero, because element gi+7 then lives in it), then selects scale vs
-// -scale by sign-bit flip — IEEE negation IS the flip, so the lanes match
-// the scalar ternary bit for bit, ±0 included.
-inline void fx_deq8_sign_uniform(const std::uint8_t* bits, std::size_t gi,
-                                 float s, float* dq) {
-  const std::size_t sh = gi & 7;
-  unsigned m = static_cast<unsigned>(bits[gi / 8]) >> sh;
-  if (sh != 0) m |= static_cast<unsigned>(bits[gi / 8 + 1]) << (8 - sh);
-  const __m128i lanes =
-      _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, static_cast<char>(-128), 0, 0, 0,
-                    0, 0, 0, 0, 0);
-  const __m128i mb = _mm_set1_epi8(static_cast<char>(m));
-  const __m128i on = _mm_cmpeq_epi8(_mm_and_si128(mb, lanes), lanes);
-  const __m256 flip = _mm256_andnot_ps(
-      _mm256_castsi256_ps(_mm256_cvtepi8_epi32(on)), _mm256_set1_ps(-0.0F));
-  _mm256_storeu_ps(dq, _mm256_xor_ps(_mm256_set1_ps(s), flip));
-}
-
-// Decodes global elements [gi, gi+8) into dq for int4 / sign: the vector
-// path when the group shares one scale (and, for int4, starts on a byte),
-// the per-element expression otherwise.
-inline void fx_deq8_int4(const std::uint8_t* packed, FxScaleCursor& cur,
-                         std::size_t gi, float* dq) {
-  const float s = cur.at(gi);
-  if (gi + 8 <= cur.next && (gi & 1) == 0) {
-    fx_deq8_int4_uniform_even(packed, gi, s, dq);
-  } else {
-    for (int k = 0; k < 8; ++k)
-      dq[k] = fx_deq_int4(packed, gi + k, cur.at(gi + k));
-  }
-}
-inline void fx_deq8_sign(const std::uint8_t* bits, FxScaleCursor& cur,
-                         std::size_t gi, float* dq) {
-  const float s = cur.at(gi);
-  if (gi + 8 <= cur.next) {
-    fx_deq8_sign_uniform(bits, gi, s, dq);
-  } else {
-    for (int k = 0; k < 8; ++k)
-      dq[k] = fx_deq_sign(bits, gi + k, cur.at(gi + k));
+  if (j < n) {
+    while (offset + j >= bend) {
+      ++blk;
+      bend += block;
+    }
+    stage(offset + j, n - j);
+    tail(j, static_cast<const float*>(dq), n - j);
   }
 }
 
-inline void fx_deq4_int8(const std::int8_t* q, FxScaleCursor& cur,
-                         std::size_t gi, float* dq) {
-  const float s = cur.at(gi);
-  if (gi + 4 <= cur.next) {
-    std::int32_t raw;
-    std::memcpy(&raw, q + gi, sizeof raw);
-    const __m128i b4 = _mm_cvtsi32_si128(raw);
-    _mm_storeu_ps(dq, _mm_mul_ps(_mm_cvtepi32_ps(_mm_cvtepi8_epi32(b4)),
-                                 _mm_set1_ps(s)));
-  } else {
-    for (int k = 0; k < 4; ++k)
-      dq[k] = fx_deq_int8(q, gi + k, cur.at(gi + k));
-  }
-}
-
-// dst[i] += decoded[offset+i], double add + narrow per element. Deq8 stages
-// 8 decoded floats; the remainder stages through dq and delegates to
-// add_f32_block so the decode multiply can never contract into the add.
-template <class Deq8, class Deq1>
-void fused_add_f32(std::size_t offset, std::size_t n, float* dst, Deq8 deq8,
-                   Deq1 deq1) {
-  std::size_t i = 0;
-  float dq[8];
-  for (; i + 8 <= n; i += 8) {
-    deq8(offset + i, dq);
-    const __m256d r0 = _mm256_add_pd(cvt4_pd(dq), cvt4_pd(dst + i));
-    const __m256d r1 = _mm256_add_pd(cvt4_pd(dq + 4), cvt4_pd(dst + i + 4));
-    store4_ps(dst + i, r0);
-    store4_ps(dst + i + 4, r1);
-  }
-  if (i < n) {
-    const std::size_t rem = n - i;
-    for (std::size_t k = 0; k < rem; ++k) dq[k] = deq1(offset + i + k);
-    add_f32_block(dq, dst + i, rem);
-  }
+// dst[i] += decoded[offset+i], double add + narrow per element.
+template <class Codec>
+void fused_add_f32(const Codec& c, const float* scales, std::size_t offset,
+                   std::size_t n, std::size_t block, float* dst) {
+  fused_walk(
+      c, scales, block, offset, n,
+      [&](std::size_t j, __m256 d) {
+        const __m256d r0 = _mm256_add_pd(lo4_pd(d), cvt4_pd(dst + j));
+        const __m256d r1 = _mm256_add_pd(hi4_pd(d), cvt4_pd(dst + j + 4));
+        store4_ps(dst + j, r0);
+        store4_ps(dst + j + 4, r1);
+      },
+      [&](std::size_t j, const float* dq, std::size_t rem) {
+        add_f32_block(dq, dst + j, rem);
+      });
 }
 
 // out[i] = ca*a[i] + cb*b[i] with the decoded slice in the slot selected by
-// deq_is_b — scaled_sum_f32_block's partition and FMA shape exactly.
-template <class Deq4, class Deq1>
-void fused_combine_f32(const float* other, double c_other, double c_deq,
-                       bool deq_is_b, std::size_t offset, std::size_t n,
-                       float* out, Deq4 deq4, Deq1 deq1) {
+// kDeqIsB (a template parameter, so the group body carries no branch).
+template <bool kDeqIsB, class Codec>
+void fused_combine_f32(const Codec& c, const float* other, double c_other,
+                       double c_deq, const float* scales, std::size_t offset,
+                       std::size_t n, std::size_t block, float* out) {
   const __m256d vco = _mm256_set1_pd(c_other);
   const __m256d vcd = _mm256_set1_pd(c_deq);
-  std::size_t i = 0;
-  float dq[4];
-  for (; i + 4 <= n; i += 4) {
-    deq4(offset + i, dq);
-    const __m256d dv = cvt4_pd(dq);
-    const __m256d ov = cvt4_pd(other + i);
-    const __m256d r =
-        deq_is_b ? _mm256_fmadd_pd(dv, vcd, _mm256_mul_pd(ov, vco))
-                 : _mm256_fmadd_pd(ov, vco, _mm256_mul_pd(dv, vcd));
-    store4_ps(out + i, r);
-  }
-  if (i < n) {
-    const std::size_t rem = n - i;
-    float at[3], bt[3], ot[3];
-    for (std::size_t k = 0; k < rem; ++k) {
-      const float d = deq1(offset + i + k);
-      at[k] = deq_is_b ? other[i + k] : d;
-      bt[k] = deq_is_b ? d : other[i + k];
-    }
-    scaled_sum_f32_block(at, deq_is_b ? c_other : c_deq, bt,
-                         deq_is_b ? c_deq : c_other, ot, rem);
-    for (std::size_t k = 0; k < rem; ++k) out[i + k] = ot[k];
-  }
-}
-
-void ax_dequant_add_int8(const std::int8_t* q, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_add_f32(
-      offset, n, dst,
-      [&](std::size_t gi, float* dq) { fx_deq8_int8(q, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_int8(q, gi, cur.at(gi)); });
-}
-void ax_dequant_add_int4(const std::uint8_t* packed, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_add_f32(
-      offset, n, dst,
-      [&](std::size_t gi, float* dq) { fx_deq8_int4(packed, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_int4(packed, gi, cur.at(gi)); });
-}
-void ax_dequant_add_sign(const std::uint8_t* bits, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_add_f32(
-      offset, n, dst,
-      [&](std::size_t gi, float* dq) { fx_deq8_sign(bits, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_sign(bits, gi, cur.at(gi)); });
-}
-
-void ax_dequant_combine_int8(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::int8_t* q,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_combine_f32(
-      other, c_other, c_deq, deq_is_b, offset, n, out,
-      [&](std::size_t gi, float* dq) { fx_deq4_int8(q, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_int8(q, gi, cur.at(gi)); });
-}
-void ax_dequant_combine_int4(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::uint8_t* packed,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_combine_f32(
-      other, c_other, c_deq, deq_is_b, offset, n, out,
-      [&](std::size_t gi, float* dq) {
-        for (int k = 0; k < 4; ++k) {
-          const std::size_t g = gi + k;
-          dq[k] = fx_deq_int4(packed, g, cur.at(g));
-        }
+  const auto combine4 = [&](__m256d dv, __m256d ov) {
+    return kDeqIsB ? _mm256_fmadd_pd(dv, vcd, _mm256_mul_pd(ov, vco))
+                   : _mm256_fmadd_pd(ov, vco, _mm256_mul_pd(dv, vcd));
+  };
+  fused_walk(
+      c, scales, block, offset, n,
+      [&](std::size_t j, __m256 d) {
+        // Both halves of `other` are loaded before either store: out may
+        // alias other exactly.
+        const __m256d r0 = combine4(lo4_pd(d), cvt4_pd(other + j));
+        const __m256d r1 = combine4(hi4_pd(d), cvt4_pd(other + j + 4));
+        store4_ps(out + j, r0);
+        store4_ps(out + j + 4, r1);
       },
-      [&](std::size_t gi) { return fx_deq_int4(packed, gi, cur.at(gi)); });
-}
-void ax_dequant_combine_sign(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::uint8_t* bits,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_combine_f32(
-      other, c_other, c_deq, deq_is_b, offset, n, out,
-      [&](std::size_t gi, float* dq) {
-        for (int k = 0; k < 4; ++k) {
-          const std::size_t g = gi + k;
-          dq[k] = fx_deq_sign(bits, g, cur.at(g));
-        }
-      },
-      [&](std::size_t gi) { return fx_deq_sign(bits, gi, cur.at(gi)); });
+      [&](std::size_t j, const float* dq, std::size_t rem) {
+        float ot[8];
+        const float* a = kDeqIsB ? other + j : dq;
+        const float* b = kDeqIsB ? dq : other + j;
+        scaled_sum_f32_block(a, kDeqIsB ? c_other : c_deq, b,
+                             kDeqIsB ? c_deq : c_other, ot, rem);
+        for (std::size_t k = 0; k < rem; ++k) out[j + k] = ot[k];
+      });
 }
 
-// {a·b, a·a, b·b} with the decoded slice as one operand: decode up to kTile
-// elements into a stack tile, then feed dot_triple_f32_block with carried
-// accumulators — the dot_triple_f16 staging pattern. kTile is a multiple of
-// 8, so every tile but the last leaves no block tail and each element lands
-// in the accumulator lane it takes in one dot_triple_f32 call over a decoded
-// copy. `other` always takes the x slot (products are exact in double, so
-// fmadd(x, y) == fmadd(y, x)); the slot only decides which squared-norm sum
-// is a·a, swapped at the end.
-template <class Deq8, class Deq1>
-void fused_dot_triple_f32(const float* other, bool deq_is_b,
-                          std::size_t offset, std::size_t n, double out[3],
-                          Deq8 deq8, Deq1 deq1) {
+template <class Codec>
+void fused_combine_f32(const Codec& c, const float* other, double c_other,
+                       double c_deq, bool deq_is_b, const float* scales,
+                       std::size_t offset, std::size_t n, std::size_t block,
+                       float* out) {
+  if (deq_is_b)
+    fused_combine_f32<true>(c, other, c_other, c_deq, scales, offset, n,
+                            block, out);
+  else
+    fused_combine_f32<false>(c, other, c_other, c_deq, scales, offset, n,
+                             block, out);
+}
+
+// {a·b, a·a, b·b} with the decoded slice as one operand. `other` always
+// takes the x slot (products are exact in double, so fmadd(x, y) ==
+// fmadd(y, x)); the slot only decides which squared-norm sum is a·a,
+// swapped at the end.
+template <class Codec>
+void fused_dot_triple_f32(const Codec& c, const float* other, bool deq_is_b,
+                          const float* scales, std::size_t offset,
+                          std::size_t n, std::size_t block, double out[3]) {
   __m256d t[6] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
                   _mm256_setzero_pd(), _mm256_setzero_pd(),
                   _mm256_setzero_pd(), _mm256_setzero_pd()};
   double tail[3] = {0.0, 0.0, 0.0};
-  alignas(32) float dq[kTile];
-  for (std::size_t off = 0; off < n; off += kTile) {
-    const std::size_t m = n - off < kTile ? n - off : kTile;
-    std::size_t k = 0;
-    for (; k + 8 <= m; k += 8) deq8(offset + off + k, dq + k);
-    for (; k < m; ++k) dq[k] = deq1(offset + off + k);
-    dot_triple_f32_block(other + off, dq, m, t, tail);
-  }
+  fused_walk(
+      c, scales, block, offset, n,
+      [&](std::size_t j, __m256 d) {
+        const __m256d x0 = cvt4_pd(other + j), y0 = lo4_pd(d);
+        const __m256d x1 = cvt4_pd(other + j + 4), y1 = hi4_pd(d);
+        t[0] = _mm256_fmadd_pd(x0, y0, t[0]);
+        t[2] = _mm256_fmadd_pd(x0, x0, t[2]);
+        t[4] = _mm256_fmadd_pd(y0, y0, t[4]);
+        t[1] = _mm256_fmadd_pd(x1, y1, t[1]);
+        t[3] = _mm256_fmadd_pd(x1, x1, t[3]);
+        t[5] = _mm256_fmadd_pd(y1, y1, t[5]);
+      },
+      [&](std::size_t j, const float* dq, std::size_t rem) {
+        dot_triple_f32_block(other + j, dq, rem, t, tail);
+      });
   double r[3];
   reduce_triple(t, tail, r);
   out[0] = r[0];
@@ -1113,36 +1056,65 @@ void fused_dot_triple_f32(const float* other, bool deq_is_b,
   out[2] = deq_is_b ? r[2] : r[1];
 }
 
+void ax_dequant_add_int8(const std::int8_t* q, const float* scales,
+                         std::size_t offset, std::size_t n, std::size_t block,
+                         float* dst) {
+  fused_add_f32(FxInt8{q}, scales, offset, n, block, dst);
+}
+void ax_dequant_add_int4(const std::uint8_t* packed, const float* scales,
+                         std::size_t offset, std::size_t n, std::size_t block,
+                         float* dst) {
+  fused_add_f32(FxInt4{packed}, scales, offset, n, block, dst);
+}
+void ax_dequant_add_sign(const std::uint8_t* bits, const float* scales,
+                         std::size_t offset, std::size_t n, std::size_t block,
+                         float* dst) {
+  fused_add_f32(FxSign{bits}, scales, offset, n, block, dst);
+}
+
+void ax_dequant_combine_int8(const float* other, double c_other, double c_deq,
+                             bool deq_is_b, const std::int8_t* q,
+                             const float* scales, std::size_t offset,
+                             std::size_t n, std::size_t block, float* out) {
+  fused_combine_f32(FxInt8{q}, other, c_other, c_deq, deq_is_b, scales,
+                    offset, n, block, out);
+}
+void ax_dequant_combine_int4(const float* other, double c_other, double c_deq,
+                             bool deq_is_b, const std::uint8_t* packed,
+                             const float* scales, std::size_t offset,
+                             std::size_t n, std::size_t block, float* out) {
+  fused_combine_f32(FxInt4{packed}, other, c_other, c_deq, deq_is_b, scales,
+                    offset, n, block, out);
+}
+void ax_dequant_combine_sign(const float* other, double c_other, double c_deq,
+                             bool deq_is_b, const std::uint8_t* bits,
+                             const float* scales, std::size_t offset,
+                             std::size_t n, std::size_t block, float* out) {
+  fused_combine_f32(FxSign{bits}, other, c_other, c_deq, deq_is_b, scales,
+                    offset, n, block, out);
+}
+
 void ax_dequant_dot_triple_int8(const float* other, bool deq_is_b,
                                 const std::int8_t* q, const float* scales,
                                 std::size_t offset, std::size_t n,
                                 std::size_t block, double out[3]) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_dot_triple_f32(
-      other, deq_is_b, offset, n, out,
-      [&](std::size_t gi, float* dq) { fx_deq8_int8(q, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_int8(q, gi, cur.at(gi)); });
+  fused_dot_triple_f32(FxInt8{q}, other, deq_is_b, scales, offset, n, block,
+                       out);
 }
 void ax_dequant_dot_triple_int4(const float* other, bool deq_is_b,
                                 const std::uint8_t* packed,
                                 const float* scales, std::size_t offset,
                                 std::size_t n, std::size_t block,
                                 double out[3]) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_dot_triple_f32(
-      other, deq_is_b, offset, n, out,
-      [&](std::size_t gi, float* dq) { fx_deq8_int4(packed, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_int4(packed, gi, cur.at(gi)); });
+  fused_dot_triple_f32(FxInt4{packed}, other, deq_is_b, scales, offset, n,
+                       block, out);
 }
 void ax_dequant_dot_triple_sign(const float* other, bool deq_is_b,
                                 const std::uint8_t* bits, const float* scales,
                                 std::size_t offset, std::size_t n,
                                 std::size_t block, double out[3]) {
-  FxScaleCursor cur(scales, block, offset);
-  fused_dot_triple_f32(
-      other, deq_is_b, offset, n, out,
-      [&](std::size_t gi, float* dq) { fx_deq8_sign(bits, cur, gi, dq); },
-      [&](std::size_t gi) { return fx_deq_sign(bits, gi, cur.at(gi)); });
+  fused_dot_triple_f32(FxSign{bits}, other, deq_is_b, scales, offset, n,
+                       block, out);
 }
 
 // Non-temporal bulk copy. Below the threshold (or with a misaligned

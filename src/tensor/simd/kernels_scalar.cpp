@@ -343,24 +343,24 @@ void sc_dequantize_sign_blocks(const std::uint8_t* bits, std::size_t n,
 // the bit contract is untouched.
 
 // scales[g / block] for a non-decreasing stream of global indices g. `next`
-// is the global index where the current scale expires.
+// is the global index where the current scale expires and `blk` the block
+// loaded next. Nothing is read before the first at(), so an empty slice
+// touches no scale (its blob may be a 0-byte message).
 struct ScaleCursor {
   const float* scales;
   std::size_t block;
   std::size_t blk;
   std::size_t next;
-  float scale;
+  float scale = 0.0f;
 
   ScaleCursor(const float* scales_, std::size_t block_, std::size_t start)
-      : scales(scales_), block(block_), blk(start / block_) {
-    next = (blk + 1) * block;
-    scale = scales[blk];
-  }
+      : scales(scales_), block(block_), blk(start / block_),
+        next(blk * block_) {}
   float at(std::size_t g) {
     while (g >= next) {
+      scale = scales[blk];
       ++blk;
       next += block;
-      scale = scales[blk];
     }
     return scale;
   }

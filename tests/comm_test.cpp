@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -477,6 +478,123 @@ TEST(FaultTolerance, SizeMismatchInFaultTolerantModeIsRecoverable) {
   EXPECT_TRUE(caught.load());
   // The mismatched payload went back to the pool, not into the void.
   EXPECT_GE(world.buffer_pool().free_buffers(), 1u);
+}
+
+// ---- bulk receives on the eager path ----------------------------------------
+
+std::vector<std::byte> bulk_bytes(std::size_t n, unsigned seed) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::byte>((i * 131 + seed) & 0xFF);
+  return v;
+}
+
+TEST(BulkRecv, EagerMonolithicIsReadInPlaceAndChunkedLandsInScratch) {
+  // A monolithic eager transfer is read where the mailbox delivered it: the
+  // handle holds the pooled payload and the scratch is never written. A
+  // chunked stream still lands in the scratch chunk by chunk.
+  World world(2);
+  ASSERT_TRUE(world.set_transport("mailbox"));
+  const std::vector<std::byte> data = bulk_bytes(4096, 7);
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send_bulk(1, data, /*chunk_bytes=*/0, /*tag=*/1);
+      comm.send_bulk(1, data, /*chunk_bytes=*/8192, /*tag=*/2);
+      comm.send_bulk(1, data, /*chunk_bytes=*/1024, /*tag=*/3);
+      return;
+    }
+    EXPECT_FALSE(comm.bulk_zero_copy());
+    EXPECT_TRUE(comm.bulk_in_place(4096, 0));
+    EXPECT_TRUE(comm.bulk_in_place(4096, 8192));
+    EXPECT_FALSE(comm.bulk_in_place(4096, 1024));
+    std::vector<std::byte> scratch(4096, std::byte{0xAB});
+    const std::vector<std::byte> untouched = scratch;
+    for (const int tag : {1, 2}) {
+      int calls = 0;
+      const std::byte* base = nullptr;
+      BulkRecv held = comm.recv_bulk(
+          0, data.size(), scratch.data(), tag == 1 ? 0 : 8192, tag,
+          [&](const std::byte* b, std::size_t off, std::size_t len) {
+            ++calls;
+            base = b;
+            EXPECT_EQ(off, 0u);
+            EXPECT_EQ(len, data.size());
+          });
+      EXPECT_EQ(calls, 1);
+      EXPECT_NE(base, scratch.data());
+      ASSERT_EQ(held.data().size(), data.size());
+      EXPECT_EQ(held.data().data(), base);
+      EXPECT_EQ(0, std::memcmp(base, data.data(), data.size()));
+      EXPECT_EQ(scratch, untouched) << "tag " << tag;
+    }
+    std::vector<std::size_t> offs;
+    BulkRecv held = comm.recv_bulk(
+        0, data.size(), scratch.data(), 1024, 3,
+        [&](const std::byte* b, std::size_t off, std::size_t len) {
+          EXPECT_EQ(b, scratch.data());
+          EXPECT_EQ(len, 1024u);
+          offs.push_back(off);
+        });
+    EXPECT_EQ(offs, (std::vector<std::size_t>{0, 1024, 2048, 3072}));
+    EXPECT_TRUE(held.data().empty());
+    EXPECT_EQ(scratch, data);
+  });
+}
+
+TEST(BulkRecv, InPlaceSizeMismatchUnderFaultToleranceReturnsTheBuffer) {
+  // Same contract as recv_bytes_into: the mismatched message goes back to
+  // the pool, then CommProtocol is thrown, and on_data never sees it.
+  World world(2);
+  world.enable_fault_tolerance();
+  std::atomic<bool> caught{false};
+  std::atomic<bool> returned{false};
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send_bulk(1, bulk_bytes(64, 1), /*chunk_bytes=*/0, /*tag=*/1);
+    } else {
+      const std::size_t free_before = comm.pool().free_buffers();
+      try {
+        BulkRecv held = comm.recv_bulk(
+            0, 32, nullptr, 0, 1, [&](const std::byte*, std::size_t,
+                                      std::size_t) { ADD_FAILURE(); });
+      } catch (const CommProtocol&) {
+        caught.store(true);
+      }
+      returned.store(comm.pool().free_buffers() == free_before + 1);
+    }
+    comm.barrier();
+  });
+  EXPECT_TRUE(caught.load());
+  EXPECT_TRUE(returned.load());
+}
+
+TEST(BulkRecv, WarmInPlaceReceivesAllocateNothing) {
+  World world(2);
+  ASSERT_TRUE(world.set_transport("mailbox"));
+  const std::vector<std::byte> data = bulk_bytes(1 << 16, 3);
+  std::vector<std::byte> sum(2);
+  const auto iterate = [&](int iters) {
+    world.run([&](Comm& comm) {
+      for (int i = 0; i < iters; ++i) {
+        if (comm.rank() == 0) {
+          comm.send_bulk(1, data, /*chunk_bytes=*/0, /*tag=*/5);
+        } else {
+          BulkRecv held = comm.recv_bulk(
+              0, data.size(), nullptr, 0, 5,
+              [&](const std::byte* b, std::size_t, std::size_t len) {
+                sum[0] ^= b[0];
+                sum[1] ^= b[len - 1];
+              });
+        }
+        comm.barrier();
+      }
+    });
+  };
+  iterate(2);
+  world.buffer_pool().reset_stats();
+  iterate(16);
+  EXPECT_EQ(world.buffer_pool().stats().allocations, 0u);
+  EXPECT_EQ(world.buffer_pool().stats().reuses, 16u);
 }
 
 TEST(FaultTolerance, FailedRunReturnsInFlightPayloadsToPool) {

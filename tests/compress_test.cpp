@@ -81,7 +81,8 @@ std::vector<T> pattern(std::size_t n, std::uint32_t salt) {
 template <typename T>
 bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 CompressionOptions make_opts(CompressionMode mode, std::size_t block_bytes,
@@ -540,33 +541,48 @@ std::vector<const KernelTable*> compiled_tables() {
   return tables;
 }
 
-constexpr std::size_t kFusedLens[] = {1, 7, 8, 9, 255, 256, 257, 1000};
-constexpr std::size_t kFusedOffsets[] = {0, 1, 3, 8, 17};
+// Slice offsets and lengths around block edges: offsets inside, at and past
+// a 256-element block boundary; lengths below, at and past one 8-lane group,
+// one that straddles a block, and (kFusedRest) the rest of the stream.
+constexpr std::size_t kFusedRest = ~std::size_t{0};
+constexpr std::size_t kFusedLens[] = {0,   1,   7,   8,    9,         255,
+                                      256, 257, 259, 1000, kFusedRest};
+constexpr std::size_t kFusedOffsets[] = {0, 1, 3, 8, 17, 255, 256, 517};
 
-void run_fused_mode(const KernelTable& t, const CompressionOptions& opts,
-                    std::size_t total, const std::byte* blob,
+// One encoded stream as the fused kernels see it: per-block scales and the
+// packed payload, plus its two-pass decode from the table under test.
+struct FusedStream {
+  CompressionMode mode;
+  std::size_t block;
+  std::string label;
+  std::size_t total;
+  const float* scales;
+  const std::byte* payload;
+};
+
+void run_fused_mode(const KernelTable& t, const FusedStream& st,
                     const std::vector<float>& dec) {
-  const std::size_t blocks = compressed_num_blocks(total, opts);
-  const auto* scales = reinterpret_cast<const float*>(blob);
-  const std::byte* payload = blob + blocks * sizeof(float);
-  const std::size_t be = opts.block_elems();
+  const float* scales = st.scales;
+  const std::byte* payload = st.payload;
+  const std::size_t be = st.block;
   const auto bytes_of = [](const float* p) {
     return reinterpret_cast<const std::byte*>(p);
   };
-  for (const std::size_t len : kFusedLens) {
+  for (const std::size_t want : kFusedLens) {
     for (const std::size_t off : kFusedOffsets) {
-      if (off + len > total) continue;
-      SCOPED_TRACE("mode=" + std::string(compression_mode_name(opts.mode)) +
+      const std::size_t len = want == kFusedRest ? st.total - off : want;
+      if (off + len > st.total) continue;
+      SCOPED_TRACE("mode=" + std::string(compression_mode_name(st.mode)) +
                    " block=" + std::to_string(be) + " len=" +
                    std::to_string(len) + " off=" + std::to_string(off) +
-                   (opts.stochastic ? " sr" : " rne") + " table=" + t.name);
+                   " " + st.label + " table=" + t.name);
       // dequant_add vs dequantize-then-add from the same table.
       {
         const std::vector<float> dst0 = pattern<float>(len, 77);
         std::vector<float> ref = dst0, got = dst0;
         t.add[kF32](bytes_of(dec.data() + off),
                     reinterpret_cast<std::byte*>(ref.data()), len);
-        switch (opts.mode) {
+        switch (st.mode) {
           case CompressionMode::kInt8:
             t.dequant_add_int8(
                 reinterpret_cast<const std::int8_t*>(payload), scales, off,
@@ -598,7 +614,7 @@ void run_fused_mode(const KernelTable& t, const CompressionOptions& opts,
         t.scaled_sum[kF32](bytes_of(a), ca, bytes_of(b), cb,
                            reinterpret_cast<std::byte*>(ref.data()), len);
         std::vector<float> got = other;  // out aliases other
-        switch (opts.mode) {
+        switch (st.mode) {
           case CompressionMode::kInt8:
             t.dequant_combine_int8(
                 got.data(), c_other, c_deq, deq_is_b,
@@ -629,7 +645,7 @@ void run_fused_mode(const KernelTable& t, const CompressionOptions& opts,
         const float* b = deq_is_b ? dec.data() + off : other.data();
         std::vector<double> ref(3), got(3);
         t.dot_triple[kF32](bytes_of(a), bytes_of(b), len, ref.data());
-        switch (opts.mode) {
+        switch (st.mode) {
           case CompressionMode::kInt8:
             t.dequant_dot_triple_int8(
                 other.data(), deq_is_b,
@@ -656,6 +672,32 @@ void run_fused_mode(const KernelTable& t, const CompressionOptions& opts,
   }
 }
 
+// Decodes a whole stream with table `t`'s two-pass decoder.
+std::vector<float> two_pass_decode(const KernelTable& t,
+                                   const FusedStream& st) {
+  std::vector<float> dec(st.total);
+  const auto* p8 = reinterpret_cast<const std::int8_t*>(st.payload);
+  const auto* pu = reinterpret_cast<const std::uint8_t*>(st.payload);
+  switch (st.mode) {
+    case CompressionMode::kInt8:
+      t.dequantize_int8_blocks(p8, st.total, st.block, st.scales, dec.data());
+      break;
+    case CompressionMode::kInt4:
+      t.dequantize_int4_blocks(pu, st.total, st.block, st.scales, dec.data());
+      break;
+    default:
+      t.dequantize_sign_blocks(pu, st.total, st.block, st.scales, dec.data());
+      break;
+  }
+  return dec;
+}
+
+// Every fused kernel equals the two-pass composition from its own table at
+// every slice/block alignment. The codec's own blocks (8, 32 and 256
+// elements, both rounding modes) come from compress_f32. Blocks of 1 and 3
+// elements, below the codec's 8-element floor, come from synthetic streams
+// (random levels and scales): there nearly every 8-lane group straddles a
+// block, which drives the walks' per-element straddle path everywhere.
 TEST(FusedKernels, MatchTwoPassBitwiseOnEveryCompiledTable) {
   const std::size_t total = 1536;
   const std::vector<float> src = pattern<float>(total, 5);
@@ -667,10 +709,79 @@ TEST(FusedKernels, MatchTwoPassBitwiseOnEveryCompiledTable) {
     ASSERT_EQ(opts.block_elems(), c.block_elems);
     std::vector<std::byte> blob(compressed_wire_bytes(total, opts));
     compress_f32(src, opts, blob.data());
-    std::vector<float> dec(total);
-    decompress_f32(blob.data(), opts, dec);
+    const FusedStream st{
+        c.mode,
+        c.block_elems,
+        c.stochastic ? "sr" : "rne",
+        total,
+        reinterpret_cast<const float*>(blob.data()),
+        blob.data() + compressed_num_blocks(total, opts) * sizeof(float)};
     for (const KernelTable* t : compiled_tables())
-      run_fused_mode(*t, opts, total, blob.data(), dec);
+      run_fused_mode(*t, st, two_pass_decode(*t, st));
+  }
+  Rng rng(17);
+  std::vector<std::byte> payload(total);
+  for (std::byte& b : payload)
+    b = static_cast<std::byte>(rng.uniform_int(256));
+  for (std::byte& b : payload)  // int8 levels live in [-127, 127]
+    if (b == std::byte{0x80}) b = std::byte{0};
+  for (const std::size_t block : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<float> scales((total + block - 1) / block);
+    for (float& v : scales) v = static_cast<float>(rng.uniform(0.0, 2.0));
+    scales[1] = 0.0f;
+    for (const CompressionMode mode :
+         {CompressionMode::kInt8, CompressionMode::kInt4,
+          CompressionMode::kSign}) {
+      const FusedStream st{mode,          block,         "synthetic",
+                           total,         scales.data(), payload.data()};
+      for (const KernelTable* t : compiled_tables())
+        run_fused_mode(*t, st, two_pass_decode(*t, st));
+    }
+  }
+}
+
+// An empty slice reads nothing: not the payload, not even the scale of its
+// offset's block. In the compressed RVH an empty half (p ranks, n < p
+// elements) arrives as a 0-byte message that is read in place, so its
+// "blob" is no memory at all. Every fused table entry and every public
+// entry point must accept n = 0 with null pointers.
+TEST(FusedKernels, EmptySliceTouchesNoBlob) {
+  for (const KernelTable* t : compiled_tables()) {
+    SCOPED_TRACE(t->name);
+    for (const std::size_t off : {std::size_t{0}, std::size_t{300}}) {
+      t->dequant_add_int8(nullptr, nullptr, off, 0, 256, nullptr);
+      t->dequant_add_int4(nullptr, nullptr, off, 0, 256, nullptr);
+      t->dequant_add_sign(nullptr, nullptr, off, 0, 256, nullptr);
+      for (const bool deq_is_b : {true, false}) {
+        t->dequant_combine_int8(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr,
+                                off, 0, 256, nullptr);
+        t->dequant_combine_int4(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr,
+                                off, 0, 256, nullptr);
+        t->dequant_combine_sign(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr,
+                                off, 0, 256, nullptr);
+        double v[3] = {1.0, 1.0, 1.0};
+        t->dequant_dot_triple_int8(nullptr, deq_is_b, nullptr, nullptr, off, 0,
+                                   256, v);
+        EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
+        t->dequant_dot_triple_int4(nullptr, deq_is_b, nullptr, nullptr, off, 0,
+                                   256, v);
+        EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
+        t->dequant_dot_triple_sign(nullptr, deq_is_b, nullptr, nullptr, off, 0,
+                                   256, v);
+        EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
+      }
+    }
+  }
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4,
+        CompressionMode::kSign}) {
+    CompressionOptions opts;
+    opts.mode = mode;
+    decompress_add_f32(nullptr, opts, 700, 300, {});
+    decompress_combine_f32(nullptr, opts, 700, 300, {}, 0.5, 0.5, true, {});
+    const kernels::DotTriple d =
+        decompress_dot_triple_f32(nullptr, opts, 700, 300, {}, false);
+    EXPECT_TRUE(d.ab == 0.0 && d.aa == 0.0 && d.bb == 0.0);
   }
 }
 
