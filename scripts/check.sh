@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate + the correctness-tooling matrix (DESIGN.md §11):
 #
+#   0. One reader: `getenv` appears in src/ only inside the runtime
+#      configuration (src/base/runtime_config.cpp).
 #   1. Release build (CMakePresets.json `release`) + full ctest under both
 #      SIMD dispatch levels, the micro-kernel speedup gate, the benchmark's
 #      self-test (perfbench/test_perfbench.py), the strict-analyzer reruns
@@ -21,6 +23,18 @@
 #        SKIP_SAN=1    scripts/check.sh   # skip stages 4 and 5
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "=== one reader: getenv only in src/base/runtime_config.cpp ==="
+# Every ADASUM_* variable is parsed, validated and warned about by
+# RuntimeConfig; a second reader in src/ would bring back a private parser.
+# bench/, perfbench/ and tests/ read their own knobs and are exempt.
+hits=$(grep -rn 'getenv' src/ | grep -v '^src/base/runtime_config\.cpp:' \
+  || true)
+if [[ -n "${hits}" ]]; then
+  echo "getenv outside the runtime configuration:"
+  echo "${hits}"
+  exit 1
+fi
 
 echo "=== tier-1: build + ctest (ADASUM_SIMD=auto) ==="
 cmake --preset release >/dev/null

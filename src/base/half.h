@@ -36,9 +36,6 @@ class Half {
   }
   constexpr std::uint16_t bits() const { return bits_; }
 
-  // Largest finite half value: 65504.
-  static constexpr float max_finite() { return 65504.0f; }
-
   friend bool operator==(Half a, Half b) {
     return static_cast<float>(a) == static_cast<float>(b);
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "base/check.h"
@@ -134,13 +132,6 @@ TunedConfig autotune_allreduce(const Topology& topology,
   }
   ADASUM_CHECK_MSG(have, "autotune: no candidate configurations");
   return best;
-}
-
-bool autotune_enabled_from_env() {
-  const char* env = std::getenv("ADASUM_AUTOTUNE");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "on" || v == "1" || v == "true";
 }
 
 }  // namespace adasum

@@ -82,7 +82,4 @@ TunedConfig autotune_allreduce(const Topology& topology,
                                const AutotuneRequest& request,
                                ComputeParams compute = {});
 
-// True when ADASUM_AUTOTUNE is set to on/1/true (the optimizer's gate).
-bool autotune_enabled_from_env();
-
 }  // namespace adasum

@@ -101,9 +101,4 @@ void BufferPool::set_max_free_buffers(std::size_t cap) {
   }
 }
 
-std::size_t BufferPool::max_free_buffers() const {
-  sync::lock_guard<sync::mutex> lock(mutex_);
-  return max_free_;
-}
-
 }  // namespace adasum

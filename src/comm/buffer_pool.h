@@ -59,7 +59,6 @@ class BufferPool {
   // count would shed buffers every round and re-allocate them the next,
   // making large-p steady state impossible to keep allocation-free.
   void set_max_free_buffers(std::size_t cap);
-  std::size_t max_free_buffers() const;
 
  private:
   mutable sync::mutex mutex_;

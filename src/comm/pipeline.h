@@ -9,21 +9,14 @@
 // contiguous spans to the SAME kernels in the SAME order as the monolithic
 // path, so results are bit-for-bit identical for every chunk size.
 //
-// Runtime control: ADASUM_PIPELINE=1|on enables chunking for every World
-// constructed afterwards, ADASUM_CHUNK_BYTES overrides the chunk size
-// (bytes); a malformed value warns once and keeps the default. Tests and benches set the options programmatically via
+// Runtime control: ADASUM_PIPELINE and ADASUM_CHUNK_BYTES seed the options
+// of every World constructed afterwards (see the runtime-configuration table
+// in README.md). Tests and benches set the options programmatically via
 // World::set_pipeline.
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <cstddef>
-#include <cstdlib>
-#include <mutex>
-#include <string_view>
-#include <system_error>
-
-#include "base/logging.h"
 
 namespace adasum {
 
@@ -40,42 +33,6 @@ struct PipelineOptions {
   std::size_t chunk_bytes_for(std::size_t elem_size) const {
     if (!enabled || elem_size == 0) return 0;
     return std::max(chunk_bytes - chunk_bytes % elem_size, elem_size);
-  }
-
-  // ADASUM_PIPELINE accepts on|1|off|0 and ADASUM_CHUNK_BYTES a whole
-  // positive decimal; any other value keeps the default (off, 256 KiB) and
-  // warns once per process, like ADASUM_COMPRESS.
-  static PipelineOptions from_env() {
-    PipelineOptions o;
-    if (const char* env = std::getenv("ADASUM_PIPELINE"); env != nullptr) {
-      const std::string_view v(env);
-      if (v == "1" || v == "on") {
-        o.enabled = true;
-      } else if (v != "0" && v != "off") {
-        static std::once_flag warned;
-        std::call_once(warned, [&] {
-          ADASUM_LOG(Warning) << "ADASUM_PIPELINE=" << v
-                              << " is not one of on|1|off|0; using off";
-        });
-      }
-    }
-    if (const char* env = std::getenv("ADASUM_CHUNK_BYTES"); env != nullptr) {
-      const std::string_view v(env);
-      std::size_t n = 0;
-      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-      if (ec == std::errc() && end == v.data() + v.size() && n > 0) {
-        o.chunk_bytes = n;
-      } else {
-        static std::once_flag warned;
-        std::call_once(warned, [&] {
-          ADASUM_LOG(Warning) << "ADASUM_CHUNK_BYTES=" << v
-                              << " is not a positive whole number of bytes; "
-                                 "using "
-                              << o.chunk_bytes;
-        });
-      }
-    }
-    return o;
   }
 };
 

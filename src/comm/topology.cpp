@@ -1,20 +1,15 @@
 #include "comm/topology.h"
 
-#include <cstdlib>
+#include "base/runtime_config.h"
 
 namespace adasum {
 namespace {
 
-// Parses a positive int out of `s`; nullopt on garbage, overflow or <= 0.
+// A positive count of at most 9 digits; nullopt on anything else.
 std::optional<int> parse_positive_int(std::string_view s) {
-  if (s.empty() || s.size() > 9) return std::nullopt;
-  int value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + (c - '0');
-  }
-  if (value <= 0) return std::nullopt;
-  return value;
+  const std::optional<std::size_t> n = parse_positive_decimal(s);
+  if (!n || *n > 999'999'999) return std::nullopt;
+  return static_cast<int>(*n);
 }
 
 std::optional<LinkParams> link_by_name(std::string_view name) {
@@ -59,12 +54,6 @@ std::optional<Topology> Topology::parse(std::string_view spec) {
     inter = *out;
   }
   return cluster(*nodes, *gpus, intra, inter);
-}
-
-std::optional<Topology> Topology::from_env() {
-  const char* env = std::getenv("ADASUM_TOPOLOGY");
-  if (env == nullptr) return std::nullopt;
-  return parse(env);
 }
 
 }  // namespace adasum

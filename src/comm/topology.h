@@ -56,23 +56,6 @@ struct Topology {
 
   int total_gpus() const { return num_nodes * gpus_per_node; }
 
-  // ---- node-major rank placement for a `world`-rank job -------------------
-  // Ranks fill nodes in order: rank r lives on node r / gpus_per_node. The
-  // job need not fill the topology — when world is not a multiple of
-  // gpus_per_node the LAST populated node is ragged (fewer ranks), which the
-  // topology-aware hierarchical allreduce supports directly.
-  int node_of(int rank) const { return rank / gpus_per_node; }
-  // Number of populated nodes for a `world`-rank job (last may be ragged).
-  int node_count(int world) const {
-    return (world + gpus_per_node - 1) / gpus_per_node;
-  }
-  // Ranks actually living on `node` in a `world`-rank job (0 past the end).
-  int node_size(int node, int world) const {
-    const int base = node * gpus_per_node;
-    if (base >= world) return 0;
-    return std::min(gpus_per_node, world - base);
-  }
-
   // Group-by-link-speed decision for hierarchical Adasum: how many
   // consecutive ranks should form one reduction group. The fast local fabric
   // is worth a dedicated intra-node phase only when it actually beats the
@@ -97,9 +80,6 @@ struct Topology {
   //   or "1x8:shm/ib100" for the zero-copy intra-node transport.
   // Returns nullopt (never throws) on a malformed spec.
   static std::optional<Topology> parse(std::string_view spec);
-  // Topology from the ADASUM_TOPOLOGY environment variable, parsed as above;
-  // nullopt when unset or malformed.
-  static std::optional<Topology> from_env();
 
   static Topology single_node(int gpus, LinkParams intra) {
     return Topology{1, gpus, std::move(intra), LinkParams{}};

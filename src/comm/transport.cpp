@@ -10,12 +10,8 @@
 // allocation profile as before the refactor.
 #include "comm/transport.h"
 
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <string>
 
-#include "base/logging.h"
 #include "comm/buffer_pool.h"
 #include "comm/channel.h"
 #include "comm/shm_transport.h"
@@ -147,26 +143,6 @@ std::unique_ptr<Transport> make_transport(std::string_view name,
     return std::make_unique<MailboxTransport>(world_size, pool);
   if (name == "shm") return std::make_unique<ShmTransport>(world_size, pool);
   return nullptr;
-}
-
-std::unique_ptr<Transport> make_transport_from_env(int world_size,
-                                                   BufferPool& pool) {
-  const char* env = std::getenv("ADASUM_TRANSPORT");
-  const std::string_view requested = env != nullptr ? env : "";
-  std::unique_ptr<Transport> t = make_transport(requested, world_size, pool);
-  if (t == nullptr) {
-    // Warn once per process: tests and benchmark sweeps construct many
-    // Worlds, and repeating the same misconfiguration line per World buries
-    // the signal it carries.
-    static std::once_flag warned;
-    std::call_once(warned, [&]() {
-      ADASUM_LOG(Warning) << "ADASUM_TRANSPORT=" << std::string(requested)
-                          << " is not a known transport (mailbox|shm); using "
-                             "mailbox";
-    });
-    t = make_transport("mailbox", world_size, pool);
-  }
-  return t;
 }
 
 }  // namespace adasum

@@ -155,14 +155,9 @@ class Transport {
 
 // Builds a transport by name: "mailbox" (the buffered reference
 // implementation) or "shm" (the one-sided shared-memory path). Returns
-// nullptr for an unknown name.
+// nullptr for an unknown name. World starts from ADASUM_TRANSPORT (see the
+// runtime-configuration table in README.md).
 std::unique_ptr<Transport> make_transport(std::string_view name,
                                           int world_size, BufferPool& pool);
-
-// Transport selected by the ADASUM_TRANSPORT environment variable; mailbox
-// when unset. An unknown value warns and falls back to mailbox, so a typo'd
-// environment degrades to the bit-identical default instead of aborting.
-std::unique_ptr<Transport> make_transport_from_env(int world_size,
-                                                   BufferPool& pool);
 
 }  // namespace adasum

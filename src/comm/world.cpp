@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <string_view>
 #include <thread>
 
+#include "base/runtime_config.h"
 
 namespace adasum {
 
@@ -38,24 +38,19 @@ World::World(int size) : size_(size) {
   // below that sheds (and next round re-allocates) buffers forever.
   pool_.set_max_free_buffers(
       std::max<std::size_t>(256, 16 * static_cast<std::size_t>(size)));
-  // Point-to-point mechanism under every send/recv (DESIGN.md §15):
-  // ADASUM_TRANSPORT selects mailbox (buffered default) or shm (one-sided
-  // zero-copy).
-  transport_ = make_transport_from_env(size, pool_);
-  // Chunked pipelining opts in from the environment (like the analyzer
-  // below) so any existing binary can run the chunk-streaming collectives
-  // without a code change.
-  pipeline_ = PipelineOptions::from_env();
-  // Wire compression likewise opts in from the environment
-  // (ADASUM_COMPRESS=int8|int4|sign); off by default since it is lossy.
-  compression_ = CompressionOptions::from_env();
-  // Opt into the protocol analyzer from the environment so any existing test
-  // binary can run under analysis without a code change.
-  if (const char* env = std::getenv("ADASUM_ANALYZE"); env != nullptr) {
-    const std::string_view v(env);
-    if (v == "1" || v == "on") enable_analyzer();
-  }
+  // Seeded from the ADASUM_* variables, so any binary runs under them as is.
+  const RuntimeConfig config = RuntimeConfig::from_env();
+  transport_ = make_transport(config.transport, size, pool_);
+  pipeline_ = {config.pipeline, config.chunk_bytes};
+  compression_.mode = config.compress;
+  compression_.block_bytes = config.compress_block;
+  if (config.analyze) enable_analyzer();
 }
+
+// The configuration's size defaults are the option structs' defaults.
+static_assert(RuntimeConfig{}.chunk_bytes == PipelineOptions{}.chunk_bytes &&
+              RuntimeConfig{}.compress_block ==
+                  CompressionOptions{}.block_bytes);
 
 void World::enable_analyzer(analysis::AnalyzerOptions options) {
   analyzer_ = std::make_unique<analysis::ProtocolAnalyzer>(

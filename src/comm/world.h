@@ -76,6 +76,9 @@ struct FaultToleranceOptions {
 
 class World {
  public:
+  // Transport, pipelining, compression and the analyzer start from the
+  // runtime configuration (base/runtime_config.h); the setters below
+  // override them between runs for tests and benches.
   explicit World(int size);
 
   int size() const { return size_; }
@@ -95,18 +98,15 @@ class World {
   BufferPool& buffer_pool() { return pool_; }
 
   // ---- transport (DESIGN.md §15; see comm/transport.h) -------------------
-  // The point-to-point mechanism under every send/recv. Selected at
-  // construction from ADASUM_TRANSPORT ("mailbox" — the buffered default —
-  // or "shm", the one-sided zero-copy path); switchable between runs for
-  // tests and benches. Returns false (and keeps the current transport) for
-  // an unknown name.
+  // The point-to-point mechanism under every send/recv: "mailbox" (the
+  // buffered default) or "shm" (the one-sided zero-copy path). Returns false
+  // (and keeps the current transport) for an unknown name.
   bool set_transport(std::string_view name);
   const char* transport_name() const { return transport_->name(); }
 
   // ---- fault model (all off by default; see header comment) --------------
   void enable_fault_tolerance(FaultToleranceOptions options = {});
   bool fault_tolerant() const { return ft_enabled_; }
-  const FaultToleranceOptions& fault_tolerance_options() const { return ft_; }
 
   // Attach (or clear, with nullptr) the fault injector applied to every
   // message and comm op of subsequent runs.
@@ -119,28 +119,22 @@ class World {
   // Attaches the communication-protocol analyzer to all subsequent runs:
   // non-overtaking/duplicate detection on every message, a deadlock
   // watchdog, per-collective schedule validation and end-of-run channel
-  // balance. Also enabled automatically when the ADASUM_ANALYZE environment
-  // variable is "1" or "on" at World construction.
+  // balance.
   void enable_analyzer(analysis::AnalyzerOptions options = {});
   analysis::ProtocolAnalyzer* analyzer() { return analyzer_.get(); }
 
   // ---- chunked pipelining (DESIGN.md §12; see comm/pipeline.h) -----------
-  // Chunk-streaming configuration for the collectives. Initialized from
-  // ADASUM_PIPELINE / ADASUM_CHUNK_BYTES at construction; settable between
-  // runs for tests and benches.
+  // Chunk-streaming configuration for the collectives.
   void set_pipeline(PipelineOptions options) { pipeline_ = options; }
   const PipelineOptions& pipeline() const { return pipeline_; }
 
   // ---- wire compression (DESIGN.md §13; see tensor/compress/compress.h) --
-  // Default compression mode for the collectives' transferred payloads.
-  // Initialized from ADASUM_COMPRESS / ADASUM_COMPRESS_BLOCK at
-  // construction (off unless the environment opts in); AllreduceOptions can
-  // override per call. Settable between runs for tests and benches.
+  // Default compression mode for the collectives' transferred payloads;
+  // AllreduceOptions can override per call.
   void set_compression(CompressionOptions options) { compression_ = options; }
   const CompressionOptions& compression() const { return compression_; }
 
   void enable_checksums(bool on) { checksums_ = on; }
-  bool checksums_enabled() const { return checksums_; }
   // Checksum mismatches caught on receive (across all runs).
   std::uint64_t corruptions_detected() const {
     return corruptions_detected_.load(std::memory_order_relaxed);
@@ -263,7 +257,6 @@ class BulkRecv {
     }
   }
 
-  bool holds_view() const { return live_ && in_.is_view; }
   std::span<const std::byte> data() const { return in_.data(); }
 
  private:

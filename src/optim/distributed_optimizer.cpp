@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "base/check.h"
+#include "base/runtime_config.h"
 #include "comm/buffer_pool.h"
 #include "tensor/kernels.h"
 
@@ -14,7 +15,7 @@ DistributedOptimizer::DistributedOptimizer(Comm& comm,
                                            DistributedOptions options)
     : comm_(comm), inner_(std::move(inner)), options_(options) {
   ADASUM_CHECK_GE(options_.local_steps, 1);
-  if (autotune_enabled_from_env()) options_.autotune = true;
+  if (RuntimeConfig::from_env().autotune) options_.autotune = true;
 }
 
 void DistributedOptimizer::resolve_autotune() {
@@ -35,9 +36,17 @@ void DistributedOptimizer::resolve_autotune() {
   const std::size_t bucket[1] = {options_.bucket_bytes};
   req.chunk_grid = chunk;
   req.bucket_grid = bucket;
-  const Topology topo = Topology::from_env().value_or(Topology::cluster(
-      comm_.size(), 1, links::infiniband100(), links::infiniband100()));
-  tuned_ = autotune_allreduce(topo, req);
+  // The cluster to plan for: ADASUM_TOPOLOGY, else one rank per node.
+  const std::string_view spec = RuntimeConfig::from_env().topology;
+  const std::optional<Topology> topo = Topology::parse(spec);
+  if (!topo && !spec.empty())
+    warn_bad_setting("ADASUM_TOPOLOGY", spec,
+                     "<nodes>x<gpus>[:<intra>/<inter>] or a Topology preset",
+                     "one rank per node");
+  tuned_ = autotune_allreduce(
+      topo.value_or(Topology::cluster(comm_.size(), 1, links::infiniband100(),
+                                      links::infiniband100())),
+      req);
   if (options_.algo != AllreduceAlgo::kAuto) return;  // explicit choice wins
   switch (tuned_.algo) {
     case TunedAlgo::kRing:

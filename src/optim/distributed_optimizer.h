@@ -85,7 +85,7 @@ struct DistributedOptions {
   // model's payload on the ADASUM_TOPOLOGY topology (uniform single-rank
   // nodes when unset) and resolve algo/ranks_per_node from the arg-min —
   // only when algo is kAuto, so an explicit algorithm choice always wins.
-  // The ADASUM_AUTOTUNE env var (on/1/true) force-enables this flag at
+  // ADASUM_AUTOTUNE=on (base/runtime_config.h) force-enables this flag at
   // construction. The full pick is exposed via tuned() for tests/benches.
   bool autotune = false;
 };

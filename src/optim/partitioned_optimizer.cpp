@@ -1,6 +1,5 @@
 #include "optim/partitioned_optimizer.h"
 
-#include <bit>
 #include <cstring>
 
 #include "base/check.h"
@@ -15,9 +14,6 @@ PartitionedDistributedOptimizer::PartitionedDistributedOptimizer(
     : comm_(comm), params_(std::move(params)), options_(options) {
   ADASUM_CHECK_GE(options_.ranks_per_node, 1);
   ADASUM_CHECK_EQ(comm_.size() % options_.ranks_per_node, 0);
-  const int num_nodes = comm_.size() / options_.ranks_per_node;
-  ADASUM_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(num_nodes)),
-                   "cross-node AdasumRVH needs a power-of-two node count");
   // The partition is a pure function of the (identical) parameter layout, so
   // every rank derives the same assignment.
   partition_ = layer_aligned_partition(params_, options_.ranks_per_node);

@@ -14,7 +14,8 @@
 //      partitioning, memory savings = state/num_local_ranks);
 //   3. the owner Adasum-reduces its shard's effective gradient with the
 //      same-shard owners of other nodes (cross-node AdasumRVH on the
-//      owner subgroup, per-layer boundaries preserved by layer alignment);
+//      owner subgroup, per-layer boundaries preserved by layer alignment;
+//      any node count, the RVH executor folds a non-power-of-two one);
 //   4. the owner broadcasts the updated shard parameters inside the node.
 //
 // Semantics note: the node's gradients are summed (not averaged) before the

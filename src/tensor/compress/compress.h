@@ -22,35 +22,24 @@
 // collectives because each segment is encoded once, by its owner, and every
 // rank decodes those bytes (see collectives/compressed.h).
 //
-// Runtime control, mirroring ADASUM_PIPELINE: ADASUM_COMPRESS=off|int8|int4|
-// sign|1bit selects the mode for every World constructed afterwards and
-// ADASUM_COMPRESS_BLOCK overrides the block size (bytes of fp32 payload per
-// scale). Tests and benches set options programmatically via
-// World::set_compression.
+// Runtime control: ADASUM_COMPRESS and ADASUM_COMPRESS_BLOCK seed the mode
+// and block size of every World constructed afterwards (see the
+// runtime-configuration table in README.md). Tests and benches set options
+// programmatically via World::set_compression.
 //
 // The options struct and the byte accounting are header-only so comm/ can
 // hold them without linking the codec; compress/decompress live in
 // compress.cpp and route through the dispatched SIMD tables.
 #pragma once
 
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <mutex>
 #include <span>
-#include <string_view>
-#include <system_error>
 
-#include "base/logging.h"
+#include "base/runtime_config.h"
 #include "tensor/kernels.h"
 
 namespace adasum {
-
-// kAuto defers to the enclosing configuration (AllreduceOptions defers to
-// the World, the World's from_env defaults to kNone); the collectives only
-// ever see a resolved concrete mode.
-enum class CompressionMode : std::uint8_t { kAuto, kNone, kInt8, kInt4, kSign };
 
 inline const char* compression_mode_name(CompressionMode mode) {
   switch (mode) {
@@ -77,8 +66,10 @@ struct CompressionOptions {
   // Stochastic rounding keeps the quantizer unbiased (the chi-square test in
   // tests/compress_test.cpp); round-to-nearest-even otherwise.
   bool stochastic = true;
-  // Base of the rounding counter. Fixed by default: determinism across
-  // ranks is REQUIRED for replica consistency (see file comment).
+  // Base of the rounding counter. Fixed by default so the codec is
+  // reproducible: the serial simulations in the tests replay it bit for bit.
+  // Replicas agree regardless, because each segment is encoded once by its
+  // owner and decode never reads the seed (see file comment).
   std::uint32_t seed = 0x9E3779B9u;
 
   bool active() const {
@@ -92,45 +83,6 @@ struct CompressionOptions {
     std::size_t e = block_bytes / sizeof(float);
     e -= e % 8;
     return e < 8 ? 8 : e;
-  }
-
-  // Unknown values keep the defaults (off, 1 KiB) and warn once per
-  // process, like ADASUM_TRANSPORT.
-  static CompressionOptions from_env() {
-    CompressionOptions o;
-    o.mode = CompressionMode::kNone;
-    if (const char* env = std::getenv("ADASUM_COMPRESS"); env != nullptr) {
-      const std::string_view v(env);
-      if (v == "int8") o.mode = CompressionMode::kInt8;
-      else if (v == "int4") o.mode = CompressionMode::kInt4;
-      else if (v == "sign" || v == "1bit") o.mode = CompressionMode::kSign;
-      else if (v != "off") {
-        static std::once_flag warned;
-        std::call_once(warned, [&] {
-          ADASUM_LOG(Warning) << "ADASUM_COMPRESS=" << v
-                              << " is not a known mode (off|int8|int4|sign|"
-                                 "1bit); using off";
-        });
-      }
-    }
-    if (const char* env = std::getenv("ADASUM_COMPRESS_BLOCK");
-        env != nullptr) {
-      const std::string_view v(env);
-      std::size_t n = 0;
-      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-      if (ec == std::errc() && end == v.data() + v.size() && n > 0) {
-        o.block_bytes = n;
-      } else {
-        static std::once_flag warned;
-        std::call_once(warned, [&] {
-          ADASUM_LOG(Warning) << "ADASUM_COMPRESS_BLOCK=" << v
-                              << " is not a positive whole number of bytes; "
-                                 "using "
-                              << o.block_bytes;
-        });
-      }
-    }
-    return o;
   }
 };
 

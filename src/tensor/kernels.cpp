@@ -148,10 +148,6 @@ double norm_squared_bytes(const std::byte* a, std::size_t count, DType dtype) {
   return simd::active_table().norm_squared[idx(dtype)](a, count);
 }
 
-bool has_nonfinite_bytes(const std::byte* a, std::size_t count, DType dtype) {
-  return simd::active_table().has_nonfinite[idx(dtype)](a, count);
-}
-
 void copy_bytes(const std::byte* src, std::byte* dst, std::size_t count,
                 DType dtype) {
   if (count == 0) return;

@@ -138,7 +138,6 @@ void add_bytes(const std::byte* x, std::byte* y, std::size_t count,
                DType dtype);
 void scale_bytes(double alpha, std::byte* x, std::size_t count, DType dtype);
 double norm_squared_bytes(const std::byte* a, std::size_t count, DType dtype);
-bool has_nonfinite_bytes(const std::byte* a, std::size_t count, DType dtype);
 // Straight payload copy (fusion pack/unpack); src and dst must not overlap.
 void copy_bytes(const std::byte* src, std::byte* dst, std::size_t count,
                 DType dtype);

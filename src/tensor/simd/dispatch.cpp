@@ -1,34 +1,29 @@
 #include "tensor/simd/simd.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include "base/logging.h"
+#include "base/runtime_config.h"
 
 namespace adasum::simd {
 namespace {
 
-// Resolution runs once (function-local static in active_level); it must not
-// allocate — chaos_test's zero-allocation gate covers binaries that dispatch.
+// Resolution runs once (function-local static in active_level); it allocates
+// nothing unless it warns — chaos_test's zero-allocation gate covers binaries
+// that dispatch.
 Level resolve_level() {
   const bool available = built_with_avx2() && cpu_has_avx2();
-  const char* env = std::getenv("ADASUM_SIMD");
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-    if (std::strcmp(env, "avx2") == 0) {
-      if (available) return Level::kAvx2;
-      std::fprintf(stderr,
-                   "adasum: ADASUM_SIMD=avx2 requested but %s; "
-                   "falling back to scalar kernels\n",
-                   built_with_avx2() ? "the CPU lacks AVX2/FMA/F16C"
-                                     : "the build has no AVX2 kernels");
+  switch (RuntimeConfig::from_env().simd) {
+    case SimdChoice::kScalar:
       return Level::kScalar;
-    }
-    if (std::strcmp(env, "auto") != 0) {
-      std::fprintf(stderr,
-                   "adasum: unknown ADASUM_SIMD value '%s' "
-                   "(expected scalar|avx2|auto); using auto\n",
-                   env);
-    }
+    case SimdChoice::kAvx2:
+      if (available) return Level::kAvx2;
+      ADASUM_LOG(Warning) << "ADASUM_SIMD=avx2 requested but "
+                          << (built_with_avx2()
+                                  ? "the CPU lacks AVX2/FMA/F16C"
+                                  : "the build has no AVX2 kernels")
+                          << "; falling back to scalar kernels";
+      return Level::kScalar;
+    case SimdChoice::kAuto:
+      break;
   }
   return available ? Level::kAvx2 : Level::kScalar;
 }

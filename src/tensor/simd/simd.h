@@ -2,13 +2,9 @@
 //
 // The binary carries one kernel table per supported ISA level. At first use
 // the dispatcher picks the widest level that (a) was compiled in (toolchain
-// probe), (b) the CPU reports via CPUID, and (c) the ADASUM_SIMD environment
-// variable allows:
-//
-//   ADASUM_SIMD=scalar   force the scalar oracle kernels
-//   ADASUM_SIMD=avx2     request AVX2+FMA+F16C (falls back to scalar, with a
-//                        warning, when the build or the CPU lacks it)
-//   ADASUM_SIMD=auto     (or unset) widest available level
+// probe), (b) the CPU reports via CPUID, and (c) ADASUM_SIMD allows
+// (scalar|avx2|auto; see the runtime-configuration table in README.md). An
+// avx2 request on a build or CPU without it warns and runs scalar.
 //
 // The choice is made once per process; scripts/check.sh runs the test suite
 // under both `auto` and `scalar`. Tests that need both tables in one process

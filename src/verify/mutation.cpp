@@ -2,8 +2,9 @@
 
 #if ADASUM_VERIFY
 
-#include <cstdlib>
-#include <cstring>
+#include <string>
+
+#include "base/runtime_config.h"
 
 namespace adasum::verify {
 
@@ -30,8 +31,16 @@ constexpr MutationSpec kTable[] = {
 static_assert(sizeof(kTable) / sizeof(kTable[0]) == kMutationCount);
 
 Mutation env_mutation() {
-  const char* env = std::getenv("ADASUM_VERIFY_MUTATE");
-  return mutation_from_name(env);
+  const std::string_view name = RuntimeConfig::from_env().verify_mutate;
+  const Mutation m = mutation_from_name(name);
+  if (m == Mutation::kNone && !name.empty()) {
+    std::string allowed = "one of ";
+    for (const MutationSpec& spec : kTable)
+      allowed.append(spec.name).append("|");
+    allowed.pop_back();
+    warn_bad_setting("ADASUM_VERIFY_MUTATE", name, allowed, "none");
+  }
+  return m;
 }
 
 // Racing tests would be a poor look for the race checker: the active
@@ -48,10 +57,9 @@ const MutationSpec* mutation_table(std::size_t* count) {
   return kTable;
 }
 
-Mutation mutation_from_name(const char* name) {
-  if (name == nullptr || *name == '\0') return Mutation::kNone;
+Mutation mutation_from_name(std::string_view name) {
   for (const MutationSpec& spec : kTable)
-    if (std::strcmp(spec.name, name) == 0) return spec.id;
+    if (name == spec.name) return spec.id;
   return Mutation::kNone;
 }
 

@@ -20,6 +20,7 @@
 #if ADASUM_VERIFY
 
 #include <atomic>
+#include <string_view>
 
 namespace adasum::verify {
 
@@ -63,11 +64,12 @@ struct MutationSpec {
 // Build-time table driving the self-test loop in verify_test.cpp.
 const MutationSpec* mutation_table(std::size_t* count);
 
-// Name lookup (nullptr-safe); returns kNone for unknown names.
-Mutation mutation_from_name(const char* name);
+// Name lookup; returns kNone for an empty or unknown name.
+Mutation mutation_from_name(std::string_view name);
 
-// Active mutation: ADASUM_VERIFY_MUTATE=<name> in the environment, read
-// once, unless a ScopedMutation overrides it programmatically.
+// Active mutation: ADASUM_VERIFY_MUTATE=<name> (base/runtime_config.h), read
+// once, unless a ScopedMutation overrides it programmatically. An unknown
+// name warns and runs clean.
 Mutation active_mutation();
 void set_active_mutation(Mutation m);
 

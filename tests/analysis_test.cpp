@@ -20,7 +20,6 @@
 #include "collectives/hierarchical.h"
 #include "comm/fault_injector.h"
 #include "comm/world.h"
-#include "env_restore.h"
 #include "tensor/tensor.h"
 
 namespace adasum {
@@ -51,7 +50,6 @@ bool has_violation(const std::vector<Violation>& violations,
 }
 
 TEST(Analysis, EnvironmentVariableEnablesAnalyzer) {
-  const EnvRestore restore("ADASUM_ANALYZE");
   ASSERT_EQ(setenv("ADASUM_ANALYZE", "on", /*overwrite=*/1), 0);
   {
     World world(2);

@@ -28,36 +28,12 @@
 #include "collectives/resilient.h"
 #include "core/adasum.h"
 #include "data/synthetic.h"
+#include "heap_counter.h"
 #include "nn/linear.h"
 #include "nn/models.h"
 #include "optim/lr_schedule.h"
 #include "tensor/fusion.h"
 #include "train/trainer.h"
-
-// Process-wide heap-allocation counter (same hook as
-// bench_fig4_allreduce_latency.cpp): the injector-off steady state must not
-// gain a single allocation from the fault machinery, and pool statistics
-// alone cannot see a malloc that bypasses the pool.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// GCC cannot see that the replacement operator new below hands out malloc'd
-// memory, so free() in the matching operator delete trips a false
-// -Wmismatched-new-delete.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace adasum {
 namespace {

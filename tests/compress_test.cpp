@@ -52,7 +52,6 @@
 #include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 #include "chaos_util.h"
-#include "env_restore.h"
 
 namespace adasum {
 namespace {
@@ -480,39 +479,6 @@ TEST(CompressCodec, DeterministicAcrossCalls) {
           << "n=" << n << " mode=" << compression_mode_name(mode);
     }
   }
-}
-
-// ADASUM_COMPRESS / ADASUM_COMPRESS_BLOCK: known values apply, anything else
-// keeps the default (off, 1 KiB) instead of being half-parsed.
-TEST(CompressCodec, FromEnvRejectsUnknownValues) {
-  const EnvRestore restore_mode("ADASUM_COMPRESS");
-  const EnvRestore restore_block("ADASUM_COMPRESS_BLOCK");
-  const auto mode_for = [](const char* v) {
-    setenv("ADASUM_COMPRESS", v, 1);
-    return CompressionOptions::from_env().mode;
-  };
-  EXPECT_EQ(mode_for("int8"), CompressionMode::kInt8);
-  EXPECT_EQ(mode_for("int4"), CompressionMode::kInt4);
-  EXPECT_EQ(mode_for("sign"), CompressionMode::kSign);
-  EXPECT_EQ(mode_for("1bit"), CompressionMode::kSign);
-  EXPECT_EQ(mode_for("off"), CompressionMode::kNone);
-  EXPECT_EQ(mode_for("int-8"), CompressionMode::kNone);
-  EXPECT_EQ(mode_for(""), CompressionMode::kNone);
-  unsetenv("ADASUM_COMPRESS");
-  EXPECT_EQ(CompressionOptions::from_env().mode, CompressionMode::kNone);
-
-  const std::size_t def = CompressionOptions{}.block_bytes;
-  const auto block_for = [](const char* v) {
-    setenv("ADASUM_COMPRESS_BLOCK", v, 1);
-    return CompressionOptions::from_env().block_bytes;
-  };
-  EXPECT_EQ(block_for("4096"), 4096u);
-  EXPECT_EQ(block_for("32"), 32u);
-  for (const char* bad : {"-1", "4k", "0", "", " 64", "+64", "1e3",
-                          "99999999999999999999999"})
-    EXPECT_EQ(block_for(bad), def) << "ADASUM_COMPRESS_BLOCK=" << bad;
-  unsetenv("ADASUM_COMPRESS_BLOCK");
-  EXPECT_EQ(CompressionOptions::from_env().block_bytes, def);
 }
 
 // ---- fused decode-reduce: bitwise equal to the two-pass composition --------

@@ -45,63 +45,72 @@ void forward_backward(nn::Sequential& model, const MicroBatch& mb) {
 }
 
 TEST(PartitionedOptimizer, MatchesUnshardedNodeSummedAdasum) {
-  // 2 nodes x 2 local ranks, SGD inner. Reference computed serially:
+  // {2, 3} nodes x 2 local ranks, SGD inner. Reference computed serially:
   // node gradient = sum of its 2 ranks' gradients; effective gradient =
-  // -lr * node_grad; cross-node per-layer tree Adasum; w += combined.
-  const int ranks = 4, per_node = 2;
+  // -lr * node_grad; cross-node per-layer Adasum in the RVH executor's
+  // order; w += combined. With 3 nodes the executor folds node 2 into
+  // node 0 with the pairwise Adasum before the tree over nodes {0, 1}.
+  const int per_node = 2;
   const double lr = 0.05;
+  for (const int nodes : {2, 3}) {
+    const int ranks = nodes * per_node;
 
-  // Serial reference.
-  Tensor expected;
-  {
-    auto probe = model_for(77);
-    auto params = probe->parameters();
-    const Tensor w0 = train::params_to_flat(params);
-    std::vector<Tensor> node_eff;
-    std::vector<TensorSlice> slices;
-    for (int n = 0; n < ranks / per_node; ++n) {
-      nn::zero_grads(params);
-      for (int j = 0; j < per_node; ++j)
-        forward_backward(*probe, batch_for(n * per_node + j));
-      // Effective gradient of an SGD shard step on the node-summed grads.
-      std::vector<Tensor> eff;
-      std::vector<const Tensor*> ptrs;
-      for (nn::Parameter* p : params) {
-        Tensor d = p->grad.clone();
-        kernels::scale(-lr, d.span<float>());
-        eff.push_back(std::move(d));
+    // Serial reference.
+    Tensor expected;
+    {
+      auto probe = model_for(77);
+      auto params = probe->parameters();
+      const Tensor w0 = train::params_to_flat(params);
+      std::vector<Tensor> node_eff;
+      std::vector<TensorSlice> slices;
+      for (int n = 0; n < nodes; ++n) {
+        nn::zero_grads(params);
+        for (int j = 0; j < per_node; ++j)
+          forward_backward(*probe, batch_for(n * per_node + j));
+        // Effective gradient of an SGD shard step on the node-summed grads.
+        std::vector<Tensor> eff;
+        std::vector<const Tensor*> ptrs;
+        for (nn::Parameter* p : params) {
+          Tensor d = p->grad.clone();
+          kernels::scale(-lr, d.span<float>());
+          eff.push_back(std::move(d));
+        }
+        for (const Tensor& t : eff) ptrs.push_back(&t);
+        FusedTensor fused = fuse(ptrs);
+        if (slices.empty()) slices = fused.slices;
+        node_eff.push_back(std::move(fused.flat));
       }
-      for (const Tensor& t : eff) ptrs.push_back(&t);
-      FusedTensor fused = fuse(ptrs);
-      if (slices.empty()) slices = fused.slices;
-      node_eff.push_back(std::move(fused.flat));
+      if (nodes == 3) {
+        adasum_pair_layerwise_inplace(node_eff[0], node_eff[2], slices);
+        node_eff.pop_back();
+      }
+      const Tensor combined = adasum_tree_layerwise(node_eff, slices);
+      expected = w0.clone();
+      kernels::add(combined.span<float>(), expected.span<float>());
     }
-    const Tensor combined = adasum_tree_layerwise(node_eff, slices);
-    expected = w0.clone();
-    kernels::add(combined.span<float>(), expected.span<float>());
-  }
 
-  std::vector<Tensor> finals(static_cast<std::size_t>(ranks));
-  World world(ranks);
-  world.run([&](Comm& comm) {
-    auto model = model_for(77);
-    auto params = model->parameters();
-    PartitionedDistributedOptimizer::Options opts;
-    opts.ranks_per_node = per_node;
-    opts.optimizer = OptimizerKind::kSgd;
-    PartitionedDistributedOptimizer dopt(comm, params, opts);
-    forward_backward(*model, batch_for(comm.rank()));
-    dopt.step(lr);
-    finals[static_cast<std::size_t>(comm.rank())] =
-        train::params_to_flat(params);
-  });
+    std::vector<Tensor> finals(static_cast<std::size_t>(ranks));
+    World world(ranks);
+    world.run([&](Comm& comm) {
+      auto model = model_for(77);
+      auto params = model->parameters();
+      PartitionedDistributedOptimizer::Options opts;
+      opts.ranks_per_node = per_node;
+      opts.optimizer = OptimizerKind::kSgd;
+      PartitionedDistributedOptimizer dopt(comm, params, opts);
+      forward_backward(*model, batch_for(comm.rank()));
+      dopt.step(lr);
+      finals[static_cast<std::size_t>(comm.rank())] =
+          train::params_to_flat(params);
+    });
 
-  for (int r = 0; r < ranks; ++r) {
-    ASSERT_EQ(finals[static_cast<std::size_t>(r)].size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      ASSERT_NEAR(finals[static_cast<std::size_t>(r)].at(i), expected.at(i),
-                  1e-5 * (1.0 + std::abs(expected.at(i))))
-          << "rank " << r << " i=" << i;
+    for (int r = 0; r < ranks; ++r) {
+      ASSERT_EQ(finals[static_cast<std::size_t>(r)].size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_NEAR(finals[static_cast<std::size_t>(r)].at(i), expected.at(i),
+                    1e-5 * (1.0 + std::abs(expected.at(i))))
+            << nodes << " nodes, rank " << r << " i=" << i;
+    }
   }
 }
 

@@ -28,39 +28,16 @@
 
 #include "base/rng.h"
 #include "chaos_util.h"
-#include "env_restore.h"
 #include "collectives/allreduce.h"
 #include "collectives/comm_engine.h"
 #include "collectives/resilient.h"
 #include "comm/fault_injector.h"
 #include "comm/pipeline.h"
 #include "comm/world.h"
+#include "heap_counter.h"
 #include "nn/module.h"
 #include "optim/distributed_optimizer.h"
 #include "tensor/fusion.h"
-
-// Process-wide heap-allocation counter (same hook as chaos_test.cpp): the
-// engine's steady-state submit/wait loop must not allocate.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// GCC cannot see that the replacement operator new below hands out malloc'd
-// memory, so free() in the matching operator delete trips a false
-// -Wmismatched-new-delete.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace adasum {
 namespace {
@@ -116,39 +93,6 @@ TEST(ChunkMath, ChunkBytesForAlignsToElements) {
   on.chunk_bytes = 1;
   EXPECT_EQ(on.chunk_bytes_for(4), 4u);      // never below one element
   EXPECT_EQ(on.chunk_bytes_for(8), 8u);
-}
-
-// ADASUM_PIPELINE / ADASUM_CHUNK_BYTES: known values apply, anything else
-// keeps the default (off, 256 KiB) instead of being half-parsed — "4k" or
-// "1e6" must not become one-element chunks, nor "-1" a monolithic transfer.
-TEST(ChunkMath, FromEnvRejectsMalformedValues) {
-  const EnvRestore restore_switch("ADASUM_PIPELINE");
-  const EnvRestore restore_chunk("ADASUM_CHUNK_BYTES");
-  const auto enabled_for = [](const char* v) {
-    setenv("ADASUM_PIPELINE", v, 1);
-    return PipelineOptions::from_env().enabled;
-  };
-  EXPECT_TRUE(enabled_for("on"));
-  EXPECT_TRUE(enabled_for("1"));
-  EXPECT_FALSE(enabled_for("off"));
-  EXPECT_FALSE(enabled_for("0"));
-  for (const char* bad : {"true", "yes", "ON", "", "2"})
-    EXPECT_FALSE(enabled_for(bad)) << "ADASUM_PIPELINE=" << bad;
-  unsetenv("ADASUM_PIPELINE");
-  EXPECT_FALSE(PipelineOptions::from_env().enabled);
-
-  const std::size_t def = PipelineOptions{}.chunk_bytes;
-  const auto chunk_for = [](const char* v) {
-    setenv("ADASUM_CHUNK_BYTES", v, 1);
-    return PipelineOptions::from_env().chunk_bytes;
-  };
-  EXPECT_EQ(chunk_for("4096"), 4096u);
-  EXPECT_EQ(chunk_for("100"), 100u);
-  for (const char* bad : {"4k", "1e6", "-1", "0", "", " 64", "+64",
-                          "99999999999999999999999"})
-    EXPECT_EQ(chunk_for(bad), def) << "ADASUM_CHUNK_BYTES=" << bad;
-  unsetenv("ADASUM_CHUNK_BYTES");
-  EXPECT_EQ(PipelineOptions::from_env().chunk_bytes, def);
 }
 
 // ---- bit-for-bit parity of the chunked collectives -------------------------

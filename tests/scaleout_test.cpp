@@ -27,28 +27,8 @@
 #include "collectives/hierarchical_reference.h"
 #include "collectives/sum_allreduce.h"
 #include "comm/topology.h"
+#include "heap_counter.h"
 #include "tensor/kernels.h"
-
-// Global-new counter for the steady-state allocation gate (same idiom as
-// chaos_test.cpp / bench_fig4): pool statistics cannot see a malloc that
-// bypasses the pool.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace adasum {
 namespace {

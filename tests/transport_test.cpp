@@ -26,29 +26,8 @@
 #include "comm/fault_injector.h"
 #include "comm/transport.h"
 #include "comm/world.h"
+#include "heap_counter.h"
 #include "tensor/tensor.h"
-
-// Process-wide heap-allocation counter (same hook as chaos_test.cpp), for
-// the verify-OFF parity gate below: the schedule-point layer must be free
-// when compiled out, and pool statistics cannot see a malloc that bypasses
-// the pool.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace adasum {
 namespace {
