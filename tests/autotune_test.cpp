@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/runtime_config.h"
 #include "collectives/allreduce.h"
 #include "comm/autotune.h"
 #include "comm/cost_model.h"
 #include "comm/fault_injector.h"
 #include "comm/topology.h"
 #include "comm/world.h"
+#include "env_restore.h"
 #include "nn/models.h"
 #include "nn/module.h"
 #include "optim/distributed_optimizer.h"
@@ -313,6 +315,22 @@ TEST(Autotune, DegenerateInputsFallBackCleanly) {
   const double huge =
       predict_allreduce_s(t, TunedAlgo::kRvh, 1, 0, 1 << 30, req, {});
   EXPECT_EQ(mono, huge);
+}
+
+// ADASUM_AUTOTUNE read from the process environment: on and 1 enable it;
+// true, like any other value, warns and keeps the default (off).
+TEST(Autotune, EnvGateParsesOnOneTrue) {
+  const EnvRestore restore("ADASUM_AUTOTUNE");
+  unsetenv("ADASUM_AUTOTUNE");
+  EXPECT_FALSE(RuntimeConfig::from_env().autotune);
+  setenv("ADASUM_AUTOTUNE", "on", 1);
+  EXPECT_TRUE(RuntimeConfig::from_env().autotune);
+  setenv("ADASUM_AUTOTUNE", "1", 1);
+  EXPECT_TRUE(RuntimeConfig::from_env().autotune);
+  setenv("ADASUM_AUTOTUNE", "true", 1);
+  EXPECT_FALSE(RuntimeConfig::from_env().autotune);
+  setenv("ADASUM_AUTOTUNE", "off", 1);
+  EXPECT_FALSE(RuntimeConfig::from_env().autotune);
 }
 
 // ---- measured validation --------------------------------------------------

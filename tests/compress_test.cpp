@@ -39,12 +39,14 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/runtime_config.h"
 #include "collectives/allreduce.h"
 #include "collectives/compressed.h"
 #include "collectives/resilient.h"
 #include "collectives/sum_allreduce.h"
 #include "comm/fault_injector.h"
 #include "comm/world.h"
+#include "env_restore.h"
 #include "nn/models.h"
 #include "tensor/compress/compress.h"
 #include "tensor/kernels.h"
@@ -479,6 +481,40 @@ TEST(CompressCodec, DeterministicAcrossCalls) {
           << "n=" << n << " mode=" << compression_mode_name(mode);
     }
   }
+}
+
+// ADASUM_COMPRESS / ADASUM_COMPRESS_BLOCK read from the process environment:
+// known values apply, anything else keeps the default (off, 1 KiB) instead
+// of being half-parsed.
+TEST(CompressCodec, FromEnvRejectsUnknownValues) {
+  const EnvRestore restore_mode("ADASUM_COMPRESS");
+  const EnvRestore restore_block("ADASUM_COMPRESS_BLOCK");
+  const auto mode_for = [](const char* v) {
+    setenv("ADASUM_COMPRESS", v, 1);
+    return RuntimeConfig::from_env().compress;
+  };
+  EXPECT_EQ(mode_for("int8"), CompressionMode::kInt8);
+  EXPECT_EQ(mode_for("int4"), CompressionMode::kInt4);
+  EXPECT_EQ(mode_for("sign"), CompressionMode::kSign);
+  EXPECT_EQ(mode_for("1bit"), CompressionMode::kSign);
+  EXPECT_EQ(mode_for("off"), CompressionMode::kNone);
+  EXPECT_EQ(mode_for("int-8"), CompressionMode::kNone);
+  EXPECT_EQ(mode_for(""), CompressionMode::kNone);
+  unsetenv("ADASUM_COMPRESS");
+  EXPECT_EQ(RuntimeConfig::from_env().compress, CompressionMode::kNone);
+
+  const std::size_t def = RuntimeConfig{}.compress_block;
+  const auto block_for = [](const char* v) {
+    setenv("ADASUM_COMPRESS_BLOCK", v, 1);
+    return RuntimeConfig::from_env().compress_block;
+  };
+  EXPECT_EQ(block_for("4096"), 4096u);
+  EXPECT_EQ(block_for("32"), 32u);
+  for (const char* bad : {"-1", "4k", "0", "", " 64", "+64", "1e3",
+                          "99999999999999999999999"})
+    EXPECT_EQ(block_for(bad), def) << "ADASUM_COMPRESS_BLOCK=" << bad;
+  unsetenv("ADASUM_COMPRESS_BLOCK");
+  EXPECT_EQ(RuntimeConfig::from_env().compress_block, def);
 }
 
 // ---- fused decode-reduce: bitwise equal to the two-pass composition --------

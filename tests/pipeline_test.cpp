@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/runtime_config.h"
 #include "chaos_util.h"
 #include "collectives/allreduce.h"
 #include "collectives/comm_engine.h"
@@ -34,6 +35,7 @@
 #include "comm/fault_injector.h"
 #include "comm/pipeline.h"
 #include "comm/world.h"
+#include "env_restore.h"
 #include "heap_counter.h"
 #include "nn/module.h"
 #include "optim/distributed_optimizer.h"
@@ -93,6 +95,41 @@ TEST(ChunkMath, ChunkBytesForAlignsToElements) {
   on.chunk_bytes = 1;
   EXPECT_EQ(on.chunk_bytes_for(4), 4u);      // never below one element
   EXPECT_EQ(on.chunk_bytes_for(8), 8u);
+}
+
+// ADASUM_PIPELINE / ADASUM_CHUNK_BYTES read from the process environment:
+// known values apply, anything else keeps the default (off, 256 KiB)
+// instead of being half-parsed — "4k" or "1e6" must not become one-element
+// chunks, nor "-1" a monolithic transfer.
+TEST(ChunkMath, FromEnvRejectsMalformedValues) {
+  const EnvRestore restore_switch("ADASUM_PIPELINE");
+  const EnvRestore restore_chunk("ADASUM_CHUNK_BYTES");
+  const auto enabled_for = [](const char* v) {
+    setenv("ADASUM_PIPELINE", v, 1);
+    return RuntimeConfig::from_env().pipeline;
+  };
+  EXPECT_TRUE(enabled_for("on"));
+  EXPECT_TRUE(enabled_for("1"));
+  EXPECT_FALSE(enabled_for("off"));
+  EXPECT_FALSE(enabled_for("0"));
+  for (const char* bad : {"true", "yes", "ON", "", "2"})
+    EXPECT_FALSE(enabled_for(bad)) << "ADASUM_PIPELINE=" << bad;
+  unsetenv("ADASUM_PIPELINE");
+  EXPECT_FALSE(RuntimeConfig::from_env().pipeline);
+
+  const std::size_t def = RuntimeConfig{}.chunk_bytes;
+  EXPECT_EQ(def, PipelineOptions{}.chunk_bytes);
+  const auto chunk_for = [](const char* v) {
+    setenv("ADASUM_CHUNK_BYTES", v, 1);
+    return RuntimeConfig::from_env().chunk_bytes;
+  };
+  EXPECT_EQ(chunk_for("4096"), 4096u);
+  EXPECT_EQ(chunk_for("100"), 100u);
+  for (const char* bad : {"4k", "1e6", "-1", "0", "", " 64", "+64",
+                          "99999999999999999999999"})
+    EXPECT_EQ(chunk_for(bad), def) << "ADASUM_CHUNK_BYTES=" << bad;
+  unsetenv("ADASUM_CHUNK_BYTES");
+  EXPECT_EQ(RuntimeConfig::from_env().chunk_bytes, def);
 }
 
 // ---- bit-for-bit parity of the chunked collectives -------------------------
