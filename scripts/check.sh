@@ -129,11 +129,12 @@ echo "=== transport gate: zero-copy throughput floor ==="
 # bit parity and zero steady-state allocations on both transports.
 ./build/bench/bench_fig4_allreduce_latency
 
-echo "=== allocation gate: injector-off fault path ==="
+echo "=== allocation gate: injector-off fault path, optimizer round ==="
 # The fault machinery AND the (disabled) protocol analyzer must add zero
 # steady-state heap allocations (operator-new hook, same as bench_fig4's
-# zero-copy gate).
+# zero-copy gate), and so must a warm DistributedOptimizer step.
 ./build/tests/chaos_test --gtest_filter='Chaos.FaultTolerantHotPathAddsNoSteadyStateAllocations:Chaos.AnalyzerOffPathIsByteAndAllocationIdenticalToSeed'
+./build/tests/distributed_optimizer_test --gtest_filter='DistributedOptimizerTest.WarmRoundsMakeNoHeapAllocations'
 
 if [[ "${SKIP_VERIFY:-0}" == "1" ]]; then
   echo "=== verify: skipped (SKIP_VERIFY=1) ==="

@@ -25,7 +25,7 @@ inline std::string reduce_op_name(ReduceOp op) {
 
 // Which schedule carries the reduction.
 enum class AllreduceAlgo {
-  kAuto,          // RVH for power-of-two worlds, serial-tree fallback else
+  kAuto,          // Adasum: RVH; Sum: RVH for power-of-two p, ring else
   kRvh,           // recursive vector halving (Algorithm 1 for Adasum), any p
   kRing,          // ring (sum) / chain (linear Adasum, §4.2.3)
   kHierarchical,  // §4.2.2: local reduce + cross-node RVH + local gather

@@ -29,28 +29,6 @@ CostModel::CostModel(Topology topology, ComputeParams compute)
   ADASUM_CHECK_GE(topology_.total_gpus(), 1);
 }
 
-double CostModel::wire_bytes(double fp32_bytes) const {
-  if (!compression_.active() || fp32_bytes <= 0.0) return fp32_bytes;
-  const double count = fp32_bytes / 4.0;
-  const double scales =
-      std::ceil(count / static_cast<double>(compression_.block_elems())) * 4.0;
-  double payload = fp32_bytes;
-  switch (compression_.mode) {
-    case CompressionMode::kInt8:
-      payload = count;
-      break;
-    case CompressionMode::kInt4:
-      payload = count / 2.0;
-      break;
-    case CompressionMode::kSign:
-      payload = count / 8.0;
-      break;
-    default:
-      break;
-  }
-  return scales + payload;
-}
-
 double CostModel::ring_allreduce_sum(double bytes) const {
   const int p = topology_.total_gpus();
   if (p == 1) return 0.0;
@@ -60,7 +38,7 @@ double CostModel::ring_allreduce_sum(double bytes) const {
       topology_.num_nodes > 1 ? topology_.inter : topology_.intra;
   const double chunk = bytes / p;
   const double steps = 2.0 * (p - 1);
-  const double wire = steps * link.transfer_time(wire_bytes(chunk));
+  const double wire = steps * link.transfer_time(chunk);
   const double reduce_bytes = (p - 1) * chunk;  // reduce-scatter adds
   return wire + reduce_bytes / compute_.sum_Bps;
 }
@@ -102,7 +80,7 @@ double CostModel::rvh_allreduce_sum(double bytes) const {
     const double half = segment / 2.0;
     // Reduce-scatter step: exchange halves, sum own half. The mirrored
     // allgather step moves the same bytes back without arithmetic.
-    total += 2.0 * link.transfer_time(wire_bytes(half));
+    total += 2.0 * link.transfer_time(half);
     total += half / compute_.sum_Bps;
     segment = half;
   }
@@ -146,9 +124,8 @@ double CostModel::rvh_allreduce_adasum(double bytes, int num_layers) const {
   for (int k = 0; k < levels; ++k) {
     const LinkParams& link = link_for_distance(1 << k);
     const double half = segment / 2.0;
-    // Halving exchange + mirrored allgather exchange, at wire bytes; the
-    // triple allreduce below always travels exact.
-    total += 2.0 * link.transfer_time(wire_bytes(half));
+    // Halving exchange + mirrored allgather exchange.
+    total += 2.0 * link.transfer_time(half);
     // Dot-triple pass and the scaled-sum combine over the local half.
     total += half / compute_.dot_Bps + half / compute_.combine_Bps;
     // Triple allreduce over the 2^(k+1)-rank group: k+1 recursive-doubling
@@ -180,12 +157,10 @@ double CostModel::rvh_allreduce_adasum_pipelined(double bytes,
     // Halving exchange: the incoming half arrives as a chunk stream and the
     // dot-triple pass consumes chunks as they land, so the level's critical
     // path is the wire OR the compute trailing the first chunk — whichever
-    // is longer — instead of their sum. Every chunk pays its own α. With
-    // compression the stream (and hence its chunking) is the wire-byte blob.
-    const double wbytes = wire_bytes(half);
-    const double wire = chunked_transfer_time(link, wbytes);
+    // is longer — instead of their sum. Every chunk pays its own α.
+    const double wire = chunked_transfer_time(link, half);
     const double first_chunk = chunked_transfer_time(
-        link, chunk_bytes_ > 0.0 ? std::min(chunk_bytes_, wbytes) : wbytes);
+        link, chunk_bytes_ > 0.0 ? std::min(chunk_bytes_, half) : half);
     const double dot = half / compute_.dot_Bps;
     total += std::max(wire, dot + first_chunk);
     // The combine and the triple allreduce stay serial: the scale factors
@@ -193,7 +168,7 @@ double CostModel::rvh_allreduce_adasum_pipelined(double bytes,
     total += half / compute_.combine_Bps;
     total += recursive_doubling_cost(k + 1, triple_bytes, 1);
     // Mirrored allgather exchange: a chunk stream with nothing to overlap.
-    total += chunked_transfer_time(link, wbytes);
+    total += chunked_transfer_time(link, half);
     segment = half;
   }
   return total;
@@ -212,26 +187,21 @@ double CostModel::ring_allreduce_adasum(double bytes, int num_layers) const {
   const double scalar_bytes = 3.0 * 8.0 * num_layers / p;  // per chunk share
   double total = 0.0;
   for (int s = 0; s < p - 1; ++s) {
-    // The gradient slice compresses; the per-layer scalars travel exact.
-    total += link.transfer_time(wire_bytes(chunk) + scalar_bytes);
+    total += link.transfer_time(chunk + scalar_bytes);
     total += chunk / compute_.dot_Bps + chunk / compute_.combine_Bps;
   }
   // Allgather phase: p-1 pipelined steps.
-  total += (p - 1) * link.transfer_time(wire_bytes(chunk));
+  total += (p - 1) * link.transfer_time(chunk);
   return total;
 }
 
 double CostModel::hierarchical_allreduce_sum(double bytes) const {
   const int local = topology_.gpus_per_node;
   if (topology_.num_nodes == 1) {
-    // Single node: the implementation skips the cross-node phase entirely,
-    // so no transfer compresses — price the flat schedule uncompressed.
-    CostModel flat(topology_, compute_);
-    flat.chunk_bytes_ = chunk_bytes_;
-    return flat.rvh_allreduce_sum(bytes);
+    // Single node: the implementation skips the cross-node phase entirely.
+    return rvh_allreduce_sum(bytes);
   }
-  // Local reduce-scatter + allgather: ring over the node's GPUs, exact —
-  // only the cross-node phase compresses (see hierarchical.h).
+  // Local reduce-scatter + allgather: ring over the node's GPUs.
   const double chunk = bytes / local;
   const double local_steps = local - 1;
   double total =
@@ -241,7 +211,6 @@ double CostModel::hierarchical_allreduce_sum(double bytes) const {
   CostModel cross(Topology::cluster(topology_.num_nodes, 1, topology_.inter,
                                     topology_.inter),
                   compute_);
-  cross.compression_ = compression_;
   total += cross.rvh_allreduce_sum(chunk);
   return total;
 }
@@ -250,9 +219,7 @@ double CostModel::hierarchical_allreduce_adasum(double bytes,
                                                 int num_layers) const {
   const int local = topology_.gpus_per_node;
   if (topology_.num_nodes == 1) {
-    CostModel flat(topology_, compute_);
-    flat.chunk_bytes_ = chunk_bytes_;
-    return flat.rvh_allreduce_adasum(bytes, num_layers);
+    return rvh_allreduce_adasum(bytes, num_layers);
   }
   const double chunk = bytes / local;
   const double local_steps = local - 1;
@@ -262,7 +229,6 @@ double CostModel::hierarchical_allreduce_adasum(double bytes,
   CostModel cross(Topology::cluster(topology_.num_nodes, 1, topology_.inter,
                                     topology_.inter),
                   compute_);
-  cross.compression_ = compression_;
   total += cross.rvh_allreduce_adasum(chunk, num_layers);
   return total;
 }

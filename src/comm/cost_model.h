@@ -12,12 +12,15 @@
 // This is what generates the latency curves of Fig. 4 and the epoch/step
 // times of Tables 2 and 4: the *shape* of those results depends only on the
 // schedule structure, which the model reproduces exactly.
+//
+// Every transfer is priced at its fp32 bytes: the wire codec's compressed
+// sizes (DESIGN.md §13) are not modelled yet (ROADMAP item 9), so a pick
+// made with ADASUM_COMPRESS set is the pick for an uncompressed wire.
 #pragma once
 
 #include <cstddef>
 
 #include "comm/topology.h"
-#include "tensor/compress/compress.h"
 
 namespace adasum {
 
@@ -42,19 +45,6 @@ class CostModel {
   // to their monolithic counterparts.
   void set_chunk_bytes(double chunk_bytes) { chunk_bytes_ = chunk_bytes; }
   double chunk_bytes() const { return chunk_bytes_; }
-
-  // Wire compression (DESIGN.md §13): payload transfers are priced at their
-  // compressed bytes-on-wire — scale sideband plus packed payload — while
-  // control traffic (dot triples, per-step scalars) stays exact, mirroring
-  // the implementation. Codec arithmetic is NOT charged: it runs at memory
-  // bandwidth off the wire's critical path, and the measured bench
-  // (bench_compress) captures it where it matters. Hierarchical collectives
-  // compress the cross-node phase only. Defaults (kAuto/kNone) leave every
-  // prediction bit-for-bit what it was without compression.
-  void set_wire_compression(const CompressionOptions& compression) {
-    compression_ = compression;
-  }
-  const CompressionOptions& wire_compression() const { return compression_; }
 
   // Honest α–β price of a chunked stream: a payload split into k chunks
   // pays k·α + bytes/B, not α + bytes/B — per-chunk latency is the tax the
@@ -110,15 +100,9 @@ class CostModel {
   // members are at distances 1,2,...,2^(rounds-1) apart.
   double recursive_doubling_cost(int rounds, double bytes,
                                  int base_distance) const;
-  // Bytes a payload of `fp32_bytes` occupies on the wire under the model's
-  // compression options (identity when inactive) — the analytic double-
-  // valued twin of compressed_wire_bytes().
-  double wire_bytes(double fp32_bytes) const;
-
   Topology topology_;
   ComputeParams compute_;
   double chunk_bytes_ = 0.0;  // 0 = monolithic transfers
-  CompressionOptions compression_{};  // default-inactive (kAuto, no World)
 };
 
 }  // namespace adasum

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "base/check.h"
 #include "base/runtime_config.h"
 #include "comm/buffer_pool.h"
 #include "tensor/kernels.h"
+#include "tensor/quantize.h"
 
 namespace adasum::optim {
 
@@ -17,6 +19,8 @@ DistributedOptimizer::DistributedOptimizer(Comm& comm,
   ADASUM_CHECK_GE(options_.local_steps, 1);
   if (RuntimeConfig::from_env().autotune) options_.autotune = true;
 }
+
+DistributedOptimizer::~DistributedOptimizer() = default;
 
 void DistributedOptimizer::resolve_autotune() {
   tuned_resolved_ = true;
@@ -89,21 +93,27 @@ bool DistributedOptimizer::step(double lr) {
   // Adasum mode (Figure 3): optimizer first, allreduce the effective
   // gradient after.
   if (micro_step_ == 0) {
-    // Snapshot the round start. Warm rounds refresh the existing snapshot
-    // tensors in place (same values as a fresh clone, no allocation).
-    bool reuse = round_start_.size() == params.size();
-    for (std::size_t i = 0; reuse && i < params.size(); ++i)
-      reuse = round_start_[i].nbytes() == params[i]->value.nbytes();
-    if (reuse) {
-      for (std::size_t i = 0; i < params.size(); ++i)
-        std::memcpy(round_start_[i].data(), params[i]->value.data(),
-                    params[i]->value.nbytes());
-    } else {
+    // Snapshot the round start. The snapshot and the payload tensors are
+    // sized on the first round; warm rounds refresh the snapshot in place.
+    bool same = round_start_.size() == params.size();
+    for (std::size_t i = 0; same && i < params.size(); ++i)
+      same = round_start_[i].nbytes() == params[i]->value.nbytes();
+    if (!same) {
+      const bool fp16 = options_.compression == GradientCompression::kFp16;
       round_start_.clear();
-      round_start_.reserve(params.size());
-      for (const nn::Parameter* p : params)
-        round_start_.push_back(p->value.clone());
+      eff_.clear();
+      eff_fp16_.clear();
+      payload_views_.clear();
+      for (const nn::Parameter* p : params) {
+        round_start_.emplace_back(p->value.shape());
+        eff_.emplace_back(p->value.shape());
+        if (fp16) eff_fp16_.emplace_back(p->value.shape(), DType::kFloat16);
+      }
+      for (Tensor& t : fp16 ? eff_fp16_ : eff_) payload_views_.push_back(&t);
     }
+    for (std::size_t i = 0; i < params.size(); ++i)
+      std::memcpy(round_start_[i].data(), params[i]->value.data(),
+                  params[i]->value.nbytes());
   }
   inner_->step(lr);
   inner_->zero_grad();
@@ -112,34 +122,6 @@ bool DistributedOptimizer::step(double lr) {
   communicate_effective_gradient();
   ++rounds_;
   return true;
-}
-
-ReduceOutcome DistributedOptimizer::reduce_tensors(
-    std::vector<Tensor*>& tensors, ReduceOp op) {
-  if (bucketed()) return reduce_bucketed(tensors, op);
-  AllreduceOptions opts;
-  opts.op = op;
-  opts.algo = options_.algo;
-  opts.ranks_per_node = options_.ranks_per_node;
-  opts.compression = options_.wire_compression;
-  // tag namespace per round so back-to-back rounds cannot cross-talk.
-  const int tag_base = (tag_round_++ % 64) * 65536;
-  // Pack through the persistent FusionBuffer: one fuse per round (the old
-  // non-layerwise path fused twice to restore the table), and warm rounds
-  // reuse the fused backing store outright. An empty slice table already
-  // means "treat the payload as one layer", so the non-layerwise case just
-  // leaves opts.slices empty — the boundary table stays intact for unpack.
-  std::vector<const Tensor*> views(tensors.begin(), tensors.end());
-  FusedTensor& fused = fusion_.pack(views);
-  if (options_.layerwise) opts.slices = fused.slices;
-  // resilient_allreduce is a plain allreduce when the world is not
-  // fault-tolerant; otherwise peer failures degrade the group instead of
-  // crashing the round.
-  const ResilientResult res =
-      resilient_allreduce(comm_, fused.flat, opts, tag_base);
-  if (res.outcome == ReduceOutcome::kDegraded) ++degraded_rounds_;
-  fusion_.unpack(tensors);
-  return res.outcome;
 }
 
 CommEngine& DistributedOptimizer::engine() {
@@ -289,13 +271,8 @@ void DistributedOptimizer::notify_grad_ready(std::size_t param_index) {
   if (micro_step_ != options_.local_steps - 1) return;
   const auto& params = inner_->params();
   ADASUM_CHECK_LT(param_index, params.size());
-  if (grads_view_.size() != params.size()) {
-    grads_view_.clear();
-    grads_view_.reserve(params.size());
-    for (nn::Parameter* p : inner_->params())
-      grads_view_.push_back(&p->grad);
-  }
-  ensure_buckets(grads_view_);
+  std::vector<Tensor*>& grads = grad_views();
+  ensure_buckets(grads);
   grad_ready_[param_index] = 1;
   const int round = acquire_round_index();
   // Buckets launch in order the moment every tensor in them is ready —
@@ -306,19 +283,22 @@ void DistributedOptimizer::notify_grad_ready(std::size_t param_index) {
     for (std::size_t i = bk.first; ready && i < bk.last; ++i)
       ready = grad_ready_[i] != 0;
     if (!ready) break;
-    launch_bucket(next_unlaunched_, grads_view_, options_.op, round);
+    launch_bucket(next_unlaunched_, grads, options_.op, round);
     ++next_unlaunched_;
   }
 }
 
-ReduceOutcome DistributedOptimizer::communicate_gradients() {
-  if (grads_view_.size() != inner_->params().size()) {
+std::vector<Tensor*>& DistributedOptimizer::grad_views() {
+  const auto& params = inner_->params();
+  if (grads_view_.size() != params.size()) {
     grads_view_.clear();
-    grads_view_.reserve(inner_->params().size());
-    for (nn::Parameter* p : inner_->params())
-      grads_view_.push_back(&p->grad);
+    for (nn::Parameter* p : params) grads_view_.push_back(&p->grad);
   }
-  return reduce_tensors(grads_view_, options_.op);
+  return grads_view_;
+}
+
+ReduceOutcome DistributedOptimizer::communicate_gradients() {
+  return reduce_bucketed(grad_views(), options_.op);
 }
 
 bool DistributedOptimizer::round_overflowed_globally(bool local_overflow) {
@@ -336,172 +316,102 @@ bool DistributedOptimizer::round_overflowed_globally(bool local_overflow) {
   return overflow_sum[0] > 0.0;
 }
 
-void DistributedOptimizer::revert_to_round_start() {
+void DistributedOptimizer::communicate_effective_gradient() {
   const auto& params = inner_->params();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                round_start_[i].nbytes());
+  const bool fp16 = options_.compression == GradientCompression::kFp16;
+  const bool int8 = options_.compression == GradientCompression::kInt8;
+  // Resolve the wire codec the collectives will apply; the error-feedback
+  // snap below must mirror it exactly.
+  CompressionOptions wirec = options_.wire_compression;
+  if (wirec.mode == CompressionMode::kAuto) wirec = comm_.compression();
+  const bool snap =
+      int8 || (wirec.active() && options_.error_feedback &&
+               options_.compression == GradientCompression::kNone);
+  // Error feedback through the wire codec: compensate with last round's
+  // residual, snap the effective gradient through the codec, and bank what
+  // the snap dropped. Under wire error feedback the snap is the codec the
+  // collectives apply on the wire, which then re-quantizes grid-point
+  // values and adds no error beyond what the residual already captured.
+  // kInt8 snaps through the per-tensor int8 of tensor/quantize.h, bit for
+  // bit (CompressCodec.OneBlockRtnMatchesPerTensorOracle), while the
+  // collectives keep their own wire options. The snap is tensor-local, so
+  // running it bucket by bucket gives the same bits as one pass.
+  std::size_t max_elems = 0;
+  for (const Tensor& t : eff_) max_elems = std::max(max_elems, t.size());
+  const CompressionOptions snap_opts =
+      int8 ? per_tensor_int8(max_elems) : wirec;
+  // Pooled scratch sized once for the largest layer and leased before the
+  // first launch: warm rounds lease the same blocks back from the pool, so
+  // the steady state allocates nothing.
+  std::optional<PooledBuffer> roundtrip, blob;
+  if (snap) {
+    if (!error_feedback_) {
+      std::vector<std::size_t> sizes;
+      for (const Tensor& t : eff_) sizes.push_back(t.size());
+      error_feedback_ = std::make_unique<ErrorFeedback>(std::move(sizes));
+    }
+    roundtrip.emplace(comm_.pool(), max_elems * sizeof(float));
+    blob.emplace(comm_.pool(), compressed_wire_bytes(max_elems, snap_opts));
   }
-}
 
-void DistributedOptimizer::communicate_effective_gradient_overlapped() {
-  const auto& params = inner_->params();
-  // Persistent deltas: first round allocates, warm rounds only compute.
-  bool reuse = eff_.size() == params.size();
-  for (std::size_t i = 0; reuse && i < params.size(); ++i)
-    reuse = eff_[i].nbytes() == params[i]->value.nbytes();
-  if (!reuse) {
-    eff_.clear();
-    eff_views_.clear();
-    eff_.reserve(params.size());
-    eff_views_.reserve(params.size());
-    for (const nn::Parameter* p : params) eff_.push_back(p->value.clone());
-    for (Tensor& t : eff_) eff_views_.push_back(&t);
-  }
-  ensure_buckets(eff_views_);
-  const int round = acquire_round_index();
-  // The pipeline: compute bucket b's deltas, submit, move on — the engine
+  ensure_buckets(payload_views_);
+  const double scale = scaler_.scale();
+  bool local_overflow = false;
+  // The pipeline: compute bucket b's deltas, launch it, move on — the engine
   // reduces bucket b while this thread computes bucket b+1 (Figure 3's
   // compute/communication overlap, applied to the local-SGD delta).
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const Bucket& bk = buckets_[b];
-    for (std::size_t i = bk.first; i < bk.last; ++i) {
-      std::memcpy(eff_[i].data(), params[i]->value.data(),
-                  params[i]->value.nbytes());
-      kernels::axpy(-1.0, round_start_[i].span<float>(),
-                    eff_[i].span<float>());
+    for (std::size_t i = buckets_[b].first; i < buckets_[b].last; ++i) {
+      // effective_gradient = current - round_start (Figure 3).
+      std::memcpy(eff_[i].data(), params[i]->value.data(), eff_[i].nbytes());
+      const std::span<float> values = eff_[i].span<float>();
+      kernels::axpy(-1.0, round_start_[i].span<float>(), values);
+      if (snap) {
+        error_feedback_->compensate(i, values);
+        const std::span<float> transmitted =
+            roundtrip->as<float>(values.size());
+        compress_f32(values, snap_opts, blob->data(), transmitted);
+        error_feedback_->record(i, values, transmitted);
+        std::memcpy(values.data(), transmitted.data(), values.size_bytes());
+      }
+      if (fp16) {
+        // Scale into fp16 (§4.4.1).
+        cast_to_fp16_scaled(eff_[i], scale, eff_fp16_[i]);
+        if (tensor_overflowed(eff_fp16_[i])) local_overflow = true;
+      }
     }
-    launch_bucket(b, eff_views_, ReduceOp::kAdasum, round);
-    ++next_unlaunched_;
+    if (!fp16) {
+      launch_bucket(b, payload_views_, ReduceOp::kAdasum,
+                    acquire_round_index());
+      ++next_unlaunched_;
+    }
   }
-  // Joins every bucket in order and unpacks; launches nothing new.
-  if (reduce_bucketed(eff_views_, ReduceOp::kAdasum) ==
-      ReduceOutcome::kSkipped) {
-    revert_to_round_start();
+  // Overflow on any rank skips the round on all. The vote runs on this
+  // thread BEFORE any bucket launches, so the owner performs no comm while
+  // engine ops are in flight, and before acquire_round_index, whose tag
+  // namespace the vote's tag is derived from.
+  bool skipped = false;
+  if (fp16) {
+    const bool overflowed = round_overflowed_globally(local_overflow);
+    skipped = !scaler_.update(overflowed) || overflowed;
+  }
+  // Joins every bucket in order and unpacks (launching them first in fp16
+  // rounds). A skipped reduction leaves no agreed-on effective gradient.
+  if (skipped || reduce_bucketed(payload_views_, ReduceOp::kAdasum) ==
+                     ReduceOutcome::kSkipped) {
+    // Every rank reverts to the round start, consistently everywhere.
+    for (std::size_t i = 0; i < params.size(); ++i)
+      std::memcpy(params[i]->value.data(), round_start_[i].data(),
+                  round_start_[i].nbytes());
     ++skipped_rounds_;
     return;
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
+    if (fp16) cast_from_fp16_scaled(eff_fp16_[i], scale, eff_[i]);
+    // w = round_start + reduced_effective_gradient.
     std::memcpy(params[i]->value.data(), round_start_[i].data(),
                 round_start_[i].nbytes());
     kernels::add(eff_[i].span<float>(), params[i]->value.span<float>());
-  }
-}
-
-void DistributedOptimizer::communicate_effective_gradient() {
-  // Resolve the wire codec the collectives will apply; the error-feedback
-  // pre-pass below must mirror it exactly.
-  CompressionOptions wirec = options_.wire_compression;
-  if (wirec.mode == CompressionMode::kAuto) wirec = comm_.compression();
-  const bool wire_ef = wirec.active() && options_.error_feedback &&
-                       options_.compression == GradientCompression::kNone;
-  if (options_.background &&
-      options_.compression == GradientCompression::kNone && !wire_ef) {
-    // Wire compression without error feedback still flows through here: the
-    // collectives compress transfers on the engine thread transparently.
-    communicate_effective_gradient_overlapped();
-    return;
-  }
-  const auto& params = inner_->params();
-  // effective_gradient = current - round_start (Figure 3).
-  std::vector<Tensor> eff;
-  eff.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor delta = params[i]->value.clone();
-    kernels::axpy(-1.0, round_start_[i].span<float>(), delta.span<float>());
-    eff.push_back(std::move(delta));
-  }
-
-  if (options_.compression == GradientCompression::kFp16) {
-    // Scale into fp16 (§4.4.1). Overflow on any rank skips the round on all.
-    // The vote runs on this thread BEFORE anything reaches the engine, so
-    // the single-threaded vote protocol is undisturbed by background mode.
-    const double scale = scaler_.scale();
-    std::vector<Tensor> compressed;
-    compressed.reserve(eff.size());
-    bool local_overflow = false;
-    for (const Tensor& t : eff) {
-      Tensor h = cast_to_fp16_scaled(t, scale);
-      if (tensor_overflowed(h)) local_overflow = true;
-      compressed.push_back(std::move(h));
-    }
-    const bool overflowed = round_overflowed_globally(local_overflow);
-    if (!scaler_.update(overflowed) || overflowed) {
-      // Revert to the round start: the round is skipped consistently
-      // everywhere (all ranks saw the same summed flag).
-      revert_to_round_start();
-      ++skipped_rounds_;
-      return;
-    }
-    std::vector<Tensor*> ptrs;
-    ptrs.reserve(compressed.size());
-    for (Tensor& t : compressed) ptrs.push_back(&t);
-    if (reduce_tensors(ptrs, ReduceOp::kAdasum) == ReduceOutcome::kSkipped) {
-      revert_to_round_start();
-      ++skipped_rounds_;
-      return;
-    }
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const Tensor reduced = cast_from_fp16_scaled(compressed[i], scale);
-      // w = round_start + reduced_effective_gradient.
-      std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                  round_start_[i].nbytes());
-      kernels::add(reduced.span<float>(), params[i]->value.span<float>());
-    }
-    return;
-  }
-
-  if (options_.compression == GradientCompression::kInt8 || wire_ef) {
-    if (!error_feedback_) {
-      std::vector<std::size_t> sizes;
-      for (const Tensor& t : eff) sizes.push_back(t.size());
-      error_feedback_ = std::make_unique<ErrorFeedback>(std::move(sizes));
-    }
-    std::size_t max_elems = 0;
-    for (const Tensor& t : eff) max_elems = std::max(max_elems, t.size());
-    // Error feedback through the wire codec: compensate with last round's
-    // residual, snap the effective gradient through the codec, and bank what
-    // the snap dropped. Under wire_ef the snap is the codec the collectives
-    // apply on the wire, which then re-quantizes grid-point values and adds
-    // no error beyond what the residual already captured. kInt8 snaps
-    // through the per-tensor int8 of tensor/quantize.h, bit for bit
-    // (CompressCodec.OneBlockRtnMatchesPerTensorOracle), while the
-    // collectives keep their own wire options.
-    const CompressionOptions snap =
-        options_.compression == GradientCompression::kInt8
-            ? per_tensor_int8(max_elems)
-            : wirec;
-    // Pooled scratch sized once for the largest layer: warm rounds lease the
-    // same blocks back from the pool, so the steady state allocates nothing
-    // (the bench gate counts allocations across whole compressed steps).
-    PooledBuffer roundtrip_buf(comm_.pool(), max_elems * sizeof(float));
-    PooledBuffer blob(comm_.pool(), compressed_wire_bytes(max_elems, snap));
-    for (std::size_t i = 0; i < eff.size(); ++i) {
-      auto values = eff[i].span<float>();
-      error_feedback_->compensate(i, values);
-      const std::span<float> transmitted =
-          roundtrip_buf.as<float>(values.size());
-      compress_f32(values, snap, blob.data(), transmitted);
-      error_feedback_->record(i, values, transmitted);
-      std::memcpy(values.data(), transmitted.data(),
-                  values.size() * sizeof(float));
-    }
-  }
-
-  std::vector<Tensor*> ptrs;
-  ptrs.reserve(eff.size());
-  for (Tensor& t : eff) ptrs.push_back(&t);
-  if (reduce_tensors(ptrs, ReduceOp::kAdasum) == ReduceOutcome::kSkipped) {
-    // No agreed-on effective gradient: every rank reverts to the round
-    // start, exactly like an fp16 overflow skip.
-    revert_to_round_start();
-    ++skipped_rounds_;
-    return;
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                round_start_[i].nbytes());
-    kernels::add(eff[i].span<float>(), params[i]->value.span<float>());
   }
 }
 

@@ -20,6 +20,12 @@
 // payloads are scaled into fp16, reduced, and unscaled; a round that
 // overflows on any rank is skipped on all ranks (model reverts to the round
 // start) and the scale backs off.
+//
+// Both modes reduce through one bucket pipeline (DESIGN.md §12): the payload
+// is packed into persistent fusion buckets, each reduced as one fused
+// allreduce. `background` only picks who executes a bucket — the CommEngine
+// thread or the calling thread — never which code runs, so a fixed layout
+// gives the same bits either way.
 #pragma once
 
 #include <memory>
@@ -31,8 +37,11 @@
 #include "comm/world.h"
 #include "optim/optimizer.h"
 #include "tensor/compress/compress.h"
-#include "tensor/quantize.h"
 #include "tensor/scaling.h"
+
+namespace adasum {
+class ErrorFeedback;
+}  // namespace adasum
 
 namespace adasum::optim {
 
@@ -71,15 +80,14 @@ struct DistributedOptions {
   bool error_feedback = true;
   // Horovod-style tensor fusion buckets (§4, Figure 3): parameters are
   // packed into buckets of about this many bytes, each reduced as its own
-  // fused allreduce. 0 (the default) keeps the seed behavior — one fused
-  // buffer for the whole model. Bucketing changes Adasum's segment
-  // boundaries, so results are bit-identical across bucket LAYOUTS only for
-  // plain sums; a fixed layout is bit-identical whether reduced inline or
-  // on the engine.
+  // fused allreduce. 0 (the default) is one bucket — one fused buffer for
+  // the whole model. Bucketing changes Adasum's segment boundaries, so
+  // results are bit-identical across bucket LAYOUTS only for plain sums; a
+  // fixed layout is bit-identical whether reduced inline or on the engine.
   std::size_t bucket_bytes = 0;
   // Run the bucket allreduces on a background CommEngine thread so
-  // communication overlaps gradient/delta computation. Off: every reduction
-  // happens inline on the calling thread (the seed behavior).
+  // communication overlaps gradient/delta computation. Off: every bucket is
+  // reduced inline on the calling thread, at the same point of the round.
   bool background = false;
   // Cost-model autotuning (DESIGN.md §14): at the first step(), price the
   // model's payload on the ADASUM_TOPOLOGY topology (uniform single-rank
@@ -94,6 +102,7 @@ class DistributedOptimizer {
  public:
   DistributedOptimizer(Comm& comm, std::unique_ptr<Optimizer> inner,
                        DistributedOptions options);
+  ~DistributedOptimizer();
 
   // One microbatch step: consumes the gradients currently in the parameters
   // (zeroing them when appropriate) and, every `local_steps` calls, performs
@@ -142,13 +151,13 @@ class DistributedOptimizer {
   };
 
   ReduceOutcome communicate_gradients(); // Sum/Average path
-  void communicate_effective_gradient(); // Adasum path (Figure 3)
-  // Adasum/kNone with background mode: per-bucket delta computation
-  // pipelined against the engine (compute bucket i+1 while i reduces).
-  void communicate_effective_gradient_overlapped();
-  bool bucketed() const {
-    return options_.background || options_.bucket_bytes > 0;
-  }
+  // Adasum path (Figure 3): per bucket, computes the deltas (with the error-
+  // feedback snap) and launches the bucket, so the engine reduces bucket b
+  // while this thread computes bucket b+1; fp16 casts every bucket and
+  // holds the overflow vote before the first launch.
+  void communicate_effective_gradient();
+  // Pointers at the params' grads, rebuilt only when the params change.
+  std::vector<Tensor*>& grad_views();
   // (Re)builds buckets_ for the byte layout of `tensors`; no-op when the
   // layout is unchanged from the previous round.
   void ensure_buckets(const std::vector<Tensor*>& tensors);
@@ -160,19 +169,16 @@ class DistributedOptimizer {
   // engine in background mode, inline otherwise.
   void launch_bucket(std::size_t b, const std::vector<Tensor*>& tensors,
                      ReduceOp op, int round_index);
-  // Joins every bucket in order, unpacks, and aggregates the worst outcome.
+  // Launches every bucket not launched yet, joins them all in order,
+  // unpacks, and aggregates the worst outcome. On a fault-tolerant world the
+  // reduction degrades instead of throwing; the outcome says whether the
+  // caller must treat the round as skipped.
   ReduceOutcome reduce_bucketed(std::vector<Tensor*>& tensors, ReduceOp op);
   CommEngine& engine();
   // Shares the per-rank overflow flag; true -> skip the round everywhere.
   // Fault-tolerant worlds agree through the liveness-aware vote (a dead rank
   // would deadlock the plain allreduce); others keep the wire allreduce.
   bool round_overflowed_globally(bool local_overflow);
-  // Reduce `tensors` (pointers into rank-local storage) in place. On a
-  // fault-tolerant world the reduction degrades instead of throwing; the
-  // outcome says whether the caller must treat the round as skipped.
-  ReduceOutcome reduce_tensors(std::vector<Tensor*>& tensors, ReduceOp op);
-  // Restores all parameters to the round-start snapshot (Adasum mode).
-  void revert_to_round_start();
   // First-step autotune resolution (options_.autotune): prices the payload
   // on the env topology and rewrites options_.algo / ranks_per_node.
   void resolve_autotune();
@@ -180,7 +186,6 @@ class DistributedOptimizer {
   Comm& comm_;
   std::unique_ptr<Optimizer> inner_;
   DistributedOptions options_;
-  FusionBuffer fusion_;  // reused fusion staging across rounds
   std::vector<Tensor> round_start_;  // parameter snapshot (Adasum mode)
   int micro_step_ = 0;
   long rounds_ = 0;
@@ -192,13 +197,16 @@ class DistributedOptimizer {
   TunedConfig tuned_{};          // autotuner pick (valid when resolved)
   bool tuned_resolved_ = false;
 
-  // Bucketed/background state. The scratch vectors are members so warm
-  // rounds allocate nothing — the bench gate counts steady-state
-  // allocations across the whole pipelined step.
+  // Bucket pipeline state. The scratch vectors are members so warm rounds
+  // allocate nothing — the allocation gates count steady-state allocations
+  // across the whole step.
   std::vector<Bucket> buckets_;
   std::vector<std::size_t> bucket_signature_;  // per-tensor nbytes of layout
-  std::vector<Tensor> eff_;           // persistent deltas (background Adasum)
-  std::vector<Tensor*> eff_views_;    // pointers into eff_
+  // Adasum payload, sized with round_start_: the deltas and, with kFp16,
+  // their scaled fp16 casts, plus pointers at whichever is reduced.
+  std::vector<Tensor> eff_;
+  std::vector<Tensor> eff_fp16_;
+  std::vector<Tensor*> payload_views_;
   std::vector<Tensor*> grads_view_;   // pointers at the params' grads
   std::vector<const Tensor*> pack_views_;  // launch_bucket pack scratch
   std::vector<Tensor*> unpack_views_;      // reduce_bucketed unpack scratch

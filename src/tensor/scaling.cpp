@@ -41,6 +41,13 @@ constexpr std::size_t kCastTile = 2048;
 
 Tensor cast_to_fp16_scaled(const Tensor& t, double scale) {
   Tensor out(t.shape(), DType::kFloat16);
+  cast_to_fp16_scaled(t, scale, out);
+  return out;
+}
+
+void cast_to_fp16_scaled(const Tensor& t, double scale, Tensor& out) {
+  ADASUM_CHECK(out.dtype() == DType::kFloat16);
+  ADASUM_CHECK_EQ(out.size(), t.size());
   auto dst = out.span<Half>();
   if (t.dtype() == DType::kFloat32) {
     // Hot path (fp16 gradient payloads start life as fp32): scale into a
@@ -57,17 +64,23 @@ Tensor cast_to_fp16_scaled(const Tensor& t, double scale) {
       kernels::float_to_half(std::span<const float>(tile, m),
                              dst.subspan(off, m));
     }
-    return out;
+    return;
   }
   for (std::size_t i = 0; i < t.size(); ++i)
     dst[i] = Half(static_cast<float>(t.at(i) * scale));
-  return out;
 }
 
 Tensor cast_from_fp16_scaled(const Tensor& t, double scale) {
-  ADASUM_CHECK(t.dtype() == DType::kFloat16);
-  ADASUM_CHECK_GT(scale, 0.0);
   Tensor out(t.shape(), DType::kFloat32);
+  cast_from_fp16_scaled(t, scale, out);
+  return out;
+}
+
+void cast_from_fp16_scaled(const Tensor& t, double scale, Tensor& out) {
+  ADASUM_CHECK(t.dtype() == DType::kFloat16);
+  ADASUM_CHECK(out.dtype() == DType::kFloat32);
+  ADASUM_CHECK_EQ(out.size(), t.size());
+  ADASUM_CHECK_GT(scale, 0.0);
   auto src = t.span<Half>();
   auto dst = out.span<float>();
   // Bulk half->float (exact), then the same double-divide/narrow sequence as
@@ -75,7 +88,6 @@ Tensor cast_from_fp16_scaled(const Tensor& t, double scale) {
   kernels::half_to_float(std::span<const Half>(src.data(), src.size()), dst);
   for (std::size_t i = 0; i < t.size(); ++i)
     dst[i] = static_cast<float>(static_cast<double>(dst[i]) / scale);
-  return out;
 }
 
 bool tensor_overflowed(const Tensor& t) {

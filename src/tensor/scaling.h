@@ -48,11 +48,15 @@ class DynamicScaler {
   int num_growths_ = 0;
 };
 
-// Returns a scaled fp16 copy of `t` (t * scale, cast to fp16).
+// Returns a scaled fp16 copy of `t` (t * scale, cast to fp16). The
+// three-argument form writes it into `out`, an fp16 tensor of t's size.
 Tensor cast_to_fp16_scaled(const Tensor& t, double scale);
+void cast_to_fp16_scaled(const Tensor& t, double scale, Tensor& out);
 
-// Returns an fp32 copy of fp16 tensor `t` divided by `scale`.
+// Returns an fp32 copy of fp16 tensor `t` divided by `scale`. The
+// three-argument form writes it into `out`, an fp32 tensor of t's size.
 Tensor cast_from_fp16_scaled(const Tensor& t, double scale);
+void cast_from_fp16_scaled(const Tensor& t, double scale, Tensor& out);
 
 // True if the tensor contains any inf/nan element.
 bool tensor_overflowed(const Tensor& t);

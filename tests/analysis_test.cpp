@@ -293,7 +293,7 @@ TEST(Analysis, CleanAdasumEpochsValidateAtWorldSizes2To8) {
         Tensor t = make_input(comm.rank());
         AllreduceOptions opts;
         opts.op = ReduceOp::kAdasum;
-        opts.algo = AllreduceAlgo::kAuto;  // RVH for pow2, gather-tree else
+        opts.algo = AllreduceAlgo::kAuto;  // RVH, folding non-pow2 groups
         allreduce(comm, t, opts);
         outs[static_cast<std::size_t>(comm.rank())] = std::move(t);
       });

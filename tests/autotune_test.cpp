@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -392,17 +394,22 @@ TEST(Autotune, PickIsWithin1p2xOfBestMeasuredCandidate) {
       {TunedAlgo::kRvh, AllreduceAlgo::kRvh, 1},
       {TunedAlgo::kHierarchical, AllreduceAlgo::kHierarchical, rpn},
   };
-  double best = 0.0, picked = 0.0;
-  bool have_best = false;
-  for (const Candidate& c : candidates) {
-    const double t = measure_allreduce_s(p, rpn, c.exec, c.rpn_opt, 64 * 1024);
-    if (!have_best || t < best) {
-      have_best = true;
-      best = t;
-    }
-    if (c.algo == pick.algo) picked = t;
-  }
-  ASSERT_TRUE(have_best);
+  // One wall-clock run per candidate is at the mercy of whatever else the
+  // machine runs (a parallel ctest), so each candidate is measured kRuns
+  // times, interleaved round-robin, and judged by its fastest run.
+  constexpr int kRuns = 3;
+  double fastest[std::size(candidates)];
+  std::fill(std::begin(fastest), std::end(fastest),
+            std::numeric_limits<double>::infinity());
+  for (int run = 0; run < kRuns; ++run)
+    for (std::size_t c = 0; c < std::size(candidates); ++c)
+      fastest[c] = std::min(
+          fastest[c], measure_allreduce_s(p, rpn, candidates[c].exec,
+                                          candidates[c].rpn_opt, 64 * 1024));
+  const double best = *std::min_element(std::begin(fastest), std::end(fastest));
+  double picked = 0.0;
+  for (std::size_t c = 0; c < std::size(candidates); ++c)
+    if (candidates[c].algo == pick.algo) picked = fastest[c];
   ASSERT_GT(picked, 0.0) << "planner picked an unmeasured algorithm";
   EXPECT_LE(picked, 1.2 * best)
       << "picked " << to_string(pick.algo) << " measured " << picked

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <new>
@@ -41,11 +40,6 @@ namespace {
 using chaos::ChaosSchedule;
 using chaos::run_with_watchdog;
 using chaos::WatchdogResult;
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 // Deterministic per-(schedule, rank) payloads, fp16-safe value range.
 std::vector<Tensor> make_tensors(const ChaosSchedule& s, int rank) {
@@ -169,9 +163,9 @@ std::vector<std::byte> reference_result(const ChaosSchedule& s) {
 // ---- (a)+(b)+(c): the seeded schedule sweep --------------------------------
 
 TEST(ChaosHarness, SeededSchedulesTerminateAndHoldInvariants) {
-  const int schedules = env_int("CHAOS_SCHEDULES", 240);
+  const int schedules = chaos::env_int("CHAOS_SCHEDULES", 240);
   const std::uint64_t seed_base =
-      static_cast<std::uint64_t>(env_int("CHAOS_SEED_BASE", 1000));
+      static_cast<std::uint64_t>(chaos::env_int("CHAOS_SEED_BASE", 1000));
 
   for (int i = 0; i < schedules; ++i) {
     const ChaosSchedule s = ChaosSchedule::from_seed(seed_base + i);

@@ -4,11 +4,17 @@
 // of a hung test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <future>
+#include <string_view>
 #include <thread>
 
 #include "base/rng.h"
@@ -16,6 +22,24 @@
 #include "comm/world.h"
 
 namespace adasum::chaos {
+
+// A sweep size or seed base from the environment (scripts/check.sh shrinks
+// the sweeps under the sanitizers): decimal digits only, 0 allowed, or
+// `fallback` when unset. Anything else fails the calling test, naming the
+// variable, and returns 0 — a typo must not silently shrink the sweep.
+inline int env_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  const std::string_view s(v);
+  unsigned n = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
+      n > static_cast<unsigned>(INT_MAX)) {
+    ADD_FAILURE() << name << "=" << s << " is not a decimal count";
+    return 0;
+  }
+  return static_cast<int>(n);
+}
 
 // Everything a chaos run needs, derived deterministically from one seed:
 // the world size, the payload shape axes, and the fault policy. Fault types

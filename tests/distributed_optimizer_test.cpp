@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "base/rng.h"
+#include "comm/buffer_pool.h"
 #include "core/adasum.h"
 #include "tensor/kernels.h"
 #include "nn/linear.h"
@@ -12,6 +13,8 @@
 #include "nn/models.h"
 #include "optim/distributed_optimizer.h"
 #include "train/hessian.h"
+
+#include "heap_counter.h"
 
 namespace adasum::optim {
 namespace {
@@ -366,6 +369,82 @@ TEST(DistributedOptimizerTest, Fp16OverflowSkipsRoundEverywhere) {
     for (std::size_t i = 0; i < before.size(); ++i)
       ASSERT_EQ(after.at(i), before.at(i));  // reverted to round start
   });
+}
+
+TEST(DistributedOptimizerTest, WarmRoundsMakeNoHeapAllocations) {
+  // Every round goes through the persistent bucket pipeline: after warm-up
+  // a whole step() — the Adasum delta or the gradient pack, the inline
+  // allreduce, the unpack and the apply — makes no heap allocation.
+  const std::size_t sizes[] = {300, 7, 450};
+  const std::size_t payload_bytes = (300 + 7 + 450) * sizeof(float);
+  for (const ReduceOp op : {ReduceOp::kAdasum, ReduceOp::kSum}) {
+    SCOPED_TRACE(reduce_op_name(op));
+    World world(4);
+    // The analyzer allocates (event logs, epoch declarations) by design.
+    if (world.analyzer() != nullptr)
+      GTEST_SKIP() << "protocol analyzer enabled via ADASUM_ANALYZE";
+    std::uint64_t warm_allocs = 0;
+    world.run([&](Comm& comm) {
+      std::vector<Parameter> owned;
+      owned.reserve(std::size(sizes));
+      std::vector<Parameter*> params;
+      for (const std::size_t n : sizes) {
+        owned.emplace_back("p", std::vector<std::size_t>{n});
+        params.push_back(&owned.back());
+      }
+      DistributedOptions opts;
+      opts.op = op;  // fp32, inline, bucket_bytes = 0: the defaults
+      DistributedOptimizer dopt(comm, std::make_unique<Sgd>(params), opts);
+      const auto step = [&](int s) {
+        for (std::size_t i = 0; i < owned.size(); ++i) {
+          auto g = owned[i].grad.span<float>();
+          for (std::size_t j = 0; j < g.size(); ++j)
+            g[j] = static_cast<float>(
+                       (j * 13 + i * 7 +
+                        static_cast<std::size_t>(comm.rank() * 3 + s)) %
+                       400) / 400.0f - 0.5f;
+        }
+        dopt.step(0.05);
+      };
+      // Grow the mailbox queues (sends are buffered; erase keeps capacity).
+      const std::byte ping[8] = {};
+      for (int dst = 0; dst < comm.size(); ++dst) {
+        if (dst == comm.rank()) continue;
+        for (int i = 0; i < 16; ++i) comm.send_bytes(dst, ping, 900 + i);
+      }
+      comm.barrier();
+      for (int src = 0; src < comm.size(); ++src) {
+        if (src == comm.rank()) continue;
+        std::byte sink[8];
+        for (int i = 0; i < 16; ++i) comm.recv_bytes_into(src, sink, 900 + i);
+      }
+      for (int s = 0; s < 4; ++s) step(s);
+      comm.barrier();
+      if (comm.rank() == 0) {
+        // Peak in-flight pool leases depend on thread interleaving, so
+        // provision the pool to the static bound (the chaos_test idiom).
+        BufferPool& pool = comm.pool();
+        std::vector<std::vector<std::byte>> held;
+        for (int i = 0; i < comm.size(); ++i)
+          held.push_back(pool.acquire(payload_bytes));
+        for (int i = 0; i < 5 * comm.size(); ++i)
+          held.push_back(pool.acquire(payload_bytes / 2));
+        for (int i = 0; i < 8 * comm.size(); ++i)
+          held.push_back(pool.acquire(128));
+        for (auto& b : held) pool.release(std::move(b));
+      }
+      comm.barrier();
+      std::uint64_t baseline = 0;
+      if (comm.rank() == 0)
+        baseline = g_heap_allocs.load(std::memory_order_relaxed);
+      comm.barrier();
+      for (int s = 4; s < 10; ++s) step(s);
+      comm.barrier();
+      if (comm.rank() == 0)
+        warm_allocs = g_heap_allocs.load(std::memory_order_relaxed) - baseline;
+    });
+    EXPECT_EQ(warm_allocs, 0u);
+  }
 }
 
 }  // namespace

@@ -53,11 +53,6 @@ using optim::DistributedOptions;
 using optim::GradientCompression;
 using optim::Sgd;
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
 // ---- chunk math ------------------------------------------------------------
 
 TEST(ChunkMath, MessageCountMatchesCeilingDivision) {
@@ -349,18 +344,27 @@ TEST(PipelineParity, BackgroundEngineBitIdenticalToInlineBuckets) {
   // Same bucket layout -> same fused segments reduced by the same
   // collectives in the same order, so moving the reductions onto the
   // engine thread must not change a single bit. Exercised for the Adasum
-  // delta path, the plain-sum path, and the fp16-compressed path.
+  // delta path, the plain-sum path, the fp16-compressed path, and the wire
+  // int8 codec with error feedback (whose snap runs bucket by bucket while
+  // the engine reduces the previous bucket).
   struct Case {
     ReduceOp op;
     GradientCompression compression;
+    bool wire_int8_ef;
   };
-  const Case cases[] = {{ReduceOp::kAdasum, GradientCompression::kNone},
-                        {ReduceOp::kSum, GradientCompression::kNone},
-                        {ReduceOp::kAdasum, GradientCompression::kFp16}};
+  const Case cases[] = {
+      {ReduceOp::kAdasum, GradientCompression::kNone, false},
+      {ReduceOp::kSum, GradientCompression::kNone, false},
+      {ReduceOp::kAdasum, GradientCompression::kFp16, false},
+      {ReduceOp::kAdasum, GradientCompression::kNone, true}};
   for (const Case& c : cases) {
     DistributedOptions opts;
     opts.op = c.op;
     opts.compression = c.compression;
+    if (c.wire_int8_ef) {
+      opts.wire_compression.mode = CompressionMode::kInt8;
+      opts.error_feedback = true;
+    }
     opts.bucket_bytes = 1400;  // ~3 buckets over the 1001-float model
     opts.background = false;
     const std::vector<std::byte> inline_params =
@@ -369,7 +373,8 @@ TEST(PipelineParity, BackgroundEngineBitIdenticalToInlineBuckets) {
     const std::vector<std::byte> engine_params =
         train_final_params(4, opts, /*pipeline_on=*/true, 4096);
     SCOPED_TRACE("op=" + std::to_string(static_cast<int>(c.op)) + " fp16=" +
-                 std::to_string(c.compression == GradientCompression::kFp16));
+                 std::to_string(c.compression == GradientCompression::kFp16) +
+                 " wire_int8_ef=" + std::to_string(c.wire_int8_ef));
     ASSERT_EQ(engine_params.size(), inline_params.size());
     EXPECT_EQ(std::memcmp(engine_params.data(), inline_params.data(),
                           engine_params.size()),
@@ -427,7 +432,7 @@ TEST(PipelineChaos, SeededSchedulesTerminateWithChunkingOn) {
   // (clean, delay-only) must complete bit-for-bit equal to the clean
   // monolithic reference. Seeds are disjoint from chaos_test's default
   // base; CHAOS_SCHEDULES shrinks the sweep under TSan (scripts/check.sh).
-  const int schedules = std::min(env_int("CHAOS_SCHEDULES", 40), 40);
+  const int schedules = std::min(chaos::env_int("CHAOS_SCHEDULES", 40), 40);
   const std::uint64_t seed_base = 5000;
   const std::size_t chunk_sizes[] = {32, 256, 4096};
 

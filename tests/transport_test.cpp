@@ -311,8 +311,9 @@ std::vector<float> run_allreduce(const char* transport, int ranks,
     for (auto& v : t.span<float>()) v = static_cast<float>(rng.normal());
     AllreduceOptions opts;
     opts.op = op;
-    // kAuto: power-of-two worlds take the RVH zero-copy path, the others the
-    // ring / gather-tree fallbacks — all must be transport-agnostic.
+    // kAuto: Adasum takes the RVH zero-copy path (folding non-power-of-two
+    // worlds), sum the RVH path or, at non-power-of-two p, the ring — all
+    // must be transport-agnostic.
     opts.algo = AllreduceAlgo::kAuto;
     allreduce(comm, t, opts, 0);
     if (comm.rank() == 0)
