@@ -182,5 +182,5 @@ int main() {
   tree_vs_linear();
   layerwise_vs_whole();
   multipath_variance();
-  return 0;
+  return bench::exit_status();
 }

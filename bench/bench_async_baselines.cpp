@@ -123,5 +123,5 @@ int main() {
   bench::check_shape(
       "hyperparameter-free Adasum matches or beats the tuned DC-ASGD",
       adasum_result.final_accuracy >= dc_best.final_accuracy - 0.02);
-  return 0;
+  return bench::exit_status();
 }

@@ -521,5 +521,5 @@ int main(int argc, char** argv) {
       json_path = argv[i] + sizeof("--compress_json=") - 1;
     }
   }
-  return run(json_path, enforce);
+  return bench::exit_status(run(json_path, enforce));
 }

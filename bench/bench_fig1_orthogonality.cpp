@@ -205,5 +205,5 @@ int main() {
   bench::check_shape(
       "orthogonality drops at the LR-schedule boundary (convnet)",
       drop_at_boundary(series_a));
-  return 0;
+  return bench::exit_status();
 }

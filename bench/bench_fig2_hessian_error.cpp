@@ -133,5 +133,5 @@ int main() {
       "sync-SGD error shrinks as training converges (||g|| decay makes "
       "H ~ g g^T decay quadratically, paper §3.7)",
       sync_late < sync_early);
-  return 0;
+  return bench::exit_status();
 }

@@ -526,5 +526,5 @@ int main() {
   measured_relative_cost();
   zero_copy_throughput();
   fault_path_overhead();
-  return 0;
+  return bench::exit_status();
 }

@@ -178,5 +178,5 @@ int main() {
         ada16k.epochs_to_target * ada16k.minutes_per_epoch <
             ada2k.epochs_to_target * ada2k.minutes_per_epoch);
   }
-  return 0;
+  return bench::exit_status();
 }

@@ -151,5 +151,5 @@ int main() {
       "much higher LR at 32 (paper: 0.0204 vs 0.0043)",
       sum_tuned_lr[3] <= sum_tuned_lr[0] &&
           ada_tuned_lr[3] >= 2.0 * sum_tuned_lr[3]);
-  return 0;
+  return bench::exit_status();
 }

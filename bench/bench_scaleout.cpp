@@ -306,5 +306,5 @@ int main(int argc, char** argv) {
       json_path = argv[i] + sizeof("--scaleout_json=") - 1;
     }
   }
-  return run(json_path, enforce);
+  return bench::exit_status(run(json_path, enforce));
 }

@@ -125,5 +125,5 @@ int main() {
   bench::check_shape(
       "layer-aligned greedy partition stays well balanced (imbalance < 1.3)",
       partition.imbalance() < 1.3);
-  return 0;
+  return bench::exit_status();
 }

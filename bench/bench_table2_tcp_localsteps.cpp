@@ -125,5 +125,5 @@ int main() {
       "fewer communication rounds still win wall-clock on slow TCP "
       "(paper 166 < 175 min)",
       ek > 0 && e1 > 0 && ek * epoch_kk < e1 * epoch_k1);
-  return 0;
+  return bench::exit_status();
 }

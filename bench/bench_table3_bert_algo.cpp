@@ -194,5 +194,5 @@ int main() {
       "every Adasum configuration finishes phase 2 (32K) from its phase-1 "
       "model",
       phase2_ok);
-  return 0;
+  return bench::exit_status();
 }

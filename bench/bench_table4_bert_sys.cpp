@@ -108,5 +108,5 @@ int main() {
   bench::check_shape(
       "at 256 GPUs Adasum's end-to-end time beats Sum's by >10%",
       time256_ada < 0.9 * time256_sum);
-  return 0;
+  return bench::exit_status();
 }

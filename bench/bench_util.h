@@ -1,6 +1,7 @@
 // Shared helpers for the paper-reproduction benches: table formatting and a
 // "paper-shape check" reporter that states each qualitative claim from the
-// paper and whether this run reproduced it.
+// paper and whether this run reproduced it. A bench whose claim fails exits
+// non-zero: every main returns bench::exit_status().
 #pragma once
 
 #include <algorithm>
@@ -106,11 +107,27 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+// Number of claims this process printed as NOT REPRODUCED.
+inline int& failed_claims() {
+  static int failed = 0;
+  return failed;
+}
+
 // States a qualitative claim from the paper and whether this run showed it.
 inline bool check_shape(const std::string& claim, bool held) {
   std::cout << "paper-shape check: " << claim << " -> "
             << (held ? "REPRODUCED" : "NOT REPRODUCED") << "\n";
+  if (!held) ++failed_claims();
   return held;
+}
+
+// A bench's exit status: `status` when it already reports a failure,
+// otherwise 1 if any claim printed NOT REPRODUCED, naming the count.
+inline int exit_status(int status = 0) {
+  if (status != 0) return status;
+  if (failed_claims() == 0) return 0;
+  std::cerr << failed_claims() << " paper-shape claim(s) NOT REPRODUCED\n";
+  return 1;
 }
 
 inline std::string fmt(double v, int precision = 3) {

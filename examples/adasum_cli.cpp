@@ -11,7 +11,9 @@
 //   --lr=F                          base learning rate (default 0.01)
 //   --epochs=N                      epochs (default 4)
 //   --optimizer=sgd|momentum|adam|lars|lamb   (default momentum)
-//   --compression=none|fp16|int8    effective-gradient payload (default none)
+//   --compression=none|fp16|int8    effective-gradient payload (default none);
+//                                   int8 is the blockwise int8 wire codec
+//                                   with error feedback
 //   --algo=auto|ring|rvh|hier       allreduce schedule (default auto)
 //   --checkpoint=PATH               save final model parameters here
 //   --seed=N                        experiment seed (default 1234)
@@ -111,8 +113,10 @@ int main(int argc, char** argv) {
 
   if (comp_name == "none") config.dist.compression = optim::GradientCompression::kNone;
   else if (comp_name == "fp16") config.dist.compression = optim::GradientCompression::kFp16;
-  else if (comp_name == "int8") config.dist.compression = optim::GradientCompression::kInt8;
-  else die("unknown --compression " + comp_name);
+  else if (comp_name == "int8") {
+    config.dist.wire_compression.mode = CompressionMode::kInt8;
+    config.dist.error_feedback = true;
+  } else die("unknown --compression " + comp_name);
 
   if (algo_name == "auto") config.dist.algo = AllreduceAlgo::kAuto;
   else if (algo_name == "ring") config.dist.algo = AllreduceAlgo::kRing;

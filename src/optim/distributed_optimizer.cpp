@@ -8,7 +8,6 @@
 #include "base/runtime_config.h"
 #include "comm/buffer_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/quantize.h"
 
 namespace adasum::optim {
 
@@ -319,39 +318,31 @@ bool DistributedOptimizer::round_overflowed_globally(bool local_overflow) {
 void DistributedOptimizer::communicate_effective_gradient() {
   const auto& params = inner_->params();
   const bool fp16 = options_.compression == GradientCompression::kFp16;
-  const bool int8 = options_.compression == GradientCompression::kInt8;
   // Resolve the wire codec the collectives will apply; the error-feedback
   // snap below must mirror it exactly.
   CompressionOptions wirec = options_.wire_compression;
   if (wirec.mode == CompressionMode::kAuto) wirec = comm_.compression();
-  const bool snap =
-      int8 || (wirec.active() && options_.error_feedback &&
-               options_.compression == GradientCompression::kNone);
+  const bool snap = wirec.active() && options_.error_feedback && !fp16;
   // Error feedback through the wire codec: compensate with last round's
   // residual, snap the effective gradient through the codec, and bank what
-  // the snap dropped. Under wire error feedback the snap is the codec the
-  // collectives apply on the wire, which then re-quantizes grid-point
-  // values and adds no error beyond what the residual already captured.
-  // kInt8 snaps through the per-tensor int8 of tensor/quantize.h, bit for
-  // bit (CompressCodec.OneBlockRtnMatchesPerTensorOracle), while the
-  // collectives keep their own wire options. The snap is tensor-local, so
+  // the snap dropped. The snap is the codec the collectives apply on the
+  // wire, which then re-quantizes grid-point values and adds no error
+  // beyond what the residual already captured. The snap is tensor-local, so
   // running it bucket by bucket gives the same bits as one pass.
-  std::size_t max_elems = 0;
-  for (const Tensor& t : eff_) max_elems = std::max(max_elems, t.size());
-  const CompressionOptions snap_opts =
-      int8 ? per_tensor_int8(max_elems) : wirec;
   // Pooled scratch sized once for the largest layer and leased before the
   // first launch: warm rounds lease the same blocks back from the pool, so
   // the steady state allocates nothing.
   std::optional<PooledBuffer> roundtrip, blob;
   if (snap) {
+    std::size_t max_elems = 0;
+    for (const Tensor& t : eff_) max_elems = std::max(max_elems, t.size());
     if (!error_feedback_) {
       std::vector<std::size_t> sizes;
       for (const Tensor& t : eff_) sizes.push_back(t.size());
       error_feedback_ = std::make_unique<ErrorFeedback>(std::move(sizes));
     }
     roundtrip.emplace(comm_.pool(), max_elems * sizeof(float));
-    blob.emplace(comm_.pool(), compressed_wire_bytes(max_elems, snap_opts));
+    blob.emplace(comm_.pool(), compressed_wire_bytes(max_elems, wirec));
   }
 
   ensure_buckets(payload_views_);
@@ -370,7 +361,7 @@ void DistributedOptimizer::communicate_effective_gradient() {
         error_feedback_->compensate(i, values);
         const std::span<float> transmitted =
             roundtrip->as<float>(values.size());
-        compress_f32(values, snap_opts, blob->data(), transmitted);
+        compress_f32(values, wirec, blob->data(), transmitted);
         error_feedback_->record(i, values, transmitted);
         std::memcpy(values.data(), transmitted.data(), values.size_bytes());
       }

@@ -39,22 +39,14 @@
 #include "tensor/compress/compress.h"
 #include "tensor/scaling.h"
 
-namespace adasum {
-class ErrorFeedback;
-}  // namespace adasum
-
 namespace adasum::optim {
 
-// Payload compression for the Adasum effective gradients:
-//   kNone — fp32 on the wire;
+// Payload precision for the Adasum effective gradients:
+//   kNone — fp32 payloads;
 //   kFp16 — dynamic loss scaling into binary16 (§4.4.1), overflow rounds are
-//           skipped consistently on every rank;
-//   kInt8 — symmetric per-layer int8 with error feedback (the §6
-//           gradient-compression axis): the wire codec's int8 with one
-//           round-to-nearest block per tensor, which is the per-tensor int8
-//           of tensor/quantize.h. The reduction itself runs on the
-//           dequantized values, modeling decompress-reduce transports.
-enum class GradientCompression { kNone, kFp16, kInt8 };
+//           skipped consistently on every rank.
+// Lossy compression of the transfers (the §6 axis) is `wire_compression`.
+enum class GradientCompression { kNone, kFp16 };
 
 struct DistributedOptions {
   ReduceOp op = ReduceOp::kAdasum;
@@ -66,9 +58,8 @@ struct DistributedOptions {
   // Wire codec for the allreduce transfers (DESIGN.md §13): blockwise
   // int8/int4/sign applied inside the collectives to transferred payloads
   // only — reductions still run on decompressed fp32. kAuto (the default)
-  // defers to the World's ADASUM_COMPRESS configuration. Independent of the
-  // legacy per-tensor `compression` above; the intended pairing is
-  // wire_compression + error_feedback with compression == kNone.
+  // defers to the World's ADASUM_COMPRESS configuration. An fp16 payload
+  // (compression == kFp16) crosses the wire uncompressed.
   CompressionOptions wire_compression{};
   // Error feedback for the wire codec in Adasum mode: each round adds back
   // the previous round's quantization residual, then snaps the effective
@@ -192,7 +183,7 @@ class DistributedOptimizer {
   long skipped_rounds_ = 0;
   long degraded_rounds_ = 0;
   DynamicScaler scaler_;
-  std::unique_ptr<ErrorFeedback> error_feedback_;  // kInt8 / wire-EF paths
+  std::unique_ptr<ErrorFeedback> error_feedback_;  // wire error feedback
   int tag_round_ = 0;
   TunedConfig tuned_{};          // autotuner pick (valid when resolved)
   bool tuned_resolved_ = false;

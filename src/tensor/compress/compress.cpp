@@ -221,4 +221,26 @@ kernels::DotTriple decompress_dot_triple_f32(const std::byte* src,
   return kernels::DotTriple{v[0], v[1], v[2]};
 }
 
+ErrorFeedback::ErrorFeedback(std::vector<std::size_t> sizes) {
+  residuals_.reserve(sizes.size());
+  for (std::size_t n : sizes) residuals_.emplace_back(n, 0.0f);
+}
+
+void ErrorFeedback::compensate(std::size_t index, std::span<float> values) {
+  ADASUM_CHECK_LT(index, residuals_.size());
+  const auto& r = residuals_[index];
+  ADASUM_CHECK_EQ(values.size(), r.size());
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] += r[i];
+}
+
+void ErrorFeedback::record(std::size_t index, std::span<const float> values,
+                           std::span<const float> transmitted) {
+  ADASUM_CHECK_LT(index, residuals_.size());
+  auto& r = residuals_[index];
+  ADASUM_CHECK_EQ(values.size(), r.size());
+  ADASUM_CHECK_EQ(transmitted.size(), r.size());
+  for (std::size_t i = 0; i < values.size(); ++i)
+    r[i] = values[i] - transmitted[i];
+}
+
 }  // namespace adasum

@@ -12,15 +12,15 @@
 //   sign  per-block scale = mean|x|, 1 bit/elem       (~24x smaller)
 //
 // Wire format per compressed span: [ceil(n/block) f32 scales][packed
-// payload]. The per-tensor int8 path in tensor/quantize.h is the scalar
-// ancestor of this format — a single block covering the whole tensor with
-// round-to-nearest — and stays the oracle the blockwise tests compare
-// against. Stochastic rounding is counter-based (a murmur3 finalizer of
-// seed + element index), so the codec is a pure function of (bytes, options)
-// with no RNG state: every rank compressing identical bytes produces an
-// identical stream. Replicas stay bit-identical through the compressed
-// collectives because each segment is encoded once, by its owner, and every
-// rank decodes those bytes (see collectives/compressed.h).
+// payload]. One round-to-nearest int8 block covering a whole tensor is the
+// symmetric per-tensor int8 quantizer (scale = max|x|/127) that the codec
+// tests keep as an independent oracle. Stochastic rounding is counter-based
+// (a murmur3 finalizer of seed + element index), so the codec is a pure
+// function of (bytes, options) with no RNG state: every rank compressing
+// identical bytes produces an identical stream. Replicas stay bit-identical
+// through the compressed collectives because each segment is encoded once,
+// by its owner, and every rank decodes those bytes (see
+// collectives/compressed.h).
 //
 // Runtime control: ADASUM_COMPRESS and ADASUM_COMPRESS_BLOCK seed the mode
 // and block size of every World constructed afterwards (see the
@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "base/runtime_config.h"
 #include "tensor/kernels.h"
@@ -119,17 +120,6 @@ inline std::size_t compressed_wire_bytes(std::size_t count,
          compressed_payload_bytes(count, opts.mode);
 }
 
-// Codec options that reproduce the per-tensor int8 of tensor/quantize.h for
-// every tensor of up to `max_elems` elements: one round-to-nearest int8
-// block covering the tensor (DistributedOptimizer's kInt8).
-inline CompressionOptions per_tensor_int8(std::size_t max_elems) {
-  CompressionOptions o;
-  o.mode = CompressionMode::kInt8;
-  o.block_bytes = (max_elems + 7) / 8 * 8 * sizeof(float);
-  o.stochastic = false;
-  return o;
-}
-
 // Codec entry points (compress.cpp). `dst`/`src` wire buffers hold
 // compressed_wire_bytes(values.size(), opts) bytes, 4-byte aligned (the
 // scale sideband is stored as raw floats; BufferPool leases satisfy this).
@@ -181,5 +171,25 @@ kernels::DotTriple decompress_dot_triple_f32(const std::byte* src,
                                              std::size_t offset,
                                              std::span<const float> other,
                                              bool deq_is_b);
+
+// Error-feedback accumulator for a fixed-layout set of tensors (Seide et
+// al., the paper's [33]): before compressing, add the residual left over
+// from the previous round; after compressing, store the new residual
+// (original - transmitted). DistributedOptimizer's wire error feedback is
+// its one user.
+class ErrorFeedback {
+ public:
+  // `sizes` fixes the per-tensor element counts (layout must not change).
+  explicit ErrorFeedback(std::vector<std::size_t> sizes);
+
+  // Adds tensor `index`'s residual into `values` in place.
+  void compensate(std::size_t index, std::span<float> values);
+  // Records residual = values - transmitted for tensor `index`.
+  void record(std::size_t index, std::span<const float> values,
+              std::span<const float> transmitted);
+
+ private:
+  std::vector<std::vector<float>> residuals_;
+};
 
 }  // namespace adasum

@@ -162,6 +162,7 @@ TrainResult train_data_parallel(const ModelFactory& factory,
     }
   });
   result.dead_ranks = world.dead_ranks();
+  for (const CommStats& s : world.stats()) result.bytes_sent += s.bytes_sent;
   return result;
 }
 

@@ -67,6 +67,8 @@ struct TrainResult {
   double best_accuracy = 0.0;
   double final_accuracy = 0.0;
   long total_rounds = 0;
+  // CommStats::bytes_sent summed over every rank for the whole run.
+  std::uint64_t bytes_sent = 0;
   // Fault-tolerant runs: ranks killed by the injector, and the evaluator's
   // count of degraded / skipped communication rounds.
   std::vector<int> dead_ranks;

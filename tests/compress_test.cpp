@@ -8,8 +8,8 @@
 //    negative zero); round-trip error bounds; and a chi-square test that the
 //    counter-based stochastic rounding is unbiased.
 //  * oracle — with one block covering the tensor and round-to-nearest, the
-//    blockwise int8 codec reproduces tensor/quantize.h bit-for-bit (that
-//    scalar per-tensor path is the ancestor of the wire format).
+//    blockwise int8 codec reproduces the scalar per-tensor int8 of
+//    int8_oracle.h bit-for-bit (the ancestor of the wire format).
 //  * fused decode-reduce kernels — bitwise equal to dequantize-then-add /
 //    dequantize-then-scaled_sum / dequantize-then-dot_triple composed from
 //    the SAME kernel table, across modes, block sizes, stochastic rounding,
@@ -47,10 +47,10 @@
 #include "comm/fault_injector.h"
 #include "comm/world.h"
 #include "env_restore.h"
+#include "int8_oracle.h"
 #include "nn/models.h"
 #include "tensor/compress/compress.h"
 #include "tensor/kernels.h"
-#include "tensor/quantize.h"
 #include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 #include "chaos_util.h"
@@ -93,6 +93,15 @@ CompressionOptions make_opts(CompressionMode mode, std::size_t block_bytes,
   o.block_bytes = block_bytes;
   o.stochastic = stochastic;
   return o;
+}
+
+// Codec options that reproduce the per-tensor int8 of int8_oracle.h for
+// every tensor of up to `max_elems` elements: one round-to-nearest int8
+// block covering the tensor.
+CompressionOptions per_tensor_int8(std::size_t max_elems) {
+  return make_opts(CompressionMode::kInt8,
+                   (max_elems + 7) / 8 * 8 * sizeof(float),
+                   /*stochastic=*/false);
 }
 
 // Runs one mode's quantize+dequantize through a specific kernel table,
@@ -391,14 +400,13 @@ TEST(CompressCodec, StochasticRoundingIsUnbiasedChiSquare) {
 
 TEST(CompressCodec, OneBlockRtnMatchesPerTensorOracle) {
   // Block covering the whole tensor + round-to-nearest reproduces the
-  // per-tensor int8 path of tensor/quantize.h bit-for-bit: same scale, same
-  // quantized bytes, same reconstruction. DistributedOptimizer's kInt8 runs
-  // on exactly this: per_tensor_int8 sizes one block from the round's
+  // per-tensor int8 oracle bit-for-bit: same scale, same quantized bytes,
+  // same reconstruction. per_tensor_int8 sizes one block from a set's
   // largest tensor and compress_f32 writes the decoded values back. Each
-  // round below is one optimizer round — lone tensors around the 8-element
-  // block quantum, and LeNet-5's parameter tensors (both input sizes)
-  // sharing one block — checked through the public codec on the active
-  // table and through the raw kernels of the active and scalar tables.
+  // set below shares one block size — lone tensors around the 8-element
+  // block quantum, and LeNet-5's parameter tensors (both input sizes) —
+  // checked through the public codec on the active table and through the
+  // raw kernels of the active and scalar tables.
   std::vector<std::vector<std::size_t>> rounds;
   for (const std::size_t n : {1, 7, 8, 9, 1000, 65537}) rounds.push_back({n});
   for (const std::size_t hw : {16, 28}) {

@@ -16,11 +16,15 @@
 namespace adasum::optim {
 namespace {
 
+// The effective-gradient payload: fp32, fp16 with dynamic scaling, or fp32
+// over the int8 wire codec with error feedback.
+enum class Payload { kFp32, kFp16, kWireInt8 };
+
 struct SweepParam {
   ReduceOp op;
   OptimizerKind optimizer;
   int local_steps;
-  GradientCompression compression;
+  Payload payload;
   AllreduceAlgo algo;
 };
 
@@ -30,10 +34,10 @@ std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   name += "_";
   name += optimizer_name(p.optimizer);
   name += "_ls" + std::to_string(p.local_steps);
-  switch (p.compression) {
-    case GradientCompression::kNone: name += "_fp32"; break;
-    case GradientCompression::kFp16: name += "_fp16"; break;
-    case GradientCompression::kInt8: name += "_int8"; break;
+  switch (p.payload) {
+    case Payload::kFp32: name += "_fp32"; break;
+    case Payload::kFp16: name += "_fp16"; break;
+    case Payload::kWireInt8: name += "_int8"; break;
   }
   if (p.algo == AllreduceAlgo::kHierarchical) name += "_hier";
   if (p.algo == AllreduceAlgo::kRing) name += "_ring";
@@ -59,7 +63,12 @@ TEST_P(DistributedSweepTest, ReplicasStayIdenticalAndFinite) {
     DistributedOptions opts;
     opts.op = p.op;
     opts.local_steps = p.local_steps;
-    opts.compression = p.compression;
+    if (p.payload == Payload::kFp16)
+      opts.compression = GradientCompression::kFp16;
+    if (p.payload == Payload::kWireInt8) {
+      opts.wire_compression.mode = CompressionMode::kInt8;
+      opts.error_feedback = true;
+    }
     opts.algo = p.algo;
     opts.ranks_per_node = p.algo == AllreduceAlgo::kHierarchical ? 2 : 1;
     DistributedOptimizer dopt(comm, make_optimizer(p.optimizer, params),
@@ -108,39 +117,39 @@ INSTANTIATE_TEST_SUITE_P(
     Cells, DistributedSweepTest,
     ::testing::Values(
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kSgd, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kAdam, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kLars, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kLamb, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kAdam, 3,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kFp16, AllreduceAlgo::kAuto},
+                   Payload::kFp16, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kInt8, AllreduceAlgo::kAuto},
+                   Payload::kWireInt8, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kAdam, 2,
-                   GradientCompression::kFp16, AllreduceAlgo::kAuto},
+                   Payload::kFp16, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kHierarchical},
+                   Payload::kFp32, AllreduceAlgo::kHierarchical},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kAdam, 2,
-                   GradientCompression::kNone, AllreduceAlgo::kHierarchical},
+                   Payload::kFp32, AllreduceAlgo::kHierarchical},
         SweepParam{ReduceOp::kAdasum, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kRing},
+                   Payload::kFp32, AllreduceAlgo::kRing},
         SweepParam{ReduceOp::kSum, OptimizerKind::kSgd, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kSum, OptimizerKind::kAdam, 2,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kSum, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kRing},
+                   Payload::kFp32, AllreduceAlgo::kRing},
         SweepParam{ReduceOp::kAverage, OptimizerKind::kMomentum, 1,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto},
+                   Payload::kFp32, AllreduceAlgo::kAuto},
         SweepParam{ReduceOp::kAverage, OptimizerKind::kLamb, 2,
-                   GradientCompression::kNone, AllreduceAlgo::kAuto}),
+                   Payload::kFp32, AllreduceAlgo::kAuto}),
     param_name);
 
 }  // namespace

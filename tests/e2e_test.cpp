@@ -127,7 +127,8 @@ TEST(EndToEnd, AdamWithAdasumTrains) {
   EXPECT_GT(r.final_accuracy, 0.7);
 }
 
-// int8-compressed Adasum trains end-to-end (error feedback keeps it sound).
+// Adasum over the int8 wire codec trains end-to-end (error feedback keeps
+// it sound).
 TEST(EndToEnd, Int8CompressedAdasumTrains) {
   const auto train_set = task(512, 0);
   const auto eval_set = task(256, 4242);
@@ -138,7 +139,8 @@ TEST(EndToEnd, Int8CompressedAdasumTrains) {
   config.epochs = 5;
   config.optimizer = optim::OptimizerKind::kMomentum;
   config.dist.op = ReduceOp::kAdasum;
-  config.dist.compression = optim::GradientCompression::kInt8;
+  config.dist.wire_compression.mode = CompressionMode::kInt8;
+  config.dist.error_feedback = true;
   config.schedule = &schedule;
   config.eval_examples = 256;
   config.seed = 11;
