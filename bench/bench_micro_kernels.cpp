@@ -245,30 +245,65 @@ namespace kernels_gate {
 using Clock = std::chrono::steady_clock;
 
 // Timing protocol for the JSON artifact: kTimingWarmup warm/calibration
-// calls, then the MEDIAN of kTimingReps calibrated reps (bench_util.h).
-// Best-of would flatter the dispatch, mean would fold in scheduler hiccups;
-// the median is what the gate floors are calibrated against.
+// calls, then the MEDIAN of kTimingReps calibrated reps (bench_util.h). A
+// kernel row times its two columns as kTimingReps interleaved pairs and
+// reports the median pair ratio as its speedup. Best-of would flatter the
+// dispatch, mean would fold in scheduler hiccups; the median is what the
+// gate floors are calibrated against.
 constexpr int kTimingWarmup = 2;
 constexpr int kTimingReps = 5;
 
+// Runs the two warmup calls and returns how many calls fill about 4 ms.
 template <typename F>
-double median_seconds_per_call(F&& op) {
+std::size_t calibrated_iters(F& op) {
   op();  // warm: page-in, dispatch resolve
-  auto t0 = Clock::now();
+  const auto t0 = Clock::now();
   op();  // calibration call (the second warmup)
   const double once =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  const std::size_t iters = std::max<std::size_t>(
+  return std::max<std::size_t>(
       1, static_cast<std::size_t>(4e-3 / std::max(once, 1e-9)));
+}
+
+template <typename F>
+double seconds_per_call(F& op, std::size_t iters) {
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < iters; ++i) op();
+  return std::chrono::duration<double>(Clock::now() - t0).count() /
+         static_cast<double>(iters);
+}
+
+template <typename F>
+double median_seconds_per_call(F&& op) {
+  const std::size_t iters = calibrated_iters(op);
   std::vector<double> reps;
   reps.reserve(kTimingReps);
-  for (int rep = 0; rep < kTimingReps; ++rep) {
-    t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) op();
-    reps.push_back(std::chrono::duration<double>(Clock::now() - t0).count() /
-                   static_cast<double>(iters));
-  }
+  for (int rep = 0; rep < kTimingReps; ++rep)
+    reps.push_back(seconds_per_call(op, iters));
   return adasum::bench::median(std::move(reps));
+}
+
+// Scalar and dispatched timings of one row, taken as kTimingReps interleaved
+// (scalar, dispatched) pairs: a scheduler hiccup or a burst of CPU steal hits
+// both columns of a pair alike, and the median pair ratio shrugs off the
+// pairs it hits unevenly.
+struct PairedTiming {
+  double scalar_s, dispatched_s, speedup;
+};
+
+template <typename S, typename D>
+PairedTiming paired_seconds_per_call(S&& scalar_op, D&& dispatched_op) {
+  const std::size_t scalar_iters = calibrated_iters(scalar_op);
+  const std::size_t dispatched_iters = calibrated_iters(dispatched_op);
+  std::vector<double> ts, ta, ratio;
+  for (int rep = 0; rep < kTimingReps; ++rep) {
+    ts.push_back(seconds_per_call(scalar_op, scalar_iters));
+    ta.push_back(seconds_per_call(dispatched_op, dispatched_iters));
+    ratio.push_back(ts.back() / ta.back());
+  }
+  return {adasum::bench::median(std::move(ts)),
+          adasum::bench::median(std::move(ta)),
+          adasum::bench::median(std::move(ratio))};
 }
 
 struct Row {
@@ -277,6 +312,9 @@ struct Row {
   std::size_t n;
   double scalar_gbs;
   double dispatched_gbs;
+  // Median of the paired scalar/dispatched time ratios (1.0 when the two
+  // columns run the same code).
+  double speedup;
   // True when the dispatched table holds the scalar pointer for this entry
   // (a measured per-(kernel, dtype) demotion in dispatch.cpp): identical
   // code, so the row reuses the scalar timing instead of measuring the same
@@ -313,18 +351,17 @@ void bench_dtype(const simd::KernelTable& scalar_t,
 
   auto add_row = [&](const char* kernel, double bytes_per_call,
                      bool same_entry, auto&& run) {
-    double ts = median_seconds_per_call([&] { run(scalar_t); });
-    double ta =
-        (same || same_entry) ? ts : median_seconds_per_call([&] { run(active_t); });
-    if (!same && !same_entry && ta * 0.95 > ts) {
-      // One remeasure before a row is allowed to report a dispatch
-      // regression: the no-regression gate floors every row at 0.95x and a
-      // single scheduler hiccup on either column should not fail the build.
-      ts = std::min(ts, median_seconds_per_call([&] { run(scalar_t); }));
-      ta = std::min(ta, median_seconds_per_call([&] { run(active_t); }));
+    PairedTiming t;
+    if (same || same_entry) {
+      const double ts = median_seconds_per_call([&] { run(scalar_t); });
+      t = {ts, ts, 1.0};
+    } else {
+      t = paired_seconds_per_call([&] { run(scalar_t); },
+                                  [&] { run(active_t); });
     }
-    rows.push_back({kernel, dn, n, bytes_per_call / ts / 1e9,
-                    bytes_per_call / ta / 1e9, same_entry && !same});
+    rows.push_back({kernel, dn, n, bytes_per_call / t.scalar_s / 1e9,
+                    bytes_per_call / t.dispatched_s / 1e9, t.speedup,
+                    same_entry && !same});
   };
 
   add_row("dot", 2 * sz, scalar_t.dot[d] == active_t.dot[d],
@@ -429,7 +466,7 @@ std::vector<Gate> evaluate_gates(const std::vector<Row>& rows,
     double best = 0.0;
     for (const Row& r : rows)
       if (kernel == r.kernel && dtype == r.dtype)
-        best = std::max(best, r.dispatched_gbs / r.scalar_gbs);
+        best = std::max(best, r.speedup);
     return best;
   };
   auto max_conv_speedup = [&](std::string_view direction) {
@@ -454,11 +491,10 @@ std::vector<Gate> evaluate_gates(const std::vector<Row>& rows,
       3.0);
   // No-regression floor: with the tuned dispatch picks (dispatch.cpp) no
   // (kernel, dtype, size) row may lose to the scalar oracle. Demoted rows
-  // run identical code and hold ratio 1.0 by construction; measured rows get
-  // one remeasure in add_row before they may fail this.
+  // run identical code and hold ratio 1.0 by construction; measured rows
+  // are gated on their median paired ratio.
   double worst = std::numeric_limits<double>::infinity();
-  for (const Row& r : rows)
-    worst = std::min(worst, r.dispatched_gbs / r.scalar_gbs);
+  for (const Row& r : rows) worst = std::min(worst, r.speedup);
   add("dispatched_no_row_below_0p95x_scalar", worst, 0.95);
   return gates;
 }
@@ -505,7 +541,7 @@ int run(const char* path, bool enforce) {
                  "\"scalar_gb_per_sec\": %.3f, \"dispatched_gb_per_sec\": "
                  "%.3f, \"speedup\": %.2f, \"demoted\": %s}%s\n",
                  r.kernel, r.dtype.c_str(), r.n, r.scalar_gbs, r.dispatched_gbs,
-                 r.dispatched_gbs / r.scalar_gbs, r.demoted ? "true" : "false",
+                 r.speedup, r.demoted ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -528,7 +564,7 @@ int run(const char* path, bool enforce) {
     const Gate& g = gates[i];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"value\": %.2f, \"threshold\": "
-                 "%.1f, \"pass\": %s}%s\n",
+                 "%.2f, \"pass\": %s}%s\n",
                  g.name, g.value, g.threshold, g.pass ? "true" : "false",
                  i + 1 < gates.size() ? "," : "");
   }
@@ -540,7 +576,7 @@ int run(const char* path, bool enforce) {
   std::printf("kernels gate: active_level=%s, %zu kernel rows -> %s\n",
               active_t.name, rows.size(), path);
   for (const Gate& g : gates)
-    std::printf("  gate %-36s %6.2fx (floor %.1fx) %s\n", g.name, g.value,
+    std::printf("  gate %-36s %6.2fx (floor %.2fx) %s\n", g.name, g.value,
                 g.threshold, g.pass ? "PASS" : "FAIL");
   if (scalar_only)
     std::printf("  gates skipped: no vector ISA on this host/build\n");

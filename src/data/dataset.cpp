@@ -49,22 +49,28 @@ DataLoader::DataLoader(const Dataset& dataset, std::size_t batch_size,
   batches_per_epoch_ = global_batches;
 }
 
-Batch DataLoader::batch(std::size_t epoch, std::size_t step) const {
-  ADASUM_CHECK_LT(step, batches_per_epoch_);
+std::span<const std::size_t> DataLoader::order(std::size_t epoch) const {
+  // Unshuffled, every epoch has the same order.
+  if (!order_.empty() && (epoch == order_epoch_ || !shuffle_)) return order_;
   // The same permutation is derived on every rank from (seed, epoch).
-  std::vector<std::size_t> order(dataset_.size());
-  std::iota(order.begin(), order.end(), 0);
+  order_.resize(dataset_.size());
+  std::iota(order_.begin(), order_.end(), 0);
   if (shuffle_) {
     Rng rng = Rng(seed_).fork(epoch);
-    rng.shuffle(order);
+    rng.shuffle(order_);
   }
+  order_epoch_ = epoch;
+  return order_;
+}
+
+Batch DataLoader::batch(std::size_t epoch, std::size_t step) const {
+  ADASUM_CHECK_LT(step, batches_per_epoch_);
   // Global step `step` consumes world_size*batch_size consecutive examples;
   // rank r takes the r-th slice.
   const std::size_t global_offset =
       step * batch_size_ * static_cast<std::size_t>(world_size_) +
       static_cast<std::size_t>(rank_) * batch_size_;
-  return make_batch(dataset_, std::span<const std::size_t>(order).subspan(
-                                  global_offset, batch_size_));
+  return make_batch(dataset_, order(epoch).subspan(global_offset, batch_size_));
 }
 
 }  // namespace adasum::data

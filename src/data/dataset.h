@@ -44,6 +44,11 @@ Batch make_batch(const Dataset& dataset, std::span<const std::size_t> indices);
 // strided share — i.e. the global batch of a step is the concatenation of
 // all ranks' microbatches, exactly the data-parallel layout the paper
 // assumes ("the user is responsible for partitioning data across nodes").
+//
+// The permutation of an epoch is computed on the first batch() of that epoch
+// and served from a cache until a batch of another epoch is asked for. The
+// cache is not locked: each loader belongs to one rank thread (the Trainer
+// and perfbench build one per rank), so do not share one across threads.
 class DataLoader {
  public:
   DataLoader(const Dataset& dataset, std::size_t batch_size, int rank,
@@ -53,16 +58,22 @@ class DataLoader {
   std::size_t batches_per_epoch() const { return batches_per_epoch_; }
 
   // The `step`-th microbatch of epoch `epoch` for this rank. Deterministic:
-  // (epoch, step) fully identifies the examples.
+  // (epoch, step) fully identifies the examples, whatever order the calls
+  // come in.
   Batch batch(std::size_t epoch, std::size_t step) const;
 
  private:
+  // The example order of `epoch`, the same on every rank.
+  std::span<const std::size_t> order(std::size_t epoch) const;
+
   const Dataset& dataset_;
   std::size_t batch_size_;
   int rank_, world_size_;
   std::uint64_t seed_;
   bool shuffle_;
   std::size_t batches_per_epoch_;
+  mutable std::vector<std::size_t> order_;  // empty until the first batch()
+  mutable std::size_t order_epoch_ = 0;
 };
 
 }  // namespace adasum::data

@@ -133,16 +133,21 @@ Tensor Dropout::backward(const Tensor& grad_out) {
 }
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& layer : layers_) h = layer->forward(h, train);
+  if (layers_.empty()) return x;
+  Tensor h = layers_.front()->forward(x, train);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    h = layers_[i]->forward(h, train);
   return h;
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {
+  const bool data = input_ == SequentialInput::kData && !layers_.empty();
   Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward(g);
-  return g;
+  for (std::size_t i = layers_.size(); i > (data ? 1 : 0); --i)
+    g = layers_[i - 1]->backward(g);
+  if (!data) return g;
+  layers_.front()->backward_params(g);
+  return Tensor();
 }
 
 std::vector<Parameter*> Sequential::parameters() {

@@ -75,10 +75,18 @@ class Dropout : public Layer {
   Tensor mask_;  // empty when the last forward was eval-mode
 };
 
+// What a Sequential's input is. kData marks a model's root, whose input is
+// the batch: its backward() runs the first layer's backward_params() and
+// returns an empty Tensor. kActivation (hand-built and nested Sequentials)
+// returns the input gradient.
+enum class SequentialInput { kActivation, kData };
+
 // Runs layers in order; concatenates their parameters.
 class Sequential : public Layer {
  public:
-  explicit Sequential(std::string name = "seq") : name_(std::move(name)) {}
+  explicit Sequential(std::string name = "seq",
+                      SequentialInput input = SequentialInput::kActivation)
+      : name_(std::move(name)), input_(input) {}
 
   Sequential& add(std::unique_ptr<Layer> layer) {
     layers_.push_back(std::move(layer));
@@ -100,6 +108,7 @@ class Sequential : public Layer {
 
  private:
   std::string name_;
+  SequentialInput input_;
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 

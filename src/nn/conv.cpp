@@ -17,6 +17,27 @@ namespace {
 // SSE vectors on the baseline ISA.
 constexpr std::size_t kLanes = 16;
 
+// y[0, n) = x[0, n). A run of at most 16 elements moves as two overlapping
+// fixed-size blocks, which compile to a few vector moves; LeNet's im2col
+// runs are 4 to 16 elements, where a memcpy call costs more than the copy.
+// (A plain copy loop does not help: GCC turns it into that call.)
+void copy_run(float* y, const float* x, std::size_t n) {
+  if (n > 16) {
+    std::memcpy(y, x, n * sizeof(float));
+  } else if (n >= 8) {
+    std::memcpy(y, x, 8 * sizeof(float));
+    std::memcpy(y + n - 8, x + n - 8, 8 * sizeof(float));
+  } else if (n >= 4) {
+    std::memcpy(y, x, 4 * sizeof(float));
+    std::memcpy(y + n - 4, x + n - 4, 4 * sizeof(float));
+  } else if (n >= 2) {
+    std::memcpy(y, x, 2 * sizeof(float));
+    std::memcpy(y + n - 2, x + n - 2, 2 * sizeof(float));
+  } else if (n == 1) {
+    y[0] = x[0];
+  }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels,
@@ -61,6 +82,17 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const auto lane_cols = [&](std::size_t cols) {
     return ceil_div(cols, kLanes) * kLanes;
   };
+  // The output positions [lo, hi) along one axis (input length `in`, output
+  // length `out`) whose tap k reads inside the input; the rest are padding.
+  const auto in_range = [&](std::size_t k, std::size_t in, std::size_t out) {
+    const std::size_t lo =
+        std::min(out, k >= padding_ ? 0 : ceil_div(padding_ - k, stride_));
+    const std::size_t hi = std::max(
+        lo, k >= in + padding_
+                ? 0
+                : std::min(out, ceil_div(in + padding_ - k, stride_)));
+    return std::pair<std::size_t, std::size_t>{lo, hi};
+  };
   const std::size_t max_cols =
       kForwardScratchFloats / (rows + out_c_) / kLanes * kLanes;
   const std::size_t tile =
@@ -73,33 +105,29 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
     const std::size_t n = lane_cols(samples * positions);
     for (std::size_t ic = 0; ic < in_c_; ++ic) {
       for (std::size_t ky = 0; ky < kernel_; ++ky) {
+        const auto [ylo, yhi] = in_range(ky, h, oh);
         for (std::size_t kx = 0; kx < kernel_; ++kx) {
-          // Output columns [lo, hi) read inside the row; the rest are padding.
-          const std::size_t lo = std::min(
-              ow, kx >= padding_ ? 0 : ceil_div(padding_ - kx, stride_));
-          const std::size_t hi = std::max(
-              lo, kx >= w + padding_
-                      ? 0
-                      : std::min(ow, ceil_div(w + padding_ - kx, stride_)));
-          float* const row_begin =
-              col + ((ic * kernel_ + ky) * kernel_ + kx) * n;
-          float* row = row_begin;
+          const auto [lo, hi] = in_range(kx, w, ow);
+          // A padded layer zeroes the whole row once and then writes only
+          // the input's runs; unpadded, the runs cover every column but the
+          // lane padding.
+          float* const row = col + ((ic * kernel_ + ky) * kernel_ + kx) * n;
+          std::fill(padding_ > 0 ? row : row + samples * positions, row + n,
+                    0.0f);
+          if (ylo == yhi || lo == hi) continue;
           for (std::size_t s = 0; s < samples; ++s) {
             const float* xplane = xs.data() + ((b0 + s) * in_c_ + ic) * h * w;
-            for (std::size_t oy = 0; oy < oh; ++oy, row += ow) {
-              const std::size_t iy = oy * stride_ + ky;
-              if (iy < padding_ || iy - padding_ >= h) {
-                std::fill_n(row, ow, 0.0f);
-                continue;
-              }
-              const float* xrow = xplane + (iy - padding_) * w;
-              std::fill_n(row, lo, 0.0f);
-              for (std::size_t ox = lo; ox < hi; ++ox)
-                row[ox] = xrow[ox * stride_ + kx - padding_];
-              std::fill(row + hi, row + ow, 0.0f);
+            float* dst = row + s * positions + ylo * ow;
+            for (std::size_t oy = ylo; oy < yhi; ++oy, dst += ow) {
+              const float* xrow = xplane + (oy * stride_ + ky - padding_) * w;
+              // At stride 1 the span is one run of the input row.
+              if (stride_ == 1)
+                copy_run(dst + lo, xrow + (lo + kx - padding_), hi - lo);
+              else
+                for (std::size_t ox = lo; ox < hi; ++ox)
+                  dst[ox] = xrow[ox * stride_ + kx - padding_];
             }
           }
-          std::fill(row, row_begin + n, 0.0f);
         }
       }
     }
@@ -165,8 +193,8 @@ void row_axpy(float* __restrict y, const float* __restrict x, float a) {
 // grad_x element over oc, then raster order: the same adds in the same order
 // as the direct loop b → oc → ic → raster that skips gy == 0. K is the kernel
 // size for the whole-row path; K == 0 sends every entry through the clipped
-// loop.
-template <std::size_t K>
+// loop. Without kInputGrad, gxs is null and only grad_w is accumulated.
+template <std::size_t K, bool kInputGrad>
 void conv_backward(const ConvShape& s, const float* xs, const float* ws,
                    const float* gys, float* gxs, float* gws) {
   const std::size_t positions = s.oh * s.ow, taps = s.kernel * s.kernel;
@@ -213,7 +241,8 @@ void conv_backward(const ConvShape& s, const float* xs, const float* ws,
     }
     for (std::size_t ic = 0; ic < s.in_c; ++ic) {
       const float* xplane = xs + (b * s.in_c + ic) * s.h * s.w;
-      float* gxplane = gxs + (b * s.in_c + ic) * s.h * s.w;
+      float* gxplane =
+          kInputGrad ? gxs + (b * s.in_c + ic) * s.h * s.w : nullptr;
       for (std::size_t oc = 0; oc < s.out_c; ++oc) {
         const float* gyplane = gysample + oc * positions;
         const std::size_t* ent = lists + oc * per_plane;
@@ -235,7 +264,8 @@ void conv_backward(const ConvShape& s, const float* xs, const float* ws,
               const std::size_t row = (iy0 + ky) * s.w + ix0;
               for (std::size_t kx = kx0; kx < kx1; ++kx) {
                 gwplane[ky * s.kernel + kx] += gy * xplane[row + kx];
-                gxplane[row + kx] += gy * wplane[ky * s.kernel + kx];
+                if constexpr (kInputGrad)
+                  gxplane[row + kx] += gy * wplane[ky * s.kernel + kx];
               }
             }
           };
@@ -247,7 +277,8 @@ void conv_backward(const ConvShape& s, const float* xs, const float* ws,
               for (std::size_t ky = ky0; ky < ky1; ++ky) {
                 const std::size_t row = (iy0 + ky) * s.w + ix0;
                 row_axpy<K>(gwplane + ky * K, xplane + row, gy);
-                row_axpy<K>(gxplane + row, wplane + ky * K, gy);
+                if constexpr (kInputGrad)
+                  row_axpy<K>(gxplane + row, wplane + ky * K, gy);
               }
             }
           }
@@ -261,6 +292,16 @@ void conv_backward(const ConvShape& s, const float* xs, const float* ws,
 }  // namespace
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  Tensor grad_in(cached_input_.shape());
+  accumulate_gradients(grad_out, grad_in.span<float>().data());
+  return grad_in;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  accumulate_gradients(grad_out, nullptr);
+}
+
+void Conv2d::accumulate_gradients(const Tensor& grad_out, float* gxs) {
   const Tensor& x = cached_input_;
   const ConvShape s{.batch = x.dim(0), .in_c = in_c_, .out_c = out_c_,
                     .h = x.dim(2), .w = x.dim(3), .oh = out_size(x.dim(2)),
@@ -268,11 +309,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                     .stride = stride_, .padding = padding_};
   ADASUM_CHECK_EQ(grad_out.size(), s.batch * out_c_ * s.oh * s.ow);
 
-  Tensor grad_in(x.shape());
   const float* xs = x.span<float>().data();
   const float* ws = weight_.value.span<float>().data();
   const float* gys = grad_out.span<float>().data();
-  float* gxs = grad_in.span<float>().data();
   float* gws = weight_.grad.span<float>().data();
   auto gbs = bias_.grad.span<float>();
 
@@ -288,24 +327,27 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   }
   // LeNet's 5x5 kernels get the whole-row path. It was measured only there:
   // for K = 3, row_axpy would have no whole vector op.
-  if (kernel_ == 5)
-    conv_backward<5>(s, xs, ws, gys, gxs, gws);
+  if (kernel_ == 5 && gxs != nullptr)
+    conv_backward<5, true>(s, xs, ws, gys, gxs, gws);
+  else if (kernel_ == 5)
+    conv_backward<5, false>(s, xs, ws, gys, gxs, gws);
+  else if (gxs != nullptr)
+    conv_backward<0, true>(s, xs, ws, gys, gxs, gws);
   else
-    conv_backward<0>(s, xs, ws, gys, gxs, gws);
-  return grad_in;
+    conv_backward<0, false>(s, xs, ws, gys, gxs, gws);
 }
 
 std::vector<Parameter*> Conv2d::parameters() { return {&weight_, &bias_}; }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
   ADASUM_CHECK_EQ(x.rank(), 4u);
-  cached_input_ = x;
+  input_shape_ = x.shape();
   const std::size_t batch = x.dim(0), c = x.dim(1), h = x.dim(2),
                     w = x.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
   ADASUM_CHECK_GT(oh, 0u);
   Tensor y({batch, c, oh, ow});
-  argmax_.assign(y.size(), 0);
+  argmax_.resize(y.size());  // every element is written below
   const auto xs = x.span<float>();
   auto ys = y.span<float>();
   std::size_t oi = 0;
@@ -315,8 +357,10 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
       const std::size_t plane_base = (b * c + ch) * h * w;
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
+          // A window with nothing above -inf (all -inf or all NaN) routes
+          // its gradient to its own first element.
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx = oy * window_ * w + ox * window_;
           for (std::size_t ky = 0; ky < window_; ++ky) {
             for (std::size_t kx = 0; kx < window_; ++kx) {
               const std::size_t idx =
@@ -338,7 +382,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
   ADASUM_CHECK_EQ(grad_out.size(), argmax_.size());
-  Tensor grad_in(cached_input_.shape());
+  Tensor grad_in(input_shape_);
   const auto gys = grad_out.span<float>();
   auto gxs = grad_in.span<float>();
   for (std::size_t i = 0; i < gys.size(); ++i) gxs[argmax_[i]] += gys[i];

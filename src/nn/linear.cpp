@@ -135,7 +135,7 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+void Linear::backward_params(const Tensor& grad_out) {
   ADASUM_CHECK(!cached_input_.empty());
   const std::size_t rows = row_count(cached_input_, in_);
   ADASUM_CHECK_EQ(grad_out.size(), rows * out_);
@@ -151,10 +151,15 @@ Tensor Linear::backward(const Tensor& grad_out) {
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t o = 0; o < out_; ++o) gb[o] += gy[r * out_ + o];
   }
+}
+
+Tensor Linear::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
   // dx[r, i] = sum_o dy[r, o] * w[o, i]
   Tensor grad_in(cached_input_.shape());
   matmul(grad_out.span<float>().data(), weight_.value.span<float>().data(),
-         grad_in.span<float>().data(), rows, out_, in_);
+         grad_in.span<float>().data(), row_count(cached_input_, in_), out_,
+         in_);
   return grad_in;
 }
 

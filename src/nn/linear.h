@@ -16,6 +16,7 @@ class Linear : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return name_; }
 

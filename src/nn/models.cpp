@@ -9,7 +9,7 @@ namespace adasum::nn {
 std::unique_ptr<Sequential> make_mlp(const std::vector<std::size_t>& dims,
                                      Rng& rng, const std::string& name) {
   ADASUM_CHECK_GE(dims.size(), 2u);
-  auto net = std::make_unique<Sequential>(name);
+  auto net = std::make_unique<Sequential>(name, SequentialInput::kData);
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
     const bool last = i + 2 == dims.size();
     net->emplace<Linear>(name + ".fc" + std::to_string(i), dims[i],
@@ -22,7 +22,7 @@ std::unique_ptr<Sequential> make_mlp(const std::vector<std::size_t>& dims,
 std::unique_ptr<Sequential> make_lenet5(std::size_t num_classes, Rng& rng,
                                         bool relu, std::size_t input_hw) {
   ADASUM_CHECK_GE(input_hw, 14u);
-  auto net = std::make_unique<Sequential>("lenet5");
+  auto net = std::make_unique<Sequential>("lenet5", SequentialInput::kData);
   auto act = [&](const std::string& n) -> std::unique_ptr<Layer> {
     if (relu) return std::make_unique<ReLU>(n);
     return std::make_unique<Tanh>(n);
@@ -62,7 +62,8 @@ std::unique_ptr<Sequential> make_resnet_tiny(std::size_t in_channels,
                                              std::size_t num_classes,
                                              Rng& rng, int blocks,
                                              std::size_t width) {
-  auto net = std::make_unique<Sequential>("resnet_tiny");
+  auto net =
+      std::make_unique<Sequential>("resnet_tiny", SequentialInput::kData);
   net->emplace<Conv2d>("stem", in_channels, width, 3, rng, 1, 1);
   net->emplace<ReLU>("stem.relu");
   for (int b = 0; b < blocks; ++b) {

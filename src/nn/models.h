@@ -10,6 +10,11 @@
 // of a data-parallel run construct bit-identical replicas from the same seed
 // (the "user is responsible for initializing the model correctly in all
 // nodes" contract of §4.1).
+//
+// make_mlp, make_lenet5 and make_resnet_tiny build their root with
+// SequentialInput::kData: the input is the batch, so backward() accumulates
+// every parameter gradient and returns an empty Tensor instead of the
+// gradient of the data (DESIGN.md §18).
 #pragma once
 
 #include <memory>

@@ -45,6 +45,12 @@ class Layer {
   // gradients and returns the gradient w.r.t. the layer input.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  // Backward for a layer whose input is data, which needs no gradient:
+  // accumulates the same parameter gradients as backward() and computes no
+  // input gradient. The default runs backward() and drops its result; Conv2d
+  // and Linear skip that work (DESIGN.md §18).
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+
   // Trainable parameters, stable order. Default: none.
   virtual std::vector<Parameter*> parameters() { return {}; }
 

@@ -1,7 +1,9 @@
 // Tests for the synthetic datasets and the sharding data loader.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <utility>
 
 #include "data/synthetic.h"
 
@@ -201,6 +203,32 @@ TEST(DataLoader, EpochsReshuffle) {
       break;
     }
   EXPECT_TRUE(differs);
+}
+
+TEST(DataLoader, OutOfOrderRequestsMatchAFreshLoader) {
+  // The loader caches one epoch's permutation; requests that jump between
+  // epochs, back and forth, must still serve what a fresh loader serves.
+  ClusterImageDataset::Options opt;
+  opt.num_examples = 128;
+  ClusterImageDataset ds(opt);
+  const std::pair<std::size_t, std::size_t> requests[] = {
+      {0, 0}, {2, 1}, {0, 3}, {1, 0}, {2, 1}, {2, 0}, {0, 1}, {1, 3}, {0, 0}};
+  for (const bool shuffle : {true, false}) {
+    SCOPED_TRACE(shuffle ? "shuffle" : "no shuffle");
+    const DataLoader loader(ds, 8, 1, 2, 11, shuffle);
+    ASSERT_EQ(loader.batches_per_epoch(), 8u);
+    for (const auto& [epoch, step] : requests) {
+      SCOPED_TRACE(::testing::Message() << "epoch " << epoch << " step "
+                                        << step);
+      const Batch got = loader.batch(epoch, step);
+      const Batch want = DataLoader(ds, 8, 1, 2, 11, shuffle).batch(epoch, step);
+      EXPECT_EQ(got.labels, want.labels);
+      ASSERT_EQ(got.inputs.shape(), want.inputs.shape());
+      EXPECT_EQ(std::memcmp(got.inputs.data(), want.inputs.data(),
+                            got.inputs.nbytes()),
+                0);
+    }
+  }
 }
 
 TEST(DataLoader, NoShuffleIsSequential) {

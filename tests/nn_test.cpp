@@ -678,10 +678,82 @@ TEST(BackwardParity, ReluMatchesDirectLoopBitForBit) {
   EXPECT_TRUE(same_bits(got, want));
 }
 
+// MaxPool2d's direct loops: each output is the first element of its window,
+// in raster order, that is greater than every earlier one, starting from
+// -inf (the window's first element when none is, as in an all-NaN or all
+// -inf window); backward adds each output gradient to that element.
+void oracle_maxpool(const Tensor& x, std::size_t window, const Tensor& grad_out,
+                    Tensor& y, Tensor& grad_in) {
+  const std::size_t batch = x.dim(0), c = x.dim(1), h = x.dim(2),
+                    w = x.dim(3);
+  const std::size_t oh = h / window, ow = w / window;
+  y = Tensor({batch, c, oh, ow});
+  grad_in = Tensor(x.shape());
+  const auto xs = x.span<float>();
+  const auto gys = grad_out.span<float>();
+  auto ys = y.span<float>();
+  auto gxs = grad_in.span<float>();
+  for (std::size_t p = 0; p < batch * c; ++p)
+    for (std::size_t oy = 0; oy < oh; ++oy)
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t at = p * h * w + oy * window * w + ox * window;
+        for (std::size_t ky = 0; ky < window; ++ky)
+          for (std::size_t kx = 0; kx < window; ++kx) {
+            const std::size_t i =
+                p * h * w + (oy * window + ky) * w + ox * window + kx;
+            if (xs[i] > best) {
+              best = xs[i];
+              at = i;
+            }
+          }
+        const std::size_t o = (p * oh + oy) * ow + ox;
+        ys[o] = best;
+        gxs[at] += gys[o];
+      }
+}
+
+TEST(BackwardParity, MaxPool2dMatchesDirectLoopBitForBit) {
+  // Values from a small set make tied maxima common. Window 0 of every
+  // plane is all -inf and window 1 all NaN; NaN elsewhere is scattered.
+  // The larger shape runs first on the same layer, so a smaller forward
+  // must not read what the larger one left in the argmax cache.
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(115);
+  for (std::size_t window : {1, 2, 3}) {
+    MaxPool2d pool("pool", window);
+    for (const auto& shape : std::vector<std::vector<std::size_t>>{
+             {3, 2, 13, 11}, {2, 3, 7, 9}, {1, 1, window, 2 * window}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "window=" << window << " shape=" << shape[0] << "x"
+                   << shape[1] << "x" << shape[2] << "x" << shape[3]);
+      const std::size_t h = shape[2], w = shape[3];
+      Tensor x(shape);
+      auto xs = x.span<float>();
+      for (auto& v : xs) v = static_cast<float>(rng.uniform_int(4)) - 1.0f;
+      for (std::size_t i = 0; i < xs.size(); i += 23) xs[i] = default_nan();
+      for (std::size_t p = 0; p < shape[0] * shape[1]; ++p)
+        for (std::size_t ky = 0; ky < window; ++ky)
+          for (std::size_t kx = 0; kx < window; ++kx) {
+            xs[p * h * w + ky * w + kx] = -inf;
+            xs[p * h * w + ky * w + window + kx] = default_nan();
+          }
+      const Tensor y = pool.forward(x, true);
+      const Tensor gy = random_tensor(y.shape(), rng);
+      const Tensor gx = pool.backward(gy);
+      Tensor want_y, want_gx;
+      oracle_maxpool(x, window, gy, want_y, want_gx);
+      EXPECT_TRUE(same_bits(y, want_y));
+      EXPECT_TRUE(same_bits(gx, want_gx));
+    }
+  }
+}
+
 TEST(BackwardParity, LeNet5GradientsMatchDirectLoopBackward) {
   // Two replicas from one seed: one runs Sequential::backward, the other the
   // same layers with Conv2d and Linear through the oracles. Every parameter
-  // gradient and the input gradient must agree bit for bit.
+  // gradient must agree bit for bit. The root's input is data, so its
+  // backward returns no input gradient.
   Rng rng_a(113), rng_b(113);
   auto net = make_lenet5(10, rng_a, /*relu=*/true, 16);
   auto ref = make_lenet5(10, rng_b, /*relu=*/true, 16);
@@ -723,7 +795,7 @@ TEST(BackwardParity, LeNet5GradientsMatchDirectLoopBackward) {
     }
   }
   EXPECT_EQ(convs, 2u);
-  EXPECT_TRUE(same_bits(grad_x, g));
+  EXPECT_TRUE(grad_x.empty());
   for (std::size_t i = 0; i < params.size(); ++i) {
     SCOPED_TRACE(params[i]->name);
     EXPECT_TRUE(same_bits(params[i]->grad, ref_params[i]->grad));
@@ -922,6 +994,87 @@ TEST(Models, DropoutOnlyActiveInTraining) {
     if (train_out.at(i) == 0.0) ++zeros;
   EXPECT_GT(zeros, 20);
   EXPECT_LT(zeros, 80);
+}
+
+// make_mlp, make_lenet5 and make_resnet_tiny build a root whose input is
+// data: its backward skips the first layer's input gradient and returns an
+// empty Tensor. A hand-built replica of the same layers still computes that
+// gradient; every parameter gradient must match it bit for bit.
+void expect_data_root_matches_replica(
+    Sequential& model, Sequential& replica,
+    const std::vector<std::size_t>& input_shape, std::uint64_t seed) {
+  const auto params = model.parameters();
+  const auto replica_params = replica.parameters();
+  ASSERT_EQ(params.size(), replica_params.size());
+  Rng rng(seed);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    ASSERT_EQ(params[i]->name, replica_params[i]->name);
+    if (i % 2 == 1)  // biases start at zero; give them values
+      params[i]->value = random_tensor(params[i]->value.shape(), rng, 0.1);
+    replica_params[i]->value = params[i]->value.clone();
+  }
+  const Tensor x = random_tensor(input_shape, rng);
+  const Tensor y = model.forward(x, true);
+  ASSERT_TRUE(same_bits(y, replica.forward(x, true)));
+  const Tensor gy = random_tensor(y.shape(), rng);
+  EXPECT_TRUE(model.backward(gy).empty());
+  EXPECT_EQ(replica.backward(gy).shape(), x.shape());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    SCOPED_TRACE(params[i]->name);
+    EXPECT_TRUE(same_bits(params[i]->grad, replica_params[i]->grad));
+  }
+}
+
+TEST(Models, LeNet5RootSkipsOnlyTheInputGradient) {
+  Rng rng(49);
+  auto model = make_lenet5(10, rng, /*relu=*/true, 16);
+  Sequential replica("lenet5");
+  replica.emplace<Conv2d>("conv1", 1, 6, 5, rng, 1, 2);
+  replica.emplace<ReLU>("act1");
+  replica.emplace<MaxPool2d>("pool1", 2);
+  replica.emplace<Conv2d>("conv2", 6, 16, 5, rng);
+  replica.emplace<ReLU>("act2");
+  replica.emplace<MaxPool2d>("pool2", 2);
+  replica.emplace<Flatten>("flatten");
+  replica.emplace<Linear>("fc1", 16 * 2 * 2, 120, rng);
+  replica.emplace<ReLU>("act3");
+  replica.emplace<Linear>("fc2", 120, 84, rng);
+  replica.emplace<ReLU>("act4");
+  replica.emplace<Linear>("fc3", 84, 10, rng, /*xavier=*/true);
+  expect_data_root_matches_replica(*model, replica, {32, 1, 16, 16}, 50);
+}
+
+TEST(Models, ResNetTinyRootSkipsOnlyTheInputGradient) {
+  Rng rng(51);
+  auto model = make_resnet_tiny(1, 4, rng, /*blocks=*/1, /*width=*/4);
+  const auto block = [&](const std::string& name) {
+    auto body = std::make_unique<Sequential>(name + ".body");
+    body->emplace<Conv2d>(name + ".conv1", 4, 4, 3, rng, 1, 1);
+    body->emplace<ReLU>(name + ".relu");
+    body->emplace<Conv2d>(name + ".conv2", 4, 4, 3, rng, 1, 1);
+    return std::make_unique<Residual>(name, std::move(body));
+  };
+  Sequential replica("resnet_tiny");
+  replica.emplace<Conv2d>("stem", 1, 4, 3, rng, 1, 1);
+  replica.emplace<ReLU>("stem.relu");
+  replica.add(block("block1_0"));
+  replica.emplace<ReLU>("block1_0.out_relu");
+  replica.emplace<MaxPool2d>("pool", 2);
+  replica.add(block("block2_0"));
+  replica.emplace<ReLU>("block2_0.out_relu");
+  replica.emplace<GlobalAvgPool>("gap");
+  replica.emplace<Linear>("head", 4, 4, rng, /*xavier=*/true);
+  expect_data_root_matches_replica(*model, replica, {8, 1, 16, 16}, 52);
+}
+
+TEST(Models, MlpRootSkipsOnlyTheInputGradient) {
+  Rng rng(53);
+  auto model = make_mlp({12, 8, 3}, rng);
+  Sequential replica("mlp");
+  replica.emplace<Linear>("mlp.fc0", 12, 8, rng);
+  replica.emplace<ReLU>("mlp.relu0");
+  replica.emplace<Linear>("mlp.fc1", 8, 3, rng, /*xavier=*/true);
+  expect_data_root_matches_replica(*model, replica, {16, 12}, 54);
 }
 
 TEST(Models, TotalParameterCount) {
