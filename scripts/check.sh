@@ -207,7 +207,8 @@ run_stage "lint: repo rules + clang tools (if installed)" stage_lint
 stage_tsan() {
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$(nproc)" --target comm_test \
-    collectives_test chaos_test analysis_test scaleout_test transport_test
+    collectives_test chaos_test analysis_test scaleout_test transport_test \
+    distributed_optimizer_test partitioned_optimizer_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/comm_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/collectives_test
   # The seqlock publish/consume path under the race detector: the transport
@@ -229,6 +230,10 @@ stage_tsan() {
     ./build-tsan/tests/scaleout_test
   TSAN_OPTIONS="halt_on_error=1" ADASUM_ANALYZE=on \
     ./build-tsan/tests/collectives_test
+  # The optimizers with chunking off: the background engine's owner/engine
+  # handoff over buckets whose payload is the parameters themselves.
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/distributed_optimizer_test
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/partitioned_optimizer_test
 }
 
 stage_tsan_pipeline() {

@@ -2,10 +2,8 @@
 //
 // Dispatches on ReduceOp and AllreduceAlgo:
 //   Sum/Average + auto  → RVH when the world is a power of two, ring else.
-//   Adasum      + auto  → AdasumRVH (Algorithm 1) when power of two; for
-//                          other sizes, a gather→serial-tree→broadcast
-//                          fallback that computes the identical tree
-//                          reduction of §3.4.
+//   Adasum      + auto  → AdasumRVH (Algorithm 1) at every world size, the
+//                          same path as kRvh.
 //   … + kRvh            → RVH / AdasumRVH at any world size (a
 //                          non-power-of-two world folds its extra ranks
 //                          into the power-of-two core, rvh_executor.h).

@@ -22,6 +22,16 @@ int fold_extras(int p) {
   return p - static_cast<int>(std::bit_floor(static_cast<unsigned>(p)));
 }
 
+// Honest α–β price of a stream of `bytes` split into chunks of `chunk` bytes
+// (0 = one message): k chunks pay k·α + bytes/B, not α + bytes/B — per-chunk
+// latency is the tax the pipeline pays for its overlap, and Figure 4
+// predictions must show it.
+double chunked_time(const LinkParams& link, double bytes, double chunk) {
+  double k = 1.0;
+  if (chunk > 0.0 && bytes > chunk) k = std::ceil(bytes / chunk);
+  return k * link.latency_s + bytes / link.bandwidth_Bps;
+}
+
 }  // namespace
 
 CostModel::CostModel(Topology topology, ComputeParams compute)
@@ -87,14 +97,6 @@ double CostModel::rvh_allreduce_sum(double bytes) const {
   return total;
 }
 
-double CostModel::chunked_transfer_time(const LinkParams& link,
-                                        double bytes) const {
-  double k = 1.0;
-  if (chunk_bytes_ > 0.0 && bytes > chunk_bytes_)
-    k = std::ceil(bytes / chunk_bytes_);
-  return k * link.latency_s + bytes / link.bandwidth_Bps;
-}
-
 double CostModel::recursive_doubling_cost(int rounds, double bytes,
                                           int base_distance) const {
   double total = 0.0;
@@ -106,49 +108,29 @@ double CostModel::recursive_doubling_cost(int rounds, double bytes,
 }
 
 double CostModel::rvh_allreduce_adasum(double bytes, int num_layers) const {
+  return rvh_adasum_walk(bytes, num_layers, 0.0);
+}
+
+double CostModel::rvh_allreduce_adasum_pipelined(double bytes,
+                                                 int num_layers) const {
+  return rvh_adasum_walk(bytes, num_layers, chunk_bytes_);
+}
+
+double CostModel::rvh_adasum_walk(double bytes, int num_layers,
+                                  double chunk) const {
   const int p = topology_.total_gpus();
   if (p == 1) return 0.0;
   ADASUM_CHECK_GE(num_layers, 1);
   const int levels = core_levels(p);
   const double triple_bytes = 3.0 * 8.0 * num_layers;  // 3 doubles per layer
   double total = 0.0;
-  // Non-power-of-two fold (see CostModel::rvh_allreduce_sum): the pairwise
-  // pre-combine is a local Adasum — dot-triple pass plus scaled sum, no
-  // triple allreduce.
+  // Non-power-of-two fold (see CostModel::rvh_allreduce_sum), chunk-streamed
+  // like every other bulk transfer: the pairwise pre-combine is a local
+  // Adasum — dot-triple pass plus scaled sum, no triple allreduce.
   if (fold_extras(p) > 0) {
     const LinkParams& link = link_for_distance(1 << levels);
-    total += 2.0 * link.transfer_time(bytes) + bytes / compute_.dot_Bps +
+    total += 2.0 * chunked_time(link, bytes, chunk) + bytes / compute_.dot_Bps +
              bytes / compute_.combine_Bps;
-  }
-  double segment = bytes;
-  for (int k = 0; k < levels; ++k) {
-    const LinkParams& link = link_for_distance(1 << k);
-    const double half = segment / 2.0;
-    // Halving exchange + mirrored allgather exchange.
-    total += 2.0 * link.transfer_time(half);
-    // Dot-triple pass and the scaled-sum combine over the local half.
-    total += half / compute_.dot_Bps + half / compute_.combine_Bps;
-    // Triple allreduce over the 2^(k+1)-rank group: k+1 recursive-doubling
-    // rounds at distances 1,2,...,2^k.
-    total += recursive_doubling_cost(k + 1, triple_bytes, 1);
-    segment = half;
-  }
-  return total;
-}
-
-double CostModel::rvh_allreduce_adasum_pipelined(double bytes,
-                                                 int num_layers) const {
-  const int p = topology_.total_gpus();
-  if (p == 1) return 0.0;
-  ADASUM_CHECK_GE(num_layers, 1);
-  const int levels = core_levels(p);
-  const double triple_bytes = 3.0 * 8.0 * num_layers;
-  double total = 0.0;
-  // Non-power-of-two fold, chunk-streamed like every other bulk transfer.
-  if (fold_extras(p) > 0) {
-    const LinkParams& link = link_for_distance(1 << levels);
-    total += 2.0 * chunked_transfer_time(link, bytes) +
-             bytes / compute_.dot_Bps + bytes / compute_.combine_Bps;
   }
   double segment = bytes;
   for (int k = 0; k < levels; ++k) {
@@ -157,18 +139,21 @@ double CostModel::rvh_allreduce_adasum_pipelined(double bytes,
     // Halving exchange: the incoming half arrives as a chunk stream and the
     // dot-triple pass consumes chunks as they land, so the level's critical
     // path is the wire OR the compute trailing the first chunk — whichever
-    // is longer — instead of their sum. Every chunk pays its own α.
-    const double wire = chunked_transfer_time(link, half);
-    const double first_chunk = chunked_transfer_time(
-        link, chunk_bytes_ > 0.0 ? std::min(chunk_bytes_, half) : half);
+    // is longer — instead of their sum. Every chunk pays its own α. With
+    // chunking off the first chunk is the whole half, so this is wire + dot.
+    const double wire = chunked_time(link, half, chunk);
+    const double first_chunk =
+        chunked_time(link, chunk > 0.0 ? std::min(chunk, half) : half, chunk);
     const double dot = half / compute_.dot_Bps;
     total += std::max(wire, dot + first_chunk);
     // The combine and the triple allreduce stay serial: the scale factors
-    // need every layer's dots, which need the full half.
+    // need every layer's dots, which need the full half. The triple
+    // allreduce over the 2^(k+1)-rank group is k+1 recursive-doubling
+    // rounds at distances 1,2,...,2^k.
     total += half / compute_.combine_Bps;
     total += recursive_doubling_cost(k + 1, triple_bytes, 1);
     // Mirrored allgather exchange: a chunk stream with nothing to overlap.
-    total += chunked_transfer_time(link, half);
+    total += chunked_time(link, half, chunk);
     segment = half;
   }
   return total;

@@ -46,11 +46,6 @@ class CostModel {
   void set_chunk_bytes(double chunk_bytes) { chunk_bytes_ = chunk_bytes; }
   double chunk_bytes() const { return chunk_bytes_; }
 
-  // Honest α–β price of a chunked stream: a payload split into k chunks
-  // pays k·α + bytes/B, not α + bytes/B — per-chunk latency is the tax the
-  // pipeline pays for its overlap, and Figure 4 predictions must show it.
-  double chunked_transfer_time(const LinkParams& link, double bytes) const;
-
   // --- whole-world (flat) collectives over p = total_gpus ranks ----------
 
   // Ring sum-allreduce (the NCCL-style baseline): 2(p-1) pipeline steps of
@@ -75,8 +70,9 @@ class CostModel {
   // Chunk-pipelined Algorithm 1 (DESIGN.md §12): the halving exchange
   // travels as a chunk stream and the dot-triple pass runs as chunks land,
   // so a level costs max(wire, dot + first-chunk) instead of wire + dot —
-  // but every chunk pays its own α (chunked_transfer_time). With
-  // chunk_bytes()==0 this equals rvh_allreduce_adasum exactly.
+  // but every chunk pays its own α. Both Adasum RVH predictions run one
+  // pricing walk, so with chunk_bytes()==0 this equals rvh_allreduce_adasum
+  // exactly.
   double rvh_allreduce_adasum_pipelined(double bytes, int num_layers) const;
 
   // Ring-order Adasum (§4.2.3): ring data movement, but each of the p-1
@@ -96,6 +92,9 @@ class CostModel {
     return distance < topology_.gpus_per_node ? topology_.intra
                                               : topology_.inter;
   }
+  // The one Algorithm 1 pricing walk behind rvh_allreduce_adasum (chunk 0)
+  // and rvh_allreduce_adasum_pipelined (chunk_bytes()).
+  double rvh_adasum_walk(double bytes, int num_layers, double chunk) const;
   // Cost of a recursive-doubling allreduce of `bytes` within a group whose
   // members are at distances 1,2,...,2^(rounds-1) apart.
   double recursive_doubling_cost(int rounds, double bytes,

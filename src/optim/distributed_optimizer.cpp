@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <optional>
 
 #include "base/check.h"
@@ -14,8 +15,12 @@ namespace adasum::optim {
 DistributedOptimizer::DistributedOptimizer(Comm& comm,
                                            std::unique_ptr<Optimizer> inner,
                                            DistributedOptions options)
-    : comm_(comm), inner_(std::move(inner)), options_(options) {
+    : comm_(comm),
+      inner_(std::move(inner)),
+      options_(options),
+      everyone_(static_cast<std::size_t>(comm_.size())) {
   ADASUM_CHECK_GE(options_.local_steps, 1);
+  std::iota(everyone_.begin(), everyone_.end(), 0);
   if (RuntimeConfig::from_env().autotune) options_.autotune = true;
 }
 
@@ -92,23 +97,22 @@ bool DistributedOptimizer::step(double lr) {
   // Adasum mode (Figure 3): optimizer first, allreduce the effective
   // gradient after.
   if (micro_step_ == 0) {
-    // Snapshot the round start. The snapshot and the payload tensors are
-    // sized on the first round; warm rounds refresh the snapshot in place.
+    // Snapshot the round start. The snapshot (and the fp16 payload) is sized
+    // on the first round; warm rounds refresh the snapshot in place.
     bool same = round_start_.size() == params.size();
     for (std::size_t i = 0; same && i < params.size(); ++i)
       same = round_start_[i].nbytes() == params[i]->value.nbytes();
     if (!same) {
       const bool fp16 = options_.compression == GradientCompression::kFp16;
       round_start_.clear();
-      eff_.clear();
       eff_fp16_.clear();
       payload_views_.clear();
       for (const nn::Parameter* p : params) {
         round_start_.emplace_back(p->value.shape());
-        eff_.emplace_back(p->value.shape());
         if (fp16) eff_fp16_.emplace_back(p->value.shape(), DType::kFloat16);
       }
-      for (Tensor& t : fp16 ? eff_fp16_ : eff_) payload_views_.push_back(&t);
+      for (std::size_t i = 0; i < params.size(); ++i)
+        payload_views_.push_back(fp16 ? &eff_fp16_[i] : &params[i]->value);
     }
     for (std::size_t i = 0; i < params.size(); ++i)
       std::memcpy(round_start_[i].data(), params[i]->value.data(),
@@ -142,35 +146,25 @@ void DistributedOptimizer::ensure_buckets(
   bucket_signature_.assign(tensors.size(), 0);
   for (std::size_t i = 0; i < tensors.size(); ++i)
     bucket_signature_[i] = tensors[i]->nbytes();
+  // bucket_bytes == 0 keeps one bucket for the whole model — the seed
+  // layout; otherwise the Horovod fusion-threshold rule of
+  // make_fusion_groups packs the parameters in order.
   buckets_.clear();
-  // Greedy packing in parameter order (the Horovod fusion-threshold rule):
-  // a bucket closes once adding the next tensor would push it over
-  // bucket_bytes; an oversized tensor forms its own bucket. bucket_bytes==0
-  // keeps one bucket for the whole model — the seed layout.
-  std::size_t first = 0, bytes = 0;
-  for (std::size_t i = 0; i < tensors.size(); ++i) {
-    const std::size_t nb = tensors[i]->nbytes();
-    if (i > first && options_.bucket_bytes > 0 &&
-        bytes + nb > options_.bucket_bytes) {
-      Bucket bk;
-      bk.first = first;
-      bk.last = i;
-      buckets_.push_back(std::move(bk));
-      first = i;
-      bytes = 0;
+  if (options_.bucket_bytes == 0) {
+    buckets_.emplace_back().last = tensors.size();
+  } else {
+    const std::vector<const Tensor*> views(tensors.begin(), tensors.end());
+    for (const std::vector<std::size_t>& group :
+         make_fusion_groups(views, options_.bucket_bytes)) {
+      Bucket& bk = buckets_.emplace_back();
+      bk.first = group.front();
+      bk.last = group.back() + 1;
     }
-    bytes += nb;
   }
-  Bucket tail;
-  tail.first = first;
-  tail.last = tensors.size();
-  buckets_.push_back(std::move(tail));
   for (Bucket& bk : buckets_) {
     bk.opts.algo = options_.algo;
     bk.opts.ranks_per_node = options_.ranks_per_node;
     bk.opts.compression = options_.wire_compression;
-    bk.opts.slices.clear();
-    bk.launched = false;
   }
   grad_ready_.assign(tensors.size(), 0);
   pack_views_.reserve(tensors.size());
@@ -306,13 +300,11 @@ bool DistributedOptimizer::round_overflowed_globally(bool local_overflow) {
     // vote is the same OR over exactly the ranks still participating.
     return comm_.vote_failure(local_overflow);
   }
-  std::vector<int> everyone(static_cast<std::size_t>(comm_.size()));
-  for (int r = 0; r < comm_.size(); ++r)
-    everyone[static_cast<std::size_t>(r)] = r;
-  const std::vector<double> overflow_sum = comm_.allreduce_sum_doubles(
-      std::vector<double>{local_overflow ? 1.0 : 0.0}, everyone,
+  double overflow_sum = local_overflow ? 1.0 : 0.0;
+  comm_.allreduce_sum_doubles_inplace(
+      std::span<double>(&overflow_sum, 1), everyone_,
       /*tag=*/(tag_round_ % 64) * 65536 + 60000);
-  return overflow_sum[0] > 0.0;
+  return overflow_sum > 0.0;
 }
 
 void DistributedOptimizer::communicate_effective_gradient() {
@@ -335,10 +327,11 @@ void DistributedOptimizer::communicate_effective_gradient() {
   std::optional<PooledBuffer> roundtrip, blob;
   if (snap) {
     std::size_t max_elems = 0;
-    for (const Tensor& t : eff_) max_elems = std::max(max_elems, t.size());
+    for (const nn::Parameter* p : params)
+      max_elems = std::max(max_elems, p->value.size());
     if (!error_feedback_) {
       std::vector<std::size_t> sizes;
-      for (const Tensor& t : eff_) sizes.push_back(t.size());
+      for (const nn::Parameter* p : params) sizes.push_back(p->value.size());
       error_feedback_ = std::make_unique<ErrorFeedback>(std::move(sizes));
     }
     roundtrip.emplace(comm_.pool(), max_elems * sizeof(float));
@@ -353,9 +346,9 @@ void DistributedOptimizer::communicate_effective_gradient() {
   // compute/communication overlap, applied to the local-SGD delta).
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     for (std::size_t i = buckets_[b].first; i < buckets_[b].last; ++i) {
-      // effective_gradient = current - round_start (Figure 3).
-      std::memcpy(eff_[i].data(), params[i]->value.data(), eff_[i].nbytes());
-      const std::span<float> values = eff_[i].span<float>();
+      // effective_gradient = current - round_start (Figure 3), computed in
+      // the parameter itself: from here to the apply below, w_i holds it.
+      const std::span<float> values = params[i]->value.span<float>();
       kernels::axpy(-1.0, round_start_[i].span<float>(), values);
       if (snap) {
         error_feedback_->compensate(i, values);
@@ -367,7 +360,7 @@ void DistributedOptimizer::communicate_effective_gradient() {
       }
       if (fp16) {
         // Scale into fp16 (§4.4.1).
-        cast_to_fp16_scaled(eff_[i], scale, eff_fp16_[i]);
+        cast_to_fp16_scaled(params[i]->value, scale, eff_fp16_[i]);
         if (tensor_overflowed(eff_fp16_[i])) local_overflow = true;
       }
     }
@@ -398,11 +391,10 @@ void DistributedOptimizer::communicate_effective_gradient() {
     return;
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    if (fp16) cast_from_fp16_scaled(eff_fp16_[i], scale, eff_[i]);
-    // w = round_start + reduced_effective_gradient.
-    std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                round_start_[i].nbytes());
-    kernels::add(eff_[i].span<float>(), params[i]->value.span<float>());
+    if (fp16) cast_from_fp16_scaled(eff_fp16_[i], scale, params[i]->value);
+    // w = reduced_effective_gradient + round_start.
+    kernels::add(round_start_[i].span<float>(),
+                 params[i]->value.span<float>());
   }
 }
 

@@ -21,6 +21,13 @@
 // overflows on any rank is skipped on all ranks (model reverts to the round
 // start) and the scale backs off.
 //
+// An Adasum round computes the effective gradient in the parameters
+// themselves: w -= w_round_start, reduce w (or its fp16 cast), then
+// w += w_round_start. Inside a communicating step() the parameter values
+// therefore hold the effective gradient, not weights; they are weights again
+// when step() returns, including after a skipped round. A step() that throws
+// (World::run rethrows and aborts the world) leaves them undefined.
+//
 // Both modes reduce through one bucket pipeline (DESIGN.md §12): the payload
 // is packed into persistent fusion buckets, each reduced as one fused
 // allreduce. `background` only picks who executes a bucket — the CommEngine
@@ -142,10 +149,12 @@ class DistributedOptimizer {
   };
 
   ReduceOutcome communicate_gradients(); // Sum/Average path
-  // Adasum path (Figure 3): per bucket, computes the deltas (with the error-
-  // feedback snap) and launches the bucket, so the engine reduces bucket b
-  // while this thread computes bucket b+1; fp16 casts every bucket and
-  // holds the overflow vote before the first launch.
+  // Adasum path (Figure 3): per bucket, computes the deltas in place in the
+  // parameters (with the error-feedback snap) and launches the bucket, so
+  // the engine reduces bucket b while this thread computes bucket b+1; fp16
+  // casts every bucket and holds the overflow vote before the first launch.
+  // Five passes over the payload per round: the snapshot in step(), the
+  // delta, the pack, the unpack and the add that restores the weights.
   void communicate_effective_gradient();
   // Pointers at the params' grads, rebuilt only when the params change.
   std::vector<Tensor*>& grad_views();
@@ -193,11 +202,12 @@ class DistributedOptimizer {
   // across the whole step.
   std::vector<Bucket> buckets_;
   std::vector<std::size_t> bucket_signature_;  // per-tensor nbytes of layout
-  // Adasum payload, sized with round_start_: the deltas and, with kFp16,
-  // their scaled fp16 casts, plus pointers at whichever is reduced.
-  std::vector<Tensor> eff_;
+  // Adasum payload, sized with round_start_: with kFp16, the deltas' scaled
+  // fp16 casts; pointers at whichever is reduced — the fp16 casts, or the
+  // parameter values themselves, which hold the fp32 deltas during a round.
   std::vector<Tensor> eff_fp16_;
   std::vector<Tensor*> payload_views_;
+  std::vector<int> everyone_;  // the overflow vote's group, built once
   std::vector<Tensor*> grads_view_;   // pointers at the params' grads
   std::vector<const Tensor*> pack_views_;  // launch_bucket pack scratch
   std::vector<Tensor*> unpack_views_;      // reduce_bucketed unpack scratch

@@ -17,8 +17,13 @@ PartitionedDistributedOptimizer::PartitionedDistributedOptimizer(
   // The partition is a pure function of the (identical) parameter layout, so
   // every rank derives the same assignment.
   partition_ = layer_aligned_partition(params_, options_.ranks_per_node);
-  for (std::size_t idx : partition_.shards[my_shard()])
+  for (std::size_t idx : partition_.shards[my_shard()]) {
     shard_params_.push_back(params_[idx]);
+    shard_values_.push_back(&params_[idx]->value);
+    if (comm_.size() > options_.ranks_per_node)
+      round_start_.emplace_back(params_[idx]->value.shape());
+  }
+  pack_views_.assign(shard_values_.begin(), shard_values_.end());
   // Optimizer state exists only for the owned shard — the §4.3 memory win.
   if (shard_params_.empty()) {
     inner_ = std::make_unique<Sgd>(std::vector<nn::Parameter*>{});
@@ -57,47 +62,36 @@ void PartitionedDistributedOptimizer::step(double lr) {
   }
 
   // ---- 2. shard-local optimizer step (owner only) --------------------------
-  std::vector<Tensor> round_start;
-  round_start.reserve(shard_params_.size());
-  for (const nn::Parameter* p : shard_params_)
-    round_start.push_back(p->value.clone());
+  const int num_nodes = comm_.size() / local_size;
+  const bool cross_node = num_nodes > 1 && !shard_params_.empty();
+  if (cross_node) {
+    for (std::size_t i = 0; i < shard_params_.size(); ++i)
+      std::memcpy(round_start_[i].data(), shard_params_[i]->value.data(),
+                  round_start_[i].nbytes());
+  }
   if (!shard_params_.empty()) inner_->step(lr);
 
   // ---- 3. cross-node Adasum on the shard's effective gradient --------------
-  const int num_nodes = comm_.size() / local_size;
-  if (num_nodes > 1 && !shard_params_.empty()) {
+  if (cross_node) {
     std::vector<int> owners;
     for (int n = 0; n < num_nodes; ++n)
       owners.push_back(n * local_size + local);
-    // Fuse the shard's effective gradients with per-layer boundaries.
-    std::vector<Tensor> eff;
-    std::vector<const Tensor*> ptrs;
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < shard_params_.size(); ++i) {
-      Tensor delta = shard_params_[i]->value.clone();
-      kernels::axpy(-1.0, round_start[i].span<float>(), delta.span<float>());
-      eff.push_back(std::move(delta));
-    }
-    for (std::size_t i = 0; i < eff.size(); ++i) {
-      ptrs.push_back(&eff[i]);
-      names.push_back(shard_params_[i]->name);
-    }
-    FusedTensor& fused = fusion_.pack(ptrs, &names);
+    // The effective gradients are computed in the parameters themselves and
+    // fused with per-layer boundaries; the values hold them until the apply.
+    for (std::size_t i = 0; i < shard_params_.size(); ++i)
+      kernels::axpy(-1.0, round_start_[i].span<float>(),
+                    shard_params_[i]->value.span<float>());
+    FusedTensor& fused = fusion_.pack(pack_views_);
     adasum_rvh_allreduce(comm_, fused.flat.data(), fused.flat.size(),
                          fused.flat.dtype(),
                          options_.layerwise
                              ? std::span<const TensorSlice>(fused.slices)
                              : std::span<const TensorSlice>{},
                          tag_base + 16384, owners);
-    std::vector<Tensor*> mut;
-    for (Tensor& t : eff) mut.push_back(&t);
-    fusion_.unpack(mut);
-    for (std::size_t i = 0; i < shard_params_.size(); ++i) {
-      std::memcpy(shard_params_[i]->value.data(), round_start[i].data(),
-                  round_start[i].nbytes());
-      kernels::add(eff[i].span<float>(),
+    fusion_.unpack(shard_values_);
+    for (std::size_t i = 0; i < shard_params_.size(); ++i)
+      kernels::add(round_start_[i].span<float>(),
                    shard_params_[i]->value.span<float>());
-    }
   }
 
   // ---- 4. node-local broadcast of each updated shard ----------------------

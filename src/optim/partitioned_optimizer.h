@@ -15,7 +15,10 @@
 //   3. the owner Adasum-reduces its shard's effective gradient with the
 //      same-shard owners of other nodes (cross-node AdasumRVH on the
 //      owner subgroup, per-layer boundaries preserved by layer alignment;
-//      any node count, the RVH executor folds a non-power-of-two one);
+//      any node count, the RVH executor folds a non-power-of-two one). As
+//      in DistributedOptimizer, the effective gradient is computed in the
+//      shard's parameters against a persistent round-start snapshot, and
+//      adding the snapshot back restores the weights;
 //   4. the owner broadcasts the updated shard parameters inside the node.
 //
 // Semantics note: the node's gradients are summed (not averaged) before the
@@ -67,6 +70,13 @@ class PartitionedDistributedOptimizer {
   // The inner optimizer sees ONLY the owned shard's parameters.
   std::vector<nn::Parameter*> shard_params_;
   std::unique_ptr<Optimizer> inner_;
+  // The owned shard's parameter values: the cross-node payload, packed from
+  // and unpacked into in place (const and mutable views of the same tensors).
+  std::vector<Tensor*> shard_values_;
+  std::vector<const Tensor*> pack_views_;
+  // Snapshot of the owned shard before its step, refreshed in place on every
+  // step that runs the cross-node phase (allocated only when one can run).
+  std::vector<Tensor> round_start_;
   FusionBuffer fusion_;  // reused cross-node fusion staging
   long rounds_ = 0;
 };

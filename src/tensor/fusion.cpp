@@ -56,22 +56,16 @@ FusedTensor fuse(const std::vector<const Tensor*>& tensors,
 
 namespace {
 
-// Does the existing boundary table already describe this pack, including the
-// names it would be given? Checking instead of rebuilding avoids N string
-// constructions per step once the layout settles.
+// Does the existing boundary table already describe this pack? Its names
+// are always "t<i>", so offsets and counts decide; checking instead of
+// rebuilding avoids N string constructions per step once the layout settles.
 bool table_matches(const std::vector<TensorSlice>& slices,
-                   const std::vector<const Tensor*>& tensors,
-                   const std::vector<std::string>* names) {
+                   const std::vector<const Tensor*>& tensors) {
   if (slices.size() != tensors.size()) return false;
   std::size_t offset = 0;
   for (std::size_t i = 0; i < tensors.size(); ++i) {
     const TensorSlice& s = slices[i];
     if (s.offset != offset || s.count != tensors[i]->size()) return false;
-    if (names != nullptr) {
-      if (s.name != (*names)[i]) return false;
-    } else {
-      if (s.name != "t" + std::to_string(i)) return false;
-    }
     offset += s.count;
   }
   return true;
@@ -79,8 +73,7 @@ bool table_matches(const std::vector<TensorSlice>& slices,
 
 }  // namespace
 
-FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
-                                const std::vector<std::string>* names) {
+FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors) {
   ADASUM_CHECK(!tensors.empty());
   const DType dtype = tensors[0]->dtype();
   std::size_t total = 0;
@@ -89,7 +82,6 @@ FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
                      "all tensors in a fusion group must share a dtype");
     total += t->size();
   }
-  if (names != nullptr) ADASUM_CHECK_EQ(names->size(), tensors.size());
   ++stats_.packs;
 
   if (fused_.flat.size() == total && fused_.flat.dtype() == dtype &&
@@ -99,7 +91,7 @@ FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
     fused_.flat = Tensor({total}, dtype);
   }
 
-  const bool keep_table = table_matches(fused_.slices, tensors, names);
+  const bool keep_table = table_matches(fused_.slices, tensors);
   if (keep_table) {
     ++stats_.table_reuses;
   } else {
@@ -113,11 +105,9 @@ FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
     const Tensor* t = tensors[i];
     kernels::copy_bytes(t->data(), fused_.flat.data() + offset * elem,
                         t->size(), dtype);
-    if (!keep_table) {
-      fused_.slices.push_back(TensorSlice{
-          names != nullptr ? (*names)[i] : "t" + std::to_string(i), offset,
-          t->size()});
-    }
+    if (!keep_table)
+      fused_.slices.push_back(
+          TensorSlice{"t" + std::to_string(i), offset, t->size()});
     offset += t->size();
   }
   return fused_;

@@ -53,8 +53,9 @@ void unfuse(const FusedTensor& fused, const std::vector<Tensor*>& tensors);
 // packs the same layer layout thousands of times. FusionBuffer keeps the
 // backing Tensor and the table across pack() calls: when the total
 // size/dtype repeat the buffer is reused in place, and when the layout
-// (per-tensor sizes and names) is unchanged the table rebuild is skipped
-// entirely, so a warm pack() performs only the payload memcpys.
+// (per-tensor sizes) is unchanged the table rebuild is skipped entirely, so
+// a warm pack() performs only the payload memcpys. Its slices are named
+// "t<i>"; callers that need layer names in the table use fuse().
 class FusionBuffer {
  public:
   struct Stats {
@@ -66,8 +67,7 @@ class FusionBuffer {
   // Packs tensors (all one dtype) into the internal fused buffer, reusing
   // storage where the layout allows, and returns it. The reference stays
   // valid until the next pack().
-  FusedTensor& pack(const std::vector<const Tensor*>& tensors,
-                    const std::vector<std::string>* names = nullptr);
+  FusedTensor& pack(const std::vector<const Tensor*>& tensors);
 
   // Copies the fused slices back out (same contract as unfuse()).
   void unpack(const std::vector<Tensor*>& tensors) const;

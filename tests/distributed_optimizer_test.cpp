@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "base/rng.h"
 #include "comm/buffer_pool.h"
@@ -14,6 +15,7 @@
 #include "optim/distributed_optimizer.h"
 #include "train/hessian.h"
 
+#include "chaos_util.h"
 #include "heap_counter.h"
 
 namespace adasum::optim {
@@ -371,14 +373,89 @@ TEST(DistributedOptimizerTest, Fp16OverflowSkipsRoundEverywhere) {
   });
 }
 
+TEST(DistributedOptimizerTest, SkippedAdasumRoundRevertsToRoundStart) {
+  // Between the delta and the apply the parameters hold the effective
+  // gradient. A reduction that exhausts its recovery attempts (every
+  // message corrupted, as in Chaos.FullCorruptionIsDetectedAndRoundSkipped)
+  // must bring them back to the round start bit for bit, on every rank,
+  // whether the buckets run inline or on the engine, one bucket or several.
+  const int ranks = 4;
+  // 100 bytes splits the {4, 8, 3} MLP's four tensors into four buckets.
+  const std::size_t small_bucket = 100;
+  {
+    auto probe = small_model(23);
+    std::vector<const Tensor*> values;
+    for (const Parameter* p : probe->parameters()) values.push_back(&p->value);
+    ASSERT_GE(make_fusion_groups(values, small_bucket).size(), 3u);
+  }
+  for (const bool background : {false, true}) {
+    for (const std::size_t bucket_bytes : {std::size_t{0}, small_bucket}) {
+      SCOPED_TRACE(background ? "background" : "inline");
+      SCOPED_TRACE(bucket_bytes);
+      World world(ranks);
+      FaultToleranceOptions ft;
+      ft.recv_deadline = std::chrono::milliseconds(100);
+      ft.max_recovery_attempts = 2;
+      world.enable_fault_tolerance(ft);
+      world.enable_checksums(true);
+      FaultSpec spec;
+      spec.corrupt_prob = 1.0;
+      world.set_fault_injector(std::make_shared<FaultInjector>(ranks, spec));
+      std::vector<long> skipped(ranks, -1);
+      std::vector<char> reverted(ranks, 0);
+      const chaos::WatchdogResult wr = chaos::run_with_watchdog(
+          world,
+          [&](Comm& comm) {
+            auto model = small_model(23);
+            auto params = model->parameters();
+            const Tensor round_start = train::params_to_flat(params);
+            DistributedOptions opts;
+            opts.op = ReduceOp::kAdasum;
+            opts.background = background;
+            opts.bucket_bytes = bucket_bytes;
+            DistributedOptimizer dopt(comm, std::make_unique<Sgd>(params),
+                                      opts);
+            forward_backward(*model, batch_for(comm.rank(), 0));
+            dopt.step(0.05);
+            const Tensor after = train::params_to_flat(params);
+            const auto r = static_cast<std::size_t>(comm.rank());
+            skipped[r] = dopt.skipped_rounds();
+            reverted[r] = std::memcmp(after.data(), round_start.data(),
+                                      round_start.nbytes()) == 0;
+          },
+          std::chrono::seconds(30));
+      ASSERT_FALSE(wr.watchdog_fired);
+      ASSERT_FALSE(static_cast<bool>(wr.error));
+      EXPECT_GE(world.corruptions_detected(), 1u);
+      for (int r = 0; r < ranks; ++r) {
+        EXPECT_EQ(skipped[static_cast<std::size_t>(r)], 1) << "rank " << r;
+        EXPECT_TRUE(reverted[static_cast<std::size_t>(r)]) << "rank " << r;
+      }
+    }
+  }
+}
+
 TEST(DistributedOptimizerTest, WarmRoundsMakeNoHeapAllocations) {
   // Every round goes through the persistent bucket pipeline: after warm-up
   // a whole step() — the Adasum delta or the gradient pack, the inline
-  // allreduce, the unpack and the apply — makes no heap allocation.
+  // allreduce, the unpack and the apply — makes no heap allocation. That
+  // holds for fp32 payloads, for fp16 ones (with the overflow vote) and for
+  // the int8 wire codec with error feedback (the pooled snap scratch).
+  enum class Payload { kFp32, kFp16, kInt8ErrorFeedback };
   const std::size_t sizes[] = {300, 7, 450};
   const std::size_t payload_bytes = (300 + 7 + 450) * sizeof(float);
-  for (const ReduceOp op : {ReduceOp::kAdasum, ReduceOp::kSum}) {
+  const std::pair<ReduceOp, Payload> cases[] = {
+      {ReduceOp::kAdasum, Payload::kFp32},
+      {ReduceOp::kAdasum, Payload::kFp16},
+      {ReduceOp::kAdasum, Payload::kInt8ErrorFeedback},
+      {ReduceOp::kSum, Payload::kFp32},
+      {ReduceOp::kSum, Payload::kFp16},
+      {ReduceOp::kSum, Payload::kInt8ErrorFeedback}};
+  for (const auto& c : cases) {
+    const ReduceOp op = c.first;
+    const Payload payload = c.second;
     SCOPED_TRACE(reduce_op_name(op));
+    SCOPED_TRACE(static_cast<int>(payload));
     World world(4);
     // The analyzer allocates (event logs, epoch declarations) by design.
     if (world.analyzer() != nullptr)
@@ -393,7 +470,11 @@ TEST(DistributedOptimizerTest, WarmRoundsMakeNoHeapAllocations) {
         params.push_back(&owned.back());
       }
       DistributedOptions opts;
-      opts.op = op;  // fp32, inline, bucket_bytes = 0: the defaults
+      opts.op = op;  // inline, bucket_bytes = 0: the defaults
+      if (payload == Payload::kFp16)
+        opts.compression = GradientCompression::kFp16;
+      if (payload == Payload::kInt8ErrorFeedback)
+        opts.wire_compression.mode = CompressionMode::kInt8;
       DistributedOptimizer dopt(comm, std::make_unique<Sgd>(params), opts);
       const auto step = [&](int s) {
         for (std::size_t i = 0; i < owned.size(); ++i) {

@@ -277,20 +277,6 @@ TEST(FusionBuffer, LayoutChangeRebuildsBuffer) {
   EXPECT_EQ(buffer.stats().table_reuses, 0u);
 }
 
-TEST(FusionBuffer, NameChangeRebuildsTableOnly) {
-  Tensor a({2}), b({3});
-  const std::vector<std::string> n1{"w", "b"};
-  const std::vector<std::string> n2{"w2", "b"};
-  FusionBuffer buffer;
-  buffer.pack({&a, &b}, &n1);
-  FusedTensor& repacked = buffer.pack({&a, &b}, &n2);
-  EXPECT_EQ(repacked.slices[0].name, "w2");
-  // Same total/dtype: the backing store is reused even though the table
-  // had to be rebuilt.
-  EXPECT_EQ(buffer.stats().buffer_reuses, 1u);
-  EXPECT_EQ(buffer.stats().table_reuses, 0u);
-}
-
 // ---- dynamic scaling --------------------------------------------------------
 
 TEST(DynamicScaler, BacksOffOnOverflow) {
