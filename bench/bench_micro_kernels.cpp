@@ -26,6 +26,7 @@
 #include "bench_util.h"
 #include "comm/buffer_pool.h"
 #include "core/adasum.h"
+#include "nn/kernels.h"
 #include "tensor/fusion.h"
 #include "tensor/kernels.h"
 #include "tensor/simd/simd.h"
@@ -449,6 +450,114 @@ void bench_convert(const simd::KernelTable& scalar_t,
   }
 }
 
+// The nn kernel table at LeNet-5's shapes (16x16 input, batch 32, the
+// train-lenet configuration): the baseline build against the active one,
+// through the same interleaved pairs and the same no-row-below-0.95x floor as
+// the tensor kernels. Gradients are 75% exact zeros in random positions, as
+// ReLU and max pooling leave them. A row's bytes are its input, parameter
+// and output arrays, read or written once.
+void bench_nn(const nn::Kernels& base_t, const nn::Kernels& active_t,
+              std::vector<Row>& rows) {
+  constexpr std::size_t kBatch = 32;
+  const bool same = &base_t == &active_t;
+  auto sparse = [](std::size_t n, std::uint64_t seed) {
+    std::vector<float> v = random_values<float>(n, seed);
+    Rng rng(seed + 1);
+    for (float& x : v)
+      if (rng.uniform() < 0.75) x = 0.0f;
+    return v;
+  };
+  // A demoted entry (the AVX2 table holding the baseline pointer) runs the
+  // same code in both columns, as in bench_dtype.
+  auto add_row = [&](const char* kernel, std::size_t n, double bytes,
+                     bool same_entry, auto&& run) {
+    PairedTiming t;
+    if (same || same_entry) {
+      const double ts = median_seconds_per_call([&] { run(base_t); });
+      t = {ts, ts, 1.0};
+    } else {
+      t = paired_seconds_per_call([&] { run(base_t); },
+                                  [&] { run(active_t); });
+    }
+    rows.push_back({kernel, "float32", n, bytes / t.scalar_s / 1e9,
+                    bytes / t.dispatched_s / 1e9, t.speedup,
+                    same_entry && !same});
+  };
+
+  const nn::ConvShape conv1{.batch = kBatch, .in_c = 1, .out_c = 6, .h = 16,
+                            .w = 16, .oh = 16, .ow = 16, .kernel = 5,
+                            .stride = 1, .padding = 2};
+  const nn::ConvShape conv2{.batch = kBatch, .in_c = 6, .out_c = 16, .h = 8,
+                            .w = 8, .oh = 4, .ow = 4, .kernel = 5,
+                            .stride = 1, .padding = 0};
+  struct ConvCase {
+    const char* forward;
+    const char* backward;
+    nn::ConvShape s;
+  };
+  for (const ConvCase& c : {ConvCase{"nn.conv1_forward",
+                                     "nn.conv1_backward_params", conv1},
+                            ConvCase{"nn.conv2_forward",
+                                     "nn.conv2_backward_params", conv2}}) {
+    const nn::ConvShape& s = c.s;
+    const std::size_t in = s.batch * s.in_c * s.h * s.w;
+    const std::size_t wn = s.out_c * s.in_c * s.kernel * s.kernel;
+    const std::size_t out = s.batch * s.out_c * s.oh * s.ow;
+    const auto x = random_values<float>(in, 31);
+    const auto w = random_values<float>(wn, 32);
+    const auto b = random_values<float>(s.out_c, 33);
+    const auto gy = sparse(out, 34);
+    std::vector<float> y(out), gw(wn), gb(s.out_c);
+    const double bytes =
+        static_cast<double>(in + wn + s.out_c + out) * sizeof(float);
+    add_row(c.forward, out, bytes,
+            base_t.conv_forward == active_t.conv_forward,
+            [&](const nn::Kernels& t) {
+      t.conv_forward(s, x.data(), w.data(), b.data(), y.data());
+      benchmark::DoNotOptimize(y.data());
+    });
+    add_row(c.backward, out, bytes,
+            base_t.conv_backward == active_t.conv_backward,
+            [&](const nn::Kernels& t) {
+      t.conv_backward(s, x.data(), w.data(), gy.data(), nullptr, gw.data(),
+                      gb.data());
+      benchmark::DoNotOptimize(gw.data());
+    });
+  }
+
+  // fc1 (64 -> 120) and fc2 (120 -> 84): forward y = x wᵀ, and the weight
+  // gradient gw += gyᵀ x as Linear::backward_params accumulates it.
+  struct FcCase {
+    const char* forward;
+    const char* weight_grad;
+    std::size_t in, out;
+  };
+  for (const FcCase& c : {FcCase{"nn.fc1_matmul_bt", "nn.fc1_matmul_at", 64,
+                                 120},
+                          FcCase{"nn.fc2_matmul_bt", "nn.fc2_matmul_at", 120,
+                                 84}}) {
+    const auto x = sparse(kBatch * c.in, 35);
+    const auto w = random_values<float>(c.out * c.in, 36);
+    const auto gy = sparse(kBatch * c.out, 37);
+    std::vector<float> y(kBatch * c.out), gw(c.out * c.in);
+    const double bytes =
+        static_cast<double>(kBatch * c.in + c.out * c.in + kBatch * c.out) *
+        sizeof(float);
+    add_row(c.forward, kBatch * c.out, bytes,
+            base_t.matmul_bt == active_t.matmul_bt,
+            [&](const nn::Kernels& t) {
+      t.matmul_bt(x.data(), w.data(), y.data(), kBatch, c.in, c.out, false);
+      benchmark::DoNotOptimize(y.data());
+    });
+    add_row(c.weight_grad, c.out * c.in, bytes,
+            base_t.matmul_at == active_t.matmul_at,
+            [&](const nn::Kernels& t) {
+      t.matmul_at(gy.data(), x.data(), gw.data(), kBatch, c.out, c.in, true);
+      benchmark::DoNotOptimize(gw.data());
+    });
+  }
+}
+
 struct Gate {
   const char* name;
   double value;
@@ -513,6 +622,8 @@ int run(const char* path, bool enforce) {
     bench_dtype<double>(scalar_t, active_t, n, rows);
     bench_convert(scalar_t, active_t, n, conv);
   }
+  bench_nn(*nn::kernels_for(simd::Level::kScalar), nn::active_kernels(),
+           rows);
   // On a scalar-only host there is no vector engine to gate: record the
   // measurements, report pass.
   const std::vector<Gate> gates =

@@ -2,7 +2,8 @@
 # Tier-1 gate + the correctness-tooling matrix (DESIGN.md §11):
 #
 #   0. One reader: `getenv` appears in src/ only inside the runtime
-#      configuration (src/base/runtime_config.cpp).
+#      configuration (src/base/runtime_config.cpp). Portability: ISA flags
+#      appear in src/ CMake files only on the two SIMD sources.
 #   1. Release build (CMakePresets.json `release`) + full ctest under both
 #      SIMD dispatch levels, the micro-kernel speedup gate, the benchmark's
 #      self-test (perfbench/test_perfbench.py), the strict-analyzer reruns
@@ -56,9 +57,64 @@ stage_one_reader() {
 }
 run_stage "one reader: getenv only in src/base/runtime_config.cpp" stage_one_reader
 
+stage_isa_flags() {
+  # The binary runs on baseline x86-64 and picks its vector kernels at run
+  # time, so only the two SIMD sources (src/tensor/simd/kernels_avx2.cpp and
+  # src/nn/kernels_avx2.cpp) may carry ISA flags, and only through their
+  # set_source_files_properties call. The nn one must not carry -mfma and
+  # must carry -ffp-contract=off: a fused multiply-add would change the
+  # training bits (DESIGN.md §18). CMake comments are ignored.
+  awk '
+    { line = $0; sub(/#.*/, "", line) }
+    line ~ /set_source_files_properties\(/ {
+      in_call = 1
+      src = line
+      sub(/.*set_source_files_properties\([[:space:]]*/, "", src)
+      sub(/[[:space:]].*/, "", src)
+    }
+    line ~ /-mavx2|-mfma|-mf16c|-march/ {
+      tensor = FILENAME == "src/tensor/CMakeLists.txt" && \
+               src == "simd/kernels_avx2.cpp"
+      nn = FILENAME == "src/nn/CMakeLists.txt" && src == "kernels_avx2.cpp"
+      if (!(in_call && (tensor || nn))) {
+        print FILENAME ":" FNR ": ISA flag outside the SIMD sources: " $0
+        bad = 1
+      }
+    }
+    in_call && FILENAME == "src/nn/CMakeLists.txt" && \
+        src == "kernels_avx2.cpp" { nn_flags = nn_flags " " line }
+    in_call && line ~ /\)/ { in_call = 0 }
+    END {
+      if (nn_flags ~ /-mfma/) {
+        print "src/nn/CMakeLists.txt: kernels_avx2.cpp carries -mfma"
+        bad = 1
+      }
+      if (nn_flags !~ /-ffp-contract=off/) {
+        print "src/nn/CMakeLists.txt: kernels_avx2.cpp lacks -ffp-contract=off"
+        bad = 1
+      }
+      exit bad
+    }' $(find src -name CMakeLists.txt -o -name '*.cmake' | sort)
+}
+run_stage "portability: ISA flags only on the two SIMD sources" stage_isa_flags
+
 stage_tier1_auto() {
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$(nproc)"
+  # An inline function emitted in an AVX2 object lands under a weak symbol,
+  # and the linker may keep that copy for baseline callers too; the AVX2
+  # objects must define none.
+  if grep -q '^ADASUM_SIMD_AVX2_COMPILES:INTERNAL=1' build/CMakeCache.txt; then
+    for obj in build/src/tensor/CMakeFiles/adasum_tensor.dir/simd/kernels_avx2.cpp.o \
+               build/src/nn/CMakeFiles/adasum_nn.dir/kernels_avx2.cpp.o; do
+      weak=$(nm --defined-only "${obj}" | awk '$2 ~ /^[WVu]$/')
+      if [[ -n "${weak}" ]]; then
+        echo "weak symbols in ${obj}:"
+        echo "${weak}"
+        exit 1
+      fi
+    done
+  fi
   ctest --preset release -j "$(nproc)"
 }
 run_stage "tier-1: build + ctest (ADASUM_SIMD=auto)" stage_tier1_auto
@@ -266,6 +322,9 @@ stage_asan() {
     ./build-asan/tests/compress_test
   ASAN_OPTIONS="detect_leaks=1" ADASUM_PIPELINE=on \
     ./build-asan/tests/collectives_test
+  # The ctest run above takes the AVX2 nn kernels on an AVX2 host; the
+  # baseline build of the same source runs here (DESIGN.md §18).
+  ASAN_OPTIONS="detect_leaks=1" ADASUM_SIMD=scalar ./build-asan/tests/nn_test
 }
 
 if [[ "${SKIP_SAN:-0}" == "1" ]]; then

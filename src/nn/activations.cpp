@@ -4,31 +4,25 @@
 #include <numbers>
 
 #include "base/check.h"
+#include "nn/kernels.h"
 
 namespace adasum::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   cached_input_ = x;
   Tensor y(x.shape());
-  const auto xs = x.span<float>();
-  auto ys = y.span<float>();
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    ys[i] = xs[i] > 0.0f ? xs[i] : 0.0f;
+  active_kernels().relu_forward(x.span<float>().data(),
+                                y.span<float>().data(), x.size());
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   ADASUM_CHECK_EQ(grad_out.size(), cached_input_.size());
   Tensor grad_in(cached_input_.shape());
-  const auto xs = cached_input_.span<float>();
-  const auto gs = grad_out.span<float>();
-  auto os = grad_in.span<float>();
-  // gs[i] is loaded whether or not it is kept: a load under the condition
-  // cannot be if-converted, and the loop would stay a branch per element.
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const float g = gs[i];
-    os[i] = xs[i] > 0.0f ? g : 0.0f;
-  }
+  active_kernels().relu_backward(cached_input_.span<float>().data(),
+                                 grad_out.span<float>().data(),
+                                 grad_in.span<float>().data(),
+                                 cached_input_.size());
   return grad_in;
 }
 

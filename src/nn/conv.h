@@ -1,21 +1,17 @@
-// 2-D convolution and max pooling (NCHW layout).
-//
-// Conv2d::forward lowers a tile of whole samples to im2col columns in the
-// shared forward scratch (nn/linear.h), copying each row's in-range span as
-// one block at stride 1, and accumulates each output channel with the lanes
-// running across output elements, so it vectorizes while every element keeps
-// the direct loop's summation order (DESIGN.md §18).
-// Conv2d::backward lists each output plane's nonzero gradients without a
-// branch per element and runs only those, with whole kernel rows as vector
-// ops where the window's columns lie inside the input; every gradient element
-// keeps the zero-skipping direct loop's adds and order (DESIGN.md §18).
-// Conv2d::backward_params runs the same loops without the input gradient.
+// 2-D convolution and max pooling (NCHW layout). The loops run in the nn
+// kernel table (nn/kernels.h): Conv2d::forward lowers tiles of samples to
+// im2col columns with the lanes across output elements, and Conv2d::backward
+// runs only the nonzero output gradients, each element keeping the direct
+// loop's adds and order (DESIGN.md §18). Conv2d::backward_params runs the
+// same loops without the input gradient.
 #pragma once
 
 #include "base/check.h"
 #include "nn/module.h"
 
 namespace adasum::nn {
+
+struct ConvShape;
 
 class Conv2d : public Layer {
  public:
@@ -37,6 +33,7 @@ class Conv2d : public Layer {
   // Accumulates the parameter gradients of the most recent forward and, when
   // gxs is not null, the input gradient into gxs (zeroed, the input's shape).
   void accumulate_gradients(const Tensor& grad_out, float* gxs);
+  ConvShape shape_of(const Tensor& x) const;
 
   std::string name_;
   std::size_t in_c_, out_c_, kernel_, stride_, padding_;

@@ -1,91 +1,25 @@
 #include "nn/linear.h"
 
-#include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "base/check.h"
+#include "nn/kernels.h"
 
 namespace adasum::nn {
 
-float* forward_scratch(std::size_t floats) {
-  thread_local std::vector<float> scratch;
-  if (scratch.size() < floats) scratch.resize(floats);
-  return scratch.data();
-}
-
-std::size_t* index_scratch(std::size_t n) {
-  thread_local std::vector<std::size_t> scratch;
-  if (scratch.size() < n) scratch.resize(n);
-  return scratch.data();
-}
-
 void matmul(const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
-  // i-k-j order: streams b and c rows, vectorizes the inner j loop. Each row
-  // of a runs only its nonzero kk, in order, so every c element keeps the
-  // adds a zero-skipping loop makes.
-  std::size_t* const nz = index_scratch(k);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    const std::size_t count = nonzero_indices(arow, k, 0, nz);
-    for (std::size_t e = 0; e < count; ++e) {
-      const float av = arow[nz[e]];
-      const float* brow = b + nz[e] * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  active_kernels().matmul(a, b, c, m, k, n, accumulate);
 }
 
 void matmul_bt(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {
-  // c[i,j] = sum_kk a[i,kk] * b[j,kk]. A column block of bᵀ is packed so the
-  // inner j loop is contiguous; each c[i,j] still sums its products in kk
-  // order into a zeroed accumulator before it is stored or added to c.
-  const std::size_t block =
-      std::max<std::size_t>(1, std::min(n, kForwardScratchFloats / (k + 1)));
-  float* const bt = forward_scratch((k + 1) * block);
-  for (std::size_t j0 = 0; j0 < n; j0 += block) {
-    const std::size_t nb = std::min(block, n - j0);
-    float* const acc = bt + k * nb;
-    for (std::size_t j = 0; j < nb; ++j)
-      for (std::size_t kk = 0; kk < k; ++kk)
-        bt[kk * nb + j] = b[(j0 + j) * k + kk];
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * k;
-      std::fill_n(acc, nb, 0.0f);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        const float* btrow = bt + kk * nb;
-        for (std::size_t j = 0; j < nb; ++j) acc[j] += av * btrow[j];
-      }
-      float* crow = c + i * n + j0;
-      if (accumulate)
-        for (std::size_t j = 0; j < nb; ++j) crow[j] += acc[j];
-      else
-        std::copy_n(acc, nb, crow);
-    }
-  }
+  active_kernels().matmul_bt(a, b, c, m, k, n, accumulate);
 }
 
 void matmul_at(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, k * n * sizeof(float));
-  // c[kk,j] += a[i,kk] * b[i,j]: outer-product accumulation per i, over the
-  // nonzero kk of row i only.
-  std::size_t* const nz = index_scratch(k);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const float* brow = b + i * n;
-    const std::size_t count = nonzero_indices(arow, k, 0, nz);
-    for (std::size_t e = 0; e < count; ++e) {
-      const float av = arow[nz[e]];
-      float* crow = c + nz[e] * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  active_kernels().matmul_at(a, b, c, m, k, n, accumulate);
 }
 
 namespace {

@@ -1,9 +1,10 @@
 // AVX2+FMA+F16C kernel table.
 //
 // This is the ONLY translation unit compiled with -mavx2 -mfma -mf16c (see
-// src/tensor/CMakeLists.txt); everything it defines is reached exclusively
-// through the function pointers in avx2_table(), which dispatch.cpp hands out
-// only after CPUID confirms the ISA. It deliberately includes no project
+// src/tensor/CMakeLists.txt; the nn kernels' AVX2 build takes -mavx2 alone);
+// everything it defines is reached exclusively through the function pointers
+// in avx2_table(), which dispatch.cpp hands out only after CPUID confirms the
+// ISA. It deliberately includes no project
 // header beyond kernel_table.h so no baseline-inline function can be emitted
 // here with AVX encodings and then be chosen by the linker for scalar TUs.
 //
@@ -602,9 +603,11 @@ inline __m256 sr_bits24(__m256i h) {
 // branch on them. Per lane this is the scalar quantized_level exactly:
 // floor(v + u) or round-to-nearest-even (_MM_FROUND_TO_NEAREST_INT is
 // statically RTNE, matching nearbyint under the default rounding mode, the
-// only mode this process runs in), clamped after rounding in the same
-// min(kMax, max(-kMax, r)) operand order. Levels are exact small integers,
-// so the truncating convert is exact.
+// only mode this process runs in), clamped after rounding to the scalar
+// min(kMax, max(-kMax, r)). maxps returns its SECOND operand when either is
+// NaN, so r goes first: a NaN r becomes -kMax, as std::max(-kMax, r) makes
+// it, instead of reaching the convert as INT_MIN (int8 level -128). Levels
+// are exact small integers, so the truncating convert is exact.
 template <int kMax, bool kStochastic, bool kUseInv, typename Emit>
 void quantize_block_vec(const float* src, std::size_t s, std::size_t e,
                         float m, float inv, std::uint32_t seed, Emit& emit) {
@@ -635,7 +638,7 @@ void quantize_block_vec(const float* src, std::size_t s, std::size_t e,
       r = _mm256_round_ps(v, kRound);
     }
     emit(i, rem,
-         _mm256_cvttps_epi32(_mm256_min_ps(vmax, _mm256_max_ps(vmin, r))));
+         _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(r, vmin), vmax)));
   }
 }
 

@@ -235,6 +235,51 @@ TEST(CompressKernels, StochasticScalarVsAvx2BitParityOverLongStreams) {
   }
 }
 
+// A NaN input must still quantize to a level inside [-kMax, kMax]. The clamp
+// after rounding is max(r, -kMax) then min(., kMax); with the bound as the
+// second operand of maxps a NaN r becomes -kMax, as the scalar
+// std::max(-kMax, r) makes it, and not INT_MIN (int8 level -128, int4 level
+// 0). The NaN sits at position 0 of a 256-element block: the AVX2 block max
+// forgets it there, as the scalar one always does, so both tables see the
+// same scale and their blobs can be compared whole.
+TEST(CompressKernels, NanInputQuantizesInsideTheLevelRangeOnBothTables) {
+  const KernelTable* avx2 = simd::table_for(Level::kAvx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host/build";
+  const KernelTable& scalar = simd::scalar_table();
+  const std::size_t block = 256;
+  std::vector<float> data = random_floats(block, 9300);
+  data[0] = std::numeric_limits<float>::quiet_NaN();
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4}) {
+    const int max_level = mode == CompressionMode::kInt8 ? 127 : 7;
+    for (const bool stochastic : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << compression_mode_name(mode) << " sr=" << stochastic);
+      const CodecRun s = run_table(scalar, mode, data, block, 0x77u, stochastic);
+      const CodecRun v = run_table(*avx2, mode, data, block, 0x77u, stochastic);
+      ASSERT_EQ(0, std::memcmp(s.scales.data(), v.scales.data(),
+                               s.scales.size() * sizeof(float)));
+      EXPECT_EQ(s.payload, v.payload);
+      for (const CodecRun* run : {&s, &v}) {
+        std::vector<int> levels;
+        for (const std::uint8_t byte : run->payload) {
+          if (mode == CompressionMode::kInt8) {
+            levels.push_back(static_cast<std::int8_t>(byte));
+          } else {  // two's complement nibbles, even index low
+            levels.push_back(static_cast<std::int8_t>(byte << 4) >> 4);
+            levels.push_back(static_cast<std::int8_t>(byte & 0xF0) >> 4);
+          }
+        }
+        EXPECT_EQ(levels[0], -max_level) << "the NaN's level";
+        for (const int q : levels) {
+          EXPECT_GE(q, -max_level);
+          EXPECT_LE(q, max_level);
+        }
+      }
+    }
+  }
+}
+
 TEST(CompressCodec, AllZeroBlockStoresZeroScaleAndDecodesZeros) {
   for (const CompressionMode mode : kModes) {
     const CompressionOptions opts = make_opts(mode, 32, false);  // block = 8

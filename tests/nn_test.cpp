@@ -12,10 +12,12 @@
 #include "base/rng.h"
 #include "nn/activations.h"
 #include "nn/conv.h"
+#include "nn/kernels.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/transformer.h"
+#include "tensor/simd/simd.h"
 
 namespace adasum::nn {
 namespace {
@@ -800,6 +802,187 @@ TEST(BackwardParity, LeNet5GradientsMatchDirectLoopBackward) {
     SCOPED_TRACE(params[i]->name);
     EXPECT_TRUE(same_bits(params[i]->grad, ref_params[i]->grad));
   }
+}
+
+// ---- the two nn kernel builds ----------------------------------------------
+//
+// nn/kernels.cpp is compiled at baseline and, on AVX2 builds, again with
+// -mavx2 (nn/kernels.h). Every output element keeps its own rounded
+// multiplies and adds in the same order in both, so every output and every
+// gradient must match bit for bit: at LeNet's shapes, at ragged ones, and
+// with gradients that hold ±0, NaN and ±Inf.
+
+// Normal values with runs of ±0 and, with `nonfinite`, a few NaN and ±Inf.
+std::vector<float> kernel_values(std::size_t n, Rng& rng, bool nonfinite) {
+  Tensor t = sparse_tensor({n}, rng);
+  if (nonfinite) add_nonfinite(t);
+  const auto s = t.span<float>();
+  return {s.begin(), s.end()};
+}
+
+bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+ConvShape conv_shape(std::size_t batch, std::size_t in_c, std::size_t out_c,
+                     std::size_t h, std::size_t w, std::size_t kernel,
+                     std::size_t stride, std::size_t padding) {
+  return {.batch = batch, .in_c = in_c, .out_c = out_c, .h = h, .w = w,
+          .oh = (h + 2 * padding - kernel) / stride + 1,
+          .ow = (w + 2 * padding - kernel) / stride + 1, .kernel = kernel,
+          .stride = stride, .padding = padding};
+}
+
+// Everything one table computes for a conv case: the forward output, the
+// full backward (gx, gw, gb) and backward_params (gw, gb without gx).
+struct ConvRun {
+  std::vector<float> y, gx, gw, gb, gw_params, gb_params;
+};
+
+ConvRun run_conv(const Kernels& t, const ConvShape& s,
+                 const std::vector<float>& x, const std::vector<float>& w,
+                 const std::vector<float>& b, const std::vector<float>& gy,
+                 const std::vector<float>& gw0,
+                 const std::vector<float>& gb0) {
+  ConvRun r{.y = std::vector<float>(gy.size()),
+            .gx = std::vector<float>(x.size()),
+            .gw = gw0, .gb = gb0, .gw_params = gw0, .gb_params = gb0};
+  t.conv_forward(s, x.data(), w.data(), b.data(), r.y.data());
+  t.conv_backward(s, x.data(), w.data(), gy.data(), r.gx.data(), r.gw.data(),
+                  r.gb.data());
+  t.conv_backward(s, x.data(), w.data(), gy.data(), nullptr,
+                  r.gw_params.data(), r.gb_params.data());
+  return r;
+}
+
+// The three GEMMs of one Linear layer over `rows` rows: y = x wᵀ (stored and
+// accumulated), gw += gyᵀ x and gx = gy w.
+struct GemmRun {
+  std::vector<float> y, y_acc, gw, gx;
+};
+
+GemmRun run_gemms(const Kernels& t, std::size_t rows, std::size_t in,
+                  std::size_t out, const std::vector<float>& x,
+                  const std::vector<float>& w, const std::vector<float>& gy,
+                  const std::vector<float>& y0, const std::vector<float>& gw0) {
+  GemmRun r{.y = std::vector<float>(rows * out), .y_acc = y0, .gw = gw0,
+            .gx = std::vector<float>(rows * in)};
+  t.matmul_bt(x.data(), w.data(), r.y.data(), rows, in, out, false);
+  t.matmul_bt(x.data(), w.data(), r.y_acc.data(), rows, in, out, true);
+  t.matmul_at(gy.data(), x.data(), r.gw.data(), rows, out, in, true);
+  t.matmul(gy.data(), w.data(), r.gx.data(), rows, out, in, false);
+  return r;
+}
+
+TEST(NnKernels, Avx2TableMatchesBaselineBitForBit) {
+  const Kernels* avx2 = kernels_for(simd::Level::kAvx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host/build";
+  const Kernels* base = kernels_for(simd::Level::kScalar);
+  ASSERT_NE(base, nullptr);
+  Rng rng(120);
+
+  // LeNet-5 at 16x16 (conv1, conv2) at batch 32, 1 and 33; 13x11 planes,
+  // whose columns end inside a lane group; K = 3 at stride 2 and padding 1.
+  const ConvShape convs[] = {
+      conv_shape(32, 1, 6, 16, 16, 5, 1, 2), conv_shape(32, 6, 16, 8, 8, 5, 1, 0),
+      conv_shape(1, 1, 6, 16, 16, 5, 1, 2),  conv_shape(33, 6, 16, 8, 8, 5, 1, 0),
+      conv_shape(7, 3, 4, 13, 11, 5, 1, 2),  conv_shape(33, 3, 4, 13, 11, 3, 2, 1),
+      conv_shape(1, 2, 5, 9, 7, 3, 2, 1)};
+  for (const ConvShape& s : convs)
+    for (const bool nonfinite : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "conv b=" << s.batch << " " << s.in_c << "->" << s.out_c
+                   << " " << s.h << "x" << s.w << " k=" << s.kernel
+                   << " s=" << s.stride << " p=" << s.padding
+                   << " nonfinite=" << nonfinite);
+      const std::size_t wn = s.out_c * s.in_c * s.kernel * s.kernel;
+      const auto x = kernel_values(s.batch * s.in_c * s.h * s.w, rng, false);
+      const auto w = kernel_values(wn, rng, false);
+      const auto b = kernel_values(s.out_c, rng, false);
+      const auto gy =
+          kernel_values(s.batch * s.out_c * s.oh * s.ow, rng, nonfinite);
+      const auto gw0 = kernel_values(wn, rng, false);
+      const auto gb0 = kernel_values(s.out_c, rng, false);
+      const ConvRun want = run_conv(*base, s, x, w, b, gy, gw0, gb0);
+      const ConvRun got = run_conv(*avx2, s, x, w, b, gy, gw0, gb0);
+      EXPECT_TRUE(same_floats(got.y, want.y)) << "forward";
+      EXPECT_TRUE(same_floats(got.gx, want.gx)) << "input gradient";
+      EXPECT_TRUE(same_floats(got.gw, want.gw)) << "weight gradient";
+      EXPECT_TRUE(same_floats(got.gb, want.gb)) << "bias gradient";
+      EXPECT_TRUE(same_floats(got.gw_params, want.gw_params))
+          << "backward_params weight gradient";
+      EXPECT_TRUE(same_floats(got.gb_params, want.gb_params))
+          << "backward_params bias gradient";
+    }
+
+  // LeNet's fc1, fc2 and fc3 at batch 32, 1 and 33, and a Linear on a
+  // (B, T, in) = (3, 5, 7) token tensor, whose rows are B * T.
+  const GemmDims gemms[] = {{32, 64, 120}, {32, 120, 84}, {32, 84, 10},
+                            {1, 64, 120},  {33, 120, 84}, {3 * 5, 7, 9}};
+  for (const GemmDims& d : gemms)
+    for (const bool nonfinite : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "linear rows=" << d.m << " in=" << d.k
+                   << " out=" << d.n << " nonfinite=" << nonfinite);
+      const auto x = kernel_values(d.m * d.k, rng, false);
+      const auto w = kernel_values(d.n * d.k, rng, false);
+      const auto gy = kernel_values(d.m * d.n, rng, nonfinite);
+      const auto y0 = kernel_values(d.m * d.n, rng, false);
+      const auto gw0 = kernel_values(d.n * d.k, rng, false);
+      const GemmRun want = run_gemms(*base, d.m, d.k, d.n, x, w, gy, y0, gw0);
+      const GemmRun got = run_gemms(*avx2, d.m, d.k, d.n, x, w, gy, y0, gw0);
+      EXPECT_TRUE(same_floats(got.y, want.y)) << "matmul_bt";
+      EXPECT_TRUE(same_floats(got.y_acc, want.y_acc))
+          << "matmul_bt, accumulate";
+      EXPECT_TRUE(same_floats(got.gw, want.gw)) << "matmul_at";
+      EXPECT_TRUE(same_floats(got.gx, want.gx)) << "matmul";
+    }
+
+  // ReLU and 2x2 max pooling over LeNet's act1/pool1 and a ragged 33-sample
+  // batch of odd 7x9 planes, inputs and gradients both holding ±0, NaN and
+  // ±Inf.
+  for (const std::size_t planes : {32u * 6u, 33u * 3u}) {
+    const std::size_t h = planes == 32 * 6 ? 16 : 7;
+    const std::size_t w = planes == 32 * 6 ? 16 : 9;
+    SCOPED_TRACE(::testing::Message() << "planes=" << planes << " " << h
+                                      << "x" << w);
+    const std::size_t n = planes * h * w;
+    const std::size_t pooled = planes * (h / 2) * (w / 2);
+    const auto x = kernel_values(n, rng, true);
+    const auto gy = kernel_values(n, rng, true);
+    const auto gpool = kernel_values(pooled, rng, true);
+    std::vector<float> y[2], gx[2], py[2], pgx[2];
+    std::vector<std::size_t> argmax[2];
+    const Kernels* tables[] = {base, avx2};
+    for (int i = 0; i < 2; ++i) {
+      y[i].resize(n);
+      gx[i].resize(n);
+      py[i].resize(pooled);
+      pgx[i].assign(n, 0.0f);
+      argmax[i].resize(pooled);
+      tables[i]->relu_forward(x.data(), y[i].data(), n);
+      tables[i]->relu_backward(x.data(), gy.data(), gx[i].data(), n);
+      tables[i]->maxpool_forward(x.data(), py[i].data(), argmax[i].data(),
+                                 planes, h, w, 2);
+      tables[i]->maxpool_backward(gpool.data(), argmax[i].data(),
+                                  pgx[i].data(), pooled);
+    }
+    EXPECT_TRUE(same_floats(y[1], y[0])) << "relu forward";
+    EXPECT_TRUE(same_floats(gx[1], gx[0])) << "relu backward";
+    EXPECT_TRUE(same_floats(py[1], py[0])) << "maxpool forward";
+    EXPECT_EQ(argmax[1], argmax[0]) << "maxpool argmax";
+    EXPECT_TRUE(same_floats(pgx[1], pgx[0])) << "maxpool backward";
+  }
+}
+
+TEST(NnKernels, LayersUseTheActiveLevelsTable) {
+  const Kernels* active = kernels_for(simd::active_level());
+  ASSERT_NE(active, nullptr);
+  EXPECT_EQ(&active_kernels(), active);
+  EXPECT_STREQ(active_kernels().name,
+               simd::active_level() == simd::Level::kAvx2 ? "avx2"
+                                                          : "baseline");
 }
 
 // ---- argument validation --------------------------------------------------
