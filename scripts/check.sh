@@ -325,6 +325,10 @@ stage_asan() {
   # The ctest run above takes the AVX2 nn kernels on an AVX2 host; the
   # baseline build of the same source runs here (DESIGN.md §18).
   ASAN_OPTIONS="detect_leaks=1" ADASUM_SIMD=scalar ./build-asan/tests/nn_test
+  # Likewise the codec: the ctest run takes the AVX2 codec kernels, so the
+  # scalar ones run through the public compress entry points only here.
+  ASAN_OPTIONS="detect_leaks=1" ADASUM_SIMD=scalar \
+    ./build-asan/tests/compress_test
 }
 
 if [[ "${SKIP_SAN:-0}" == "1" ]]; then

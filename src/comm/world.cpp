@@ -471,13 +471,7 @@ void Comm::recv_bulk_into(int src, std::span<std::byte> dest,
     recv_chunks_into(src, dest, chunk_bytes, tag);
     return;
   }
-  Transport::Inbound in = recv_inbound(src, tag);
-  const std::size_t got = in.data().size();
-  const bool ok = got == dest.size();
-  if (ok && !dest.empty())
-    std::memcpy(dest.data(), in.data().data(), got);
-  world_->transport_->release(std::move(in));
-  if (!ok) ADASUM_CHECK_EQ(got, dest.size());
+  recv_bytes_into(src, dest, tag);
 }
 
 void Comm::bulk_fence() {

@@ -425,14 +425,6 @@ class Comm {
     return out;
   }
 
-  // Exchange with a peer: send `data`, then receive the peer's message.
-  // Sends are buffered, so the symmetric call pattern cannot deadlock.
-  template <typename T>
-  std::vector<T> exchange(int peer, std::span<const T> data, int tag = 0) {
-    send(peer, data, tag);
-    return recv<T>(peer, tag);
-  }
-
   // Barrier across the ALIVE ranks of the world (all ranks, when no fault
   // injector has killed any).
   void barrier();

@@ -87,6 +87,12 @@ struct CompressionOptions {
   }
 };
 
+// Index of an active mode's codec in the SIMD kernel table
+// (simd::KernelTable::codec; the mapping is static_asserted in compress.cpp).
+constexpr int codec_index(CompressionMode mode) {
+  return static_cast<int>(mode) - static_cast<int>(CompressionMode::kInt8);
+}
+
 inline std::size_t compressed_num_blocks(std::size_t count,
                                          const CompressionOptions& opts) {
   const std::size_t be = opts.block_elems();

@@ -6,10 +6,12 @@
 // there and then be picked by the linker for baseline TUs. Only <cstddef> and
 // <cstdint> — no project headers.
 //
-// Entries are dtype-erased (std::byte* + element count) and indexed by the
-// integer value of adasum::DType (kFloat16=0, kFloat32=1, kFloat64=2 —
-// static_asserted in tensor/kernels.cpp). Size/overlap preconditions are
-// checked by the public wrappers in tensor/kernels.h, not here.
+// The elementwise and reduction entries are dtype-erased (std::byte* +
+// element count) and indexed by the integer value of adasum::DType
+// (kFloat16=0, kFloat32=1, kFloat64=2 — static_asserted in
+// tensor/kernels.cpp); the wire codec entries are indexed by codec.
+// Size/overlap preconditions are checked by the public wrappers in
+// tensor/kernels.h and tensor/compress/compress.h, not here.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +25,80 @@ inline constexpr int kNumDtypes = 3;
 inline constexpr int kF16 = 0;
 inline constexpr int kF32 = 1;
 inline constexpr int kF64 = 2;
+
+// Wire codec indices into KernelTable::codec. The mapping from
+// adasum::CompressionMode is static_asserted in tensor/compress/compress.cpp.
+inline constexpr int kNumCodecs = 3;
+inline constexpr int kCodecInt8 = 0;
+inline constexpr int kCodecInt4 = 1;
+inline constexpr int kCodecSign = 2;
+
+// One blockwise wire codec (DESIGN.md §13): its encode, its decode and the
+// fused decode-reduce entries (§17), all over the same stream layout.
+//
+// fp32 payloads only (the compress layer rejects other dtypes before
+// dispatch). `block` is the block length in ELEMENTS — a multiple of 8 and
+// at least 8, so int4 nibble pairs and sign bytes never straddle a block
+// boundary; the final block may be short. `scales` holds ceil(n/block)
+// floats, one per block; `payload` holds the packed levels.
+//
+// Contract shared by both TUs, bit-for-bit (tests/compress_test.cpp):
+//  * int8:  scale_b = max|block| / 127, q in [-127, 127], one signed byte
+//           per element, x ≈ q * scale_b.
+//  * int4:  scale_b = max|block| / 7, q in [-7, 7], two elements per byte
+//           with the EVEN index in the low nibble (two's complement).
+//  * sign:  scale_b = mean|block| via an 8-lane-structured sum (the lane
+//           assignment is part of the contract so scalar and AVX2 agree
+//           exactly); payload bit i of byte i/8 (LSB first) is set when
+//           the sign BIT of x is clear (so -0.0 counts as negative), and
+//           x ≈ ±scale_b.
+//  * An all-zero block stores scale 0 and a zero payload. When 1/scale_b
+//    is not finite (denormal max), both TUs fall back to dividing by the
+//    block max instead of multiplying by the reciprocal.
+//  * `seed` plus the span-relative element index drive the counter-based
+//    stochastic-rounding hash (floor(x/scale + u), u in [0,1) from a
+//    murmur3 finalizer); stochastic=false rounds to nearest-even. Sign
+//    ignores both.
+//  * Both TUs leave a NaN element out of the int8/int4 block max, and in a
+//    block with a nonzero max it quantizes to level -kMax. Detecting NaN
+//    and Inf is the caller's job.
+//
+// Fused dequantize-reduce: single-pass decode + reduce for the compressed
+// collectives — one read of the wire payload, one read-modify-write of the
+// accumulator (or, for the dot triple, one read of the other operand), no
+// decoded scratch pass. `payload` and `scales` address the WHOLE encoded
+// span; `offset` is the global element index where this call's slice
+// begins — block index, nibble parity and sign-bit position all derive from
+// offset+i — and `n` is the slice length. `dst`/`other`/`out` address the
+// slice directly (their element 0 is global element `offset`). An empty
+// slice reads neither `payload` nor `scales`.
+//
+// Bit contract (tests/compress_test.cpp): within one table, dequant_add is
+// bitwise equal to dequantize-then-add[kF32], dequant_combine to
+// dequantize-then-scaled_sum[kF32] with the decoded operand in the position
+// selected by `deq_is_b` (b when true, a when false) and coefficient
+// `c_deq`, the in-memory operand taking the other slot with `c_other`, and
+// dequant_dot_triple (out = {a·b, a·a, b·b}, operands placed the same way)
+// to dequantize-then-dot_triple[kF32]. `out` may alias `other` exactly;
+// partial overlap is forbidden.
+struct CodecKernels {
+  void (*quantize)(const float* src, std::size_t n, std::size_t block,
+                   std::uint32_t seed, bool stochastic, float* scales,
+                   std::uint8_t* payload);
+  void (*dequantize)(const std::uint8_t* payload, std::size_t n,
+                     std::size_t block, const float* scales, float* dst);
+  void (*dequant_add)(const std::uint8_t* payload, const float* scales,
+                      std::size_t offset, std::size_t n, std::size_t block,
+                      float* dst);
+  void (*dequant_combine)(const float* other, double c_other, double c_deq,
+                          bool deq_is_b, const std::uint8_t* payload,
+                          const float* scales, std::size_t offset,
+                          std::size_t n, std::size_t block, float* out);
+  void (*dequant_dot_triple)(const float* other, bool deq_is_b,
+                             const std::uint8_t* payload, const float* scales,
+                             std::size_t offset, std::size_t n,
+                             std::size_t block, double out[3]);
+};
 
 struct KernelTable {
   const char* name;
@@ -64,109 +140,8 @@ struct KernelTable {
   void (*stream_copy)(const std::byte* src, std::byte* dst,
                       std::size_t bytes);
 
-  // ---- blockwise compression casts (DESIGN.md §13) -------------------------
-  //
-  // fp32 payloads only (the compress layer rejects other dtypes before
-  // dispatch). `block` is the block length in ELEMENTS — a multiple of 8 and
-  // at least 8, so int4 nibble pairs and sign bytes never straddle a block
-  // boundary; the final block may be short. `scales` holds ceil(n/block)
-  // floats, one per block.
-  //
-  // Contract shared by both TUs, bit-for-bit (tests/compress_test.cpp):
-  //  * int8:  scale_b = max|block| / 127, q in [-127, 127], x ≈ q * scale_b.
-  //  * int4:  scale_b = max|block| / 7, q in [-7, 7], two elements per byte
-  //           with the EVEN index in the low nibble (two's complement).
-  //  * sign:  scale_b = mean|block| via an 8-lane-structured sum (the lane
-  //           assignment is part of the contract so scalar and AVX2 agree
-  //           exactly); payload bit i of byte i/8 (LSB first) is set when
-  //           the sign BIT of x is clear (so -0.0 counts as negative), and
-  //           x ≈ ±scale_b.
-  //  * An all-zero block stores scale 0 and a zero payload. When 1/scale_b
-  //    is not finite (denormal max), both TUs fall back to dividing by the
-  //    block max instead of multiplying by the reciprocal.
-  //  * `seed` plus the span-relative element index drive the counter-based
-  //    stochastic-rounding hash (floor(x/scale + u), u in [0,1) from a
-  //    murmur3 finalizer); stochastic=false rounds to nearest-even. Inputs
-  //    must be finite — NaN/inf propagation is the caller's overflow check.
-  void (*quantize_int8_blocks)(const float* src, std::size_t n,
-                               std::size_t block, std::uint32_t seed,
-                               bool stochastic, float* scales, std::int8_t* q);
-  void (*dequantize_int8_blocks)(const std::int8_t* q, std::size_t n,
-                                 std::size_t block, const float* scales,
-                                 float* dst);
-  void (*quantize_int4_blocks)(const float* src, std::size_t n,
-                               std::size_t block, std::uint32_t seed,
-                               bool stochastic, float* scales,
-                               std::uint8_t* packed);
-  void (*dequantize_int4_blocks)(const std::uint8_t* packed, std::size_t n,
-                                 std::size_t block, const float* scales,
-                                 float* dst);
-  void (*quantize_sign_blocks)(const float* src, std::size_t n,
-                               std::size_t block, float* scales,
-                               std::uint8_t* bits);
-  void (*dequantize_sign_blocks)(const std::uint8_t* bits, std::size_t n,
-                                 std::size_t block, const float* scales,
-                                 float* dst);
-
-  // ---- fused dequantize-reduce (DESIGN.md §17) -----------------------------
-  //
-  // Single-pass decode + reduce for the compressed collectives: one read of
-  // the wire payload, one read-modify-write of the accumulator (or, for the
-  // dot triple, one read of the other operand), no decoded scratch pass.
-  // `q`/`packed`/`bits` and `scales` address the WHOLE encoded span (same
-  // layout as the casts above); `offset` is the global element
-  // index where this call's slice begins — block index, nibble parity and
-  // sign-bit position all derive from offset+i — and `n` is the slice length.
-  // `dst`/`other`/`out` address the slice directly (their element 0 is global
-  // element `offset`).
-  //
-  // Bit contract (tests/compress_test.cpp): within one TU, dequant_add_* is
-  // bitwise equal to dequantize-then-add composed from the SAME table, and
-  // dequant_combine_* to dequantize-then-scaled_sum with the decoded operand
-  // in the position selected by `deq_is_b` (b when true, a when false) and
-  // coefficient `c_deq`, the in-memory operand taking the other slot with
-  // `c_other`. `out` may alias `other` exactly; partial overlap is forbidden.
-  void (*dequant_add_int8)(const std::int8_t* q, const float* scales,
-                           std::size_t offset, std::size_t n,
-                           std::size_t block, float* dst);
-  void (*dequant_add_int4)(const std::uint8_t* packed, const float* scales,
-                           std::size_t offset, std::size_t n,
-                           std::size_t block, float* dst);
-  void (*dequant_add_sign)(const std::uint8_t* bits, const float* scales,
-                           std::size_t offset, std::size_t n,
-                           std::size_t block, float* dst);
-  void (*dequant_combine_int8)(const float* other, double c_other,
-                               double c_deq, bool deq_is_b,
-                               const std::int8_t* q, const float* scales,
-                               std::size_t offset, std::size_t n,
-                               std::size_t block, float* out);
-  void (*dequant_combine_int4)(const float* other, double c_other,
-                               double c_deq, bool deq_is_b,
-                               const std::uint8_t* packed, const float* scales,
-                               std::size_t offset, std::size_t n,
-                               std::size_t block, float* out);
-  void (*dequant_combine_sign)(const float* other, double c_other,
-                               double c_deq, bool deq_is_b,
-                               const std::uint8_t* bits, const float* scales,
-                               std::size_t offset, std::size_t n,
-                               std::size_t block, float* out);
-  // out = {a·b, a·a, b·b} over the slice, the decoded operand in slot b
-  // (deq_is_b) or a and `other` in the remaining slot. Bit contract: equal to
-  // dequantize-then-dot_triple[kF32] composed from the SAME table.
-  void (*dequant_dot_triple_int8)(const float* other, bool deq_is_b,
-                                  const std::int8_t* q, const float* scales,
-                                  std::size_t offset, std::size_t n,
-                                  std::size_t block, double out[3]);
-  void (*dequant_dot_triple_int4)(const float* other, bool deq_is_b,
-                                  const std::uint8_t* packed,
-                                  const float* scales, std::size_t offset,
-                                  std::size_t n, std::size_t block,
-                                  double out[3]);
-  void (*dequant_dot_triple_sign)(const float* other, bool deq_is_b,
-                                  const std::uint8_t* bits,
-                                  const float* scales, std::size_t offset,
-                                  std::size_t n, std::size_t block,
-                                  double out[3]);
+  // Wire codecs (DESIGN.md §13, §17), indexed by kCodecInt8/kInt4/kSign.
+  CodecKernels codec[kNumCodecs];
 };
 
 // Defined in kernels_scalar.cpp; always available, bit-identical to the seed

@@ -543,12 +543,8 @@ inline __m256 abs_ps(__m256 v) {
   return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
 }
 
-// For finite inputs max is exact, so the reduction order is free — unlike
-// the sums below. Not for NaN: maxps returns its SECOND operand when either
-// is NaN, so a lane of block_max_abs8's accumulator forgets a NaN unless it
-// is the lane's last element, and this tree keeps or drops it by position.
-// Scalar std::max(m, x) always drops it. Codec inputs must be finite
-// (ROADMAP item 4 records the cross-ISA NaN divergence).
+// max is exact, so the reduction order is free — unlike the sums below.
+// block_max_abs8 never hands this a NaN lane.
 inline float hmax(__m256 v) {
   __m128 m =
       _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
@@ -563,9 +559,10 @@ inline float block_max_abs8(const float* src, std::size_t s, std::size_t e) {
     const std::size_t rem = e - i;
     const __m256 x = rem >= 8 ? _mm256_loadu_ps(src + i)
                               : _mm256_maskload_ps(src + i, lane_mask(rem));
-    // Masked lanes are 0, like scalar. Operand order matters only for NaN
-    // (see hmax): the new element is the second operand.
-    acc = _mm256_max_ps(acc, abs_ps(x));
+    // Masked lanes are 0, like scalar. maxps returns its SECOND operand
+    // when either is NaN, so with the accumulator second a NaN element is
+    // dropped wherever it sits, as scalar std::max(m, |x|) drops it.
+    acc = _mm256_max_ps(abs_ps(x), acc);
   }
   return hmax(acc);
 }
@@ -683,9 +680,10 @@ inline __m128i pack_levels8(__m256i lv) {
   return _mm_packs_epi16(p16, p16);
 }
 
-void ax_quantize_int8_blocks(const float* src, std::size_t n,
-                             std::size_t block, std::uint32_t seed,
-                             bool stochastic, float* scales, std::int8_t* q) {
+void ax_quantize_int8(const float* src, std::size_t n, std::size_t block,
+                      std::uint32_t seed, bool stochastic, float* scales,
+                      std::uint8_t* payload) {
+  auto* q = reinterpret_cast<std::int8_t*>(payload);
   quantize_blocks_vec<127>(
       src, n, block, seed, stochastic, scales,
       [&](std::size_t i, std::size_t rem, __m256i lv) {
@@ -701,10 +699,9 @@ void ax_quantize_int8_blocks(const float* src, std::size_t n,
       });
 }
 
-void ax_quantize_int4_blocks(const float* src, std::size_t n,
-                             std::size_t block, std::uint32_t seed,
-                             bool stochastic, float* scales,
-                             std::uint8_t* packed) {
+void ax_quantize_int4(const float* src, std::size_t n, std::size_t block,
+                      std::uint32_t seed, bool stochastic, float* scales,
+                      std::uint8_t* packed) {
   quantize_blocks_vec<7>(
       src, n, block, seed, stochastic, scales,
       [&](std::size_t i, std::size_t rem, __m256i lv) {
@@ -725,45 +722,9 @@ void ax_quantize_int4_blocks(const float* src, std::size_t n,
       });
 }
 
-void ax_dequantize_int8_blocks(const std::int8_t* q, std::size_t n,
-                               std::size_t block, const float* scales,
-                               float* dst) {
-  std::size_t b = 0;
-  for (std::size_t s = 0; s < n; s += block, ++b) {
-    const std::size_t e = s + block < n ? s + block : n;
-    const float scale = scales[b];
-    const __m256 vs = _mm256_set1_ps(scale);
-    std::size_t i = s;
-    for (; i + 8 <= e; i += 8) {
-      const __m128i b8 =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + i));
-      _mm256_storeu_ps(
-          dst + i,
-          _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b8)), vs));
-    }
-    // Single multiply per element — nothing for FMA contraction to fuse.
-    for (; i < e; ++i) dst[i] = static_cast<float>(q[i]) * scale;
-  }
-}
-
-void ax_dequantize_int4_blocks(const std::uint8_t* packed, std::size_t n,
-                               std::size_t block, const float* scales,
-                               float* dst) {
-  // Verbatim scalar loop: integer unpack plus one exact multiply.
-  std::size_t b = 0;
-  for (std::size_t s = 0; s < n; s += block, ++b) {
-    const std::size_t e = s + block < n ? s + block : n;
-    const float scale = scales[b];
-    for (std::size_t i = s; i < e; ++i) {
-      const int nib = (i & 1) ? (packed[i / 2] >> 4) : (packed[i / 2] & 0x0F);
-      dst[i] = static_cast<float>((nib ^ 8) - 8) * scale;
-    }
-  }
-}
-
-void ax_quantize_sign_blocks(const float* src, std::size_t n,
-                             std::size_t block, float* scales,
-                             std::uint8_t* bits) {
+void ax_quantize_sign(const float* src, std::size_t n, std::size_t block,
+                      std::uint32_t /*seed*/, bool /*stochastic*/,
+                      float* scales, std::uint8_t* bits) {
   std::size_t b = 0;
   for (std::size_t s = 0; s < n; s += block, ++b) {
     const std::size_t e = s + block < n ? s + block : n;
@@ -790,49 +751,15 @@ void ax_quantize_sign_blocks(const float* src, std::size_t n,
   }
 }
 
-void ax_dequantize_sign_blocks(const std::uint8_t* bits, std::size_t n,
-                               std::size_t block, const float* scales,
-                               float* dst) {
-  // Verbatim scalar loop: selection and exact negation only.
-  std::size_t b = 0;
-  for (std::size_t s = 0; s < n; s += block, ++b) {
-    const std::size_t e = s + block < n ? s + block : n;
-    const float scale = scales[b];
-    for (std::size_t i = s; i < e; ++i)
-      dst[i] = ((bits[i / 8] >> (i & 7)) & 1) ? scale : -scale;
-  }
-}
-
-// ---- fused dequantize-reduce (DESIGN.md §17) ------------------------------
-//
-// Bit contract: fused == the two-pass composition from THIS table, per
-// element. The decoded value float(q)*scale is a single correctly-rounded
-// multiply whether it comes from an 8-wide mul_ps lane or the scalar
-// expression, so the walk is free to decode in registers wherever a group
-// shares one scale. What is NOT free is the reduce arithmetic, and the
-// bodies below keep each two-pass kernel's element partition:
-//  * dequant_add's 8-wide body matches add_f32_block because the double add
-//    + narrow is path-independent per lane; the sub-8 tail stages the
-//    decoded floats and delegates to add_f32_block itself — composing the
-//    decode multiply into the add expression lets -ffp-contract fuse them
-//    into one single-precision FMA, which skips the product rounding.
-//  * dequant_combine keeps scaled_sum_f32_block's FMA shape fmadd(b, cb,
-//    mul(a, ca)) with the decoded operand in the slot `deq_is_b` selects.
-//    That shape is per lane, so the 8-wide body equals the kernel's 4-lane
-//    groups; the sub-8 tail delegates to scaled_sum_f32_block itself, which
-//    runs its own 4-lane group and scalar tail with the same machine code
-//    (FMA contraction of a spelled-out scalar expression is
-//    toolchain-dependent inside this TU).
-//  * dequant_dot_triple feeds dot_triple_f32_block's six accumulators in
-//    its order: element j of the slice lands in t[0/2/4] (j % 8 < 4) or
-//    t[1/3/5] of group j / 8, and the last n % 8 elements go to the scalar
-//    tail through dot_triple_f32_block itself.
-
 // Per-codec decode. dec1 is the scalar oracle's expression; dec8 decodes
 // the 8 elements at global index gi with one splatted scale, and vec8(gi)
-// says whether it may (int4 needs gi on a byte boundary).
+// says whether it may (int4 needs gi on a byte boundary). Each lane of dec8
+// is dec1's single correctly-rounded multiply (for sign, its selection), so
+// both decode the same bits.
 struct FxInt8 {
   const std::int8_t* q;
+  explicit FxInt8(const std::uint8_t* payload)
+      : q(reinterpret_cast<const std::int8_t*>(payload)) {}
   static bool vec8(std::size_t) { return true; }
   __m256 dec8(std::size_t gi, __m256 vs) const {
     const __m128i b8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + gi));
@@ -891,6 +818,51 @@ struct FxSign {
   }
 };
 
+// Two-pass decode, block by block. `block` is a multiple of 8, so every
+// group of a block decodes in registers and only the last block's sub-8
+// tail goes element by element. A single multiply per element leaves
+// nothing for FMA contraction to fuse.
+template <class Fx>
+void ax_dequantize(const std::uint8_t* payload, std::size_t n,
+                   std::size_t block, const float* scales, float* dst) {
+  const Fx c{payload};
+  std::size_t b = 0;
+  for (std::size_t s = 0; s < n; s += block, ++b) {
+    const std::size_t e = s + block < n ? s + block : n;
+    const float scale = scales[b];
+    const __m256 vs = _mm256_set1_ps(scale);
+    std::size_t i = s;
+    for (; i + 8 <= e && c.vec8(i); i += 8)
+      _mm256_storeu_ps(dst + i, c.dec8(i, vs));
+    for (; i < e; ++i) dst[i] = c.dec1(i, scale);
+  }
+}
+
+// ---- fused dequantize-reduce (DESIGN.md §17) ------------------------------
+//
+// Bit contract: fused == the two-pass composition from THIS table, per
+// element. The decoded value float(q)*scale is a single correctly-rounded
+// multiply whether it comes from an 8-wide mul_ps lane or the scalar
+// expression, so the walk is free to decode in registers wherever a group
+// shares one scale. What is NOT free is the reduce arithmetic, and the
+// bodies below keep each two-pass kernel's element partition:
+//  * dequant_add's 8-wide body matches add_f32_block because the double add
+//    + narrow is path-independent per lane; the sub-8 tail stages the
+//    decoded floats and delegates to add_f32_block itself — composing the
+//    decode multiply into the add expression lets -ffp-contract fuse them
+//    into one single-precision FMA, which skips the product rounding.
+//  * dequant_combine keeps scaled_sum_f32_block's FMA shape fmadd(b, cb,
+//    mul(a, ca)) with the decoded operand in the slot `deq_is_b` selects.
+//    That shape is per lane, so the 8-wide body equals the kernel's 4-lane
+//    groups; the sub-8 tail delegates to scaled_sum_f32_block itself, which
+//    runs its own 4-lane group and scalar tail with the same machine code
+//    (FMA contraction of a spelled-out scalar expression is
+//    toolchain-dependent inside this TU).
+//  * dequant_dot_triple feeds dot_triple_f32_block's six accumulators in
+//    its order: element j of the slice lands in t[0/2/4] (j % 8 < 4) or
+//    t[1/3/5] of group j / 8, and the last n % 8 elements go to the scalar
+//    tail through dot_triple_f32_block itself.
+
 inline __m256d lo4_pd(__m256 v) {
   return _mm256_cvtps_pd(_mm256_castps256_ps128(v));
 }
@@ -907,8 +879,8 @@ inline __m256d hi4_pd(__m256 v) {
 // block boundary (or an int4 group on an odd nibble) and the tail decode
 // per element through dq. An empty slice touches nothing, not even the
 // scales: its blob may be a 0-byte message.
-template <class Codec, class Body, class Tail>
-void fused_walk(const Codec& c, const float* scales, std::size_t block,
+template <class Fx, class Body, class Tail>
+void fused_walk(const Fx& c, const float* scales, std::size_t block,
                 std::size_t offset, std::size_t n, Body&& body, Tail&& tail) {
   if (n == 0) return;
   std::size_t blk = offset / block;        // block of the walk's position,
@@ -964,11 +936,12 @@ void fused_walk(const Codec& c, const float* scales, std::size_t block,
 }
 
 // dst[i] += decoded[offset+i], double add + narrow per element.
-template <class Codec>
-void fused_add_f32(const Codec& c, const float* scales, std::size_t offset,
-                   std::size_t n, std::size_t block, float* dst) {
+template <class Fx>
+void fused_add_f32(const std::uint8_t* payload, const float* scales,
+                   std::size_t offset, std::size_t n, std::size_t block,
+                   float* dst) {
   fused_walk(
-      c, scales, block, offset, n,
+      Fx{payload}, scales, block, offset, n,
       [&](std::size_t j, __m256 d) {
         const __m256d r0 = _mm256_add_pd(lo4_pd(d), cvt4_pd(dst + j));
         const __m256d r1 = _mm256_add_pd(hi4_pd(d), cvt4_pd(dst + j + 4));
@@ -982,10 +955,10 @@ void fused_add_f32(const Codec& c, const float* scales, std::size_t offset,
 
 // out[i] = ca*a[i] + cb*b[i] with the decoded slice in the slot selected by
 // kDeqIsB (a template parameter, so the group body carries no branch).
-template <bool kDeqIsB, class Codec>
-void fused_combine_f32(const Codec& c, const float* other, double c_other,
-                       double c_deq, const float* scales, std::size_t offset,
-                       std::size_t n, std::size_t block, float* out) {
+template <bool kDeqIsB, class Fx>
+void fused_combine_walk(const Fx& c, const float* other, double c_other,
+                        double c_deq, const float* scales, std::size_t offset,
+                        std::size_t n, std::size_t block, float* out) {
   const __m256d vco = _mm256_set1_pd(c_other);
   const __m256d vcd = _mm256_set1_pd(c_deq);
   const auto combine4 = [&](__m256d dv, __m256d ov) {
@@ -1012,33 +985,35 @@ void fused_combine_f32(const Codec& c, const float* other, double c_other,
       });
 }
 
-template <class Codec>
-void fused_combine_f32(const Codec& c, const float* other, double c_other,
-                       double c_deq, bool deq_is_b, const float* scales,
-                       std::size_t offset, std::size_t n, std::size_t block,
-                       float* out) {
+template <class Fx>
+void fused_combine_f32(const float* other, double c_other, double c_deq,
+                       bool deq_is_b, const std::uint8_t* payload,
+                       const float* scales, std::size_t offset, std::size_t n,
+                       std::size_t block, float* out) {
+  const Fx c{payload};
   if (deq_is_b)
-    fused_combine_f32<true>(c, other, c_other, c_deq, scales, offset, n,
-                            block, out);
-  else
-    fused_combine_f32<false>(c, other, c_other, c_deq, scales, offset, n,
+    fused_combine_walk<true>(c, other, c_other, c_deq, scales, offset, n,
                              block, out);
+  else
+    fused_combine_walk<false>(c, other, c_other, c_deq, scales, offset, n,
+                              block, out);
 }
 
 // {a·b, a·a, b·b} with the decoded slice as one operand. `other` always
 // takes the x slot (products are exact in double, so fmadd(x, y) ==
 // fmadd(y, x)); the slot only decides which squared-norm sum is a·a,
 // swapped at the end.
-template <class Codec>
-void fused_dot_triple_f32(const Codec& c, const float* other, bool deq_is_b,
-                          const float* scales, std::size_t offset,
-                          std::size_t n, std::size_t block, double out[3]) {
+template <class Fx>
+void fused_dot_triple_f32(const float* other, bool deq_is_b,
+                          const std::uint8_t* payload, const float* scales,
+                          std::size_t offset, std::size_t n, std::size_t block,
+                          double out[3]) {
   __m256d t[6] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
                   _mm256_setzero_pd(), _mm256_setzero_pd(),
                   _mm256_setzero_pd(), _mm256_setzero_pd()};
   double tail[3] = {0.0, 0.0, 0.0};
   fused_walk(
-      c, scales, block, offset, n,
+      Fx{payload}, scales, block, offset, n,
       [&](std::size_t j, __m256 d) {
         const __m256d x0 = cvt4_pd(other + j), y0 = lo4_pd(d);
         const __m256d x1 = cvt4_pd(other + j + 4), y1 = hi4_pd(d);
@@ -1059,65 +1034,12 @@ void fused_dot_triple_f32(const Codec& c, const float* other, bool deq_is_b,
   out[2] = deq_is_b ? r[2] : r[1];
 }
 
-void ax_dequant_add_int8(const std::int8_t* q, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  fused_add_f32(FxInt8{q}, scales, offset, n, block, dst);
-}
-void ax_dequant_add_int4(const std::uint8_t* packed, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  fused_add_f32(FxInt4{packed}, scales, offset, n, block, dst);
-}
-void ax_dequant_add_sign(const std::uint8_t* bits, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  fused_add_f32(FxSign{bits}, scales, offset, n, block, dst);
-}
-
-void ax_dequant_combine_int8(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::int8_t* q,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  fused_combine_f32(FxInt8{q}, other, c_other, c_deq, deq_is_b, scales,
-                    offset, n, block, out);
-}
-void ax_dequant_combine_int4(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::uint8_t* packed,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  fused_combine_f32(FxInt4{packed}, other, c_other, c_deq, deq_is_b, scales,
-                    offset, n, block, out);
-}
-void ax_dequant_combine_sign(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::uint8_t* bits,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  fused_combine_f32(FxSign{bits}, other, c_other, c_deq, deq_is_b, scales,
-                    offset, n, block, out);
-}
-
-void ax_dequant_dot_triple_int8(const float* other, bool deq_is_b,
-                                const std::int8_t* q, const float* scales,
-                                std::size_t offset, std::size_t n,
-                                std::size_t block, double out[3]) {
-  fused_dot_triple_f32(FxInt8{q}, other, deq_is_b, scales, offset, n, block,
-                       out);
-}
-void ax_dequant_dot_triple_int4(const float* other, bool deq_is_b,
-                                const std::uint8_t* packed,
-                                const float* scales, std::size_t offset,
-                                std::size_t n, std::size_t block,
-                                double out[3]) {
-  fused_dot_triple_f32(FxInt4{packed}, other, deq_is_b, scales, offset, n,
-                       block, out);
-}
-void ax_dequant_dot_triple_sign(const float* other, bool deq_is_b,
-                                const std::uint8_t* bits, const float* scales,
-                                std::size_t offset, std::size_t n,
-                                std::size_t block, double out[3]) {
-  fused_dot_triple_f32(FxSign{bits}, other, deq_is_b, scales, offset, n,
-                       block, out);
+// A codec's table entry: its quantize and the decode operations over Fx.
+template <class Fx>
+constexpr CodecKernels codec_kernels(
+    decltype(CodecKernels::quantize) quantize) {
+  return {quantize, ax_dequantize<Fx>, fused_add_f32<Fx>,
+          fused_combine_f32<Fx>, fused_dot_triple_f32<Fx>};
 }
 
 // Non-temporal bulk copy. Below the threshold (or with a misaligned
@@ -1181,21 +1103,9 @@ const KernelTable& avx2_table() {
       h2f,
       f2h,
       stream_copy_avx2,
-      ax_quantize_int8_blocks,
-      ax_dequantize_int8_blocks,
-      ax_quantize_int4_blocks,
-      ax_dequantize_int4_blocks,
-      ax_quantize_sign_blocks,
-      ax_dequantize_sign_blocks,
-      ax_dequant_add_int8,
-      ax_dequant_add_int4,
-      ax_dequant_add_sign,
-      ax_dequant_combine_int8,
-      ax_dequant_combine_int4,
-      ax_dequant_combine_sign,
-      ax_dequant_dot_triple_int8,
-      ax_dequant_dot_triple_int4,
-      ax_dequant_dot_triple_sign,
+      {codec_kernels<FxInt8>(ax_quantize_int8),
+       codec_kernels<FxInt4>(ax_quantize_int4),
+       codec_kernels<FxSign>(ax_quantize_sign)},
   };
   return table;
 }

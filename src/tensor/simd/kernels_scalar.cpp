@@ -223,9 +223,10 @@ void quantize_block(const float* src, std::size_t s, std::size_t e,
   }
 }
 
-void sc_quantize_int8_blocks(const float* src, std::size_t n,
-                             std::size_t block, std::uint32_t seed,
-                             bool stochastic, float* scales, std::int8_t* q) {
+void sc_quantize_int8(const float* src, std::size_t n, std::size_t block,
+                      std::uint32_t seed, bool stochastic, float* scales,
+                      std::uint8_t* payload) {
+  auto* q = reinterpret_cast<std::int8_t*>(payload);
   std::size_t b = 0;
   for (std::size_t s = 0; s < n; s += block, ++b) {
     const std::size_t e = std::min(n, s + block);
@@ -236,22 +237,9 @@ void sc_quantize_int8_blocks(const float* src, std::size_t n,
   }
 }
 
-void sc_dequantize_int8_blocks(const std::int8_t* q, std::size_t n,
-                               std::size_t block, const float* scales,
-                               float* dst) {
-  std::size_t b = 0;
-  for (std::size_t s = 0; s < n; s += block, ++b) {
-    const std::size_t e = std::min(n, s + block);
-    const float scale = scales[b];
-    for (std::size_t i = s; i < e; ++i)
-      dst[i] = static_cast<float>(q[i]) * scale;
-  }
-}
-
-void sc_quantize_int4_blocks(const float* src, std::size_t n,
-                             std::size_t block, std::uint32_t seed,
-                             bool stochastic, float* scales,
-                             std::uint8_t* packed) {
+void sc_quantize_int4(const float* src, std::size_t n, std::size_t block,
+                      std::uint32_t seed, bool stochastic, float* scales,
+                      std::uint8_t* packed) {
   // `block` is a multiple of 8, so nibble pairs never straddle blocks and
   // byte i/2 is written low-nibble-first; an odd-length span leaves the
   // final high nibble zero.
@@ -270,23 +258,9 @@ void sc_quantize_int4_blocks(const float* src, std::size_t n,
   }
 }
 
-void sc_dequantize_int4_blocks(const std::uint8_t* packed, std::size_t n,
-                               std::size_t block, const float* scales,
-                               float* dst) {
-  std::size_t b = 0;
-  for (std::size_t s = 0; s < n; s += block, ++b) {
-    const std::size_t e = std::min(n, s + block);
-    const float scale = scales[b];
-    for (std::size_t i = s; i < e; ++i) {
-      const int nib = (i & 1) ? (packed[i / 2] >> 4) : (packed[i / 2] & 0x0F);
-      dst[i] = static_cast<float>((nib ^ 8) - 8) * scale;  // sign-extend
-    }
-  }
-}
-
-void sc_quantize_sign_blocks(const float* src, std::size_t n,
-                             std::size_t block, float* scales,
-                             std::uint8_t* bits) {
+void sc_quantize_sign(const float* src, std::size_t n, std::size_t block,
+                      std::uint32_t /*seed*/, bool /*stochastic*/,
+                      float* scales, std::uint8_t* bits) {
   std::size_t b = 0;
   for (std::size_t s = 0; s < n; s += block, ++b) {
     const std::size_t e = std::min(n, s + block);
@@ -309,31 +283,55 @@ void sc_quantize_sign_blocks(const float* src, std::size_t n,
   }
 }
 
-void sc_dequantize_sign_blocks(const std::uint8_t* bits, std::size_t n,
-                               std::size_t block, const float* scales,
-                               float* dst) {
+// Per-codec decoders: dec(i, scale) is element i of a payload decoded under
+// its block's scale, the one expression every decode loop below applies.
+struct DecInt8 {
+  const std::int8_t* q;
+  explicit DecInt8(const std::uint8_t* payload)
+      : q(reinterpret_cast<const std::int8_t*>(payload)) {}
+  float operator()(std::size_t i, float scale) const {
+    return static_cast<float>(q[i]) * scale;
+  }
+};
+struct DecInt4 {
+  const std::uint8_t* packed;
+  float operator()(std::size_t i, float scale) const {
+    const int nib = (i & 1) ? (packed[i / 2] >> 4) : (packed[i / 2] & 0x0F);
+    return static_cast<float>((nib ^ 8) - 8) * scale;  // sign-extend
+  }
+};
+// Negation is exact, so a zero-scale block decodes to ±0 with the sign bit
+// preserved — the parity tests compare these floats bitwise.
+struct DecSign {
+  const std::uint8_t* bits;
+  float operator()(std::size_t i, float scale) const {
+    return ((bits[i / 8] >> (i & 7)) & 1) ? scale : -scale;
+  }
+};
+
+template <class Dec>
+void sc_dequantize(const std::uint8_t* payload, std::size_t n,
+                   std::size_t block, const float* scales, float* dst) {
+  const Dec dec{payload};
   std::size_t b = 0;
   for (std::size_t s = 0; s < n; s += block, ++b) {
     const std::size_t e = std::min(n, s + block);
     const float scale = scales[b];
-    // Negation is exact, so a zero-scale block decodes to ±0 with the sign
-    // bit preserved — the parity tests compare these floats bitwise.
-    for (std::size_t i = s; i < e; ++i)
-      dst[i] = ((bits[i / 8] >> (i & 7)) & 1) ? scale : -scale;
+    for (std::size_t i = s; i < e; ++i) dst[i] = dec(i, scale);
   }
 }
 
 // ---- fused dequantize-reduce (DESIGN.md §17) -------------------------------
 //
-// Each fused loop composes the per-element dequant expressions from the
-// sc_dequantize_*_blocks loops above with the add_impl / scaled_sum_impl
-// arithmetic, in the same order: the decoded value is one correctly-rounded
-// float multiply either way, and the combine is the exact double-precision
-// expression of the elementwise kernels — so fused output is bitwise equal
-// to the two-pass composition by construction. `i` is the GLOBAL element
-// index (slice offset + local index): block lookup, nibble parity and sign
-// bit all derive from it, which is what lets a caller reduce an arbitrary
-// slice of an encoded span in place.
+// Each fused loop composes the decoder expression of sc_dequantize with the
+// add_impl / scaled_sum_impl / dot_triple_impl arithmetic, in the same
+// order: the decoded value is one correctly-rounded float multiply either
+// way, and the reduce is the exact double-precision expression of the
+// two-pass kernel — so fused output is bitwise equal to the two-pass
+// composition by construction. `g` is the GLOBAL element index (slice
+// offset + local index): block lookup, nibble parity and sign bit all
+// derive from it, which is what lets a caller reduce an arbitrary slice of
+// an encoded span in place.
 //
 // The scale lookup is strength-reduced through ScaleCursor: `block` is a
 // runtime divisor, so a literal scales[i / block] costs a hardware DIV per
@@ -366,95 +364,38 @@ struct ScaleCursor {
   }
 };
 
-inline float deq_int8_at(const std::int8_t* q, std::size_t i, float scale) {
-  return static_cast<float>(q[i]) * scale;
-}
-inline float deq_int4_at(const std::uint8_t* packed, std::size_t i,
-                         float scale) {
-  const int nib = (i & 1) ? (packed[i / 2] >> 4) : (packed[i / 2] & 0x0F);
-  return static_cast<float>((nib ^ 8) - 8) * scale;
-}
-inline float deq_sign_at(const std::uint8_t* bits, std::size_t i, float scale) {
-  return ((bits[i / 8] >> (i & 7)) & 1) ? scale : -scale;
+template <class Dec>
+void sc_dequant_add(const std::uint8_t* payload, const float* scales,
+                    std::size_t offset, std::size_t n, std::size_t block,
+                    float* dst) {
+  const Dec dec{payload};
+  ScaleCursor cur(scales, block, offset);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t g = offset + i;
+    dst[i] = static_cast<float>(static_cast<double>(dst[i]) +
+                                static_cast<double>(dec(g, cur.at(g))));
+  }
 }
 
-inline float fused_add_one(float acc, float d) {
-  return static_cast<float>(static_cast<double>(acc) +
-                            static_cast<double>(d));
-}
-inline float fused_combine_one(float other, double c_other, double c_deq,
-                               bool deq_is_b, float d) {
+template <class Dec>
+void sc_dequant_combine(const float* other, double c_other, double c_deq,
+                        bool deq_is_b, const std::uint8_t* payload,
+                        const float* scales, std::size_t offset,
+                        std::size_t n, std::size_t block, float* out) {
+  const Dec dec{payload};
+  ScaleCursor cur(scales, block, offset);
   // scaled_sum(a, ca, b, cb) with the decoded value in the slot `deq_is_b`
   // selects; the operand order is kept literal so the composition argument
   // needs no commutativity reasoning.
-  const double av = deq_is_b ? static_cast<double>(other)
-                             : static_cast<double>(d);
-  const double bv = deq_is_b ? static_cast<double>(d)
-                             : static_cast<double>(other);
   const double ca = deq_is_b ? c_other : c_deq;
   const double cb = deq_is_b ? c_deq : c_other;
-  return static_cast<float>(ca * av + cb * bv);
-}
-
-void sc_dequant_add_int8(const std::int8_t* q, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  ScaleCursor cur(scales, block, offset);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t g = offset + i;
-    dst[i] = fused_add_one(dst[i], deq_int8_at(q, g, cur.at(g)));
-  }
-}
-void sc_dequant_add_int4(const std::uint8_t* packed, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  ScaleCursor cur(scales, block, offset);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = offset + i;
-    dst[i] = fused_add_one(dst[i], deq_int4_at(packed, g, cur.at(g)));
-  }
-}
-void sc_dequant_add_sign(const std::uint8_t* bits, const float* scales,
-                         std::size_t offset, std::size_t n, std::size_t block,
-                         float* dst) {
-  ScaleCursor cur(scales, block, offset);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = offset + i;
-    dst[i] = fused_add_one(dst[i], deq_sign_at(bits, g, cur.at(g)));
-  }
-}
-
-void sc_dequant_combine_int8(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::int8_t* q,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  ScaleCursor cur(scales, block, offset);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = offset + i;
-    out[i] = fused_combine_one(other[i], c_other, c_deq, deq_is_b,
-                               deq_int8_at(q, g, cur.at(g)));
-  }
-}
-void sc_dequant_combine_int4(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::uint8_t* packed,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  ScaleCursor cur(scales, block, offset);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = offset + i;
-    out[i] = fused_combine_one(other[i], c_other, c_deq, deq_is_b,
-                               deq_int4_at(packed, g, cur.at(g)));
-  }
-}
-void sc_dequant_combine_sign(const float* other, double c_other, double c_deq,
-                             bool deq_is_b, const std::uint8_t* bits,
-                             const float* scales, std::size_t offset,
-                             std::size_t n, std::size_t block, float* out) {
-  ScaleCursor cur(scales, block, offset);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = offset + i;
-    out[i] = fused_combine_one(other[i], c_other, c_deq, deq_is_b,
-                               deq_sign_at(bits, g, cur.at(g)));
+    const double o = static_cast<double>(other[i]);
+    const double d = static_cast<double>(dec(g, cur.at(g)));
+    const double av = deq_is_b ? o : d;
+    const double bv = deq_is_b ? d : o;
+    out[i] = static_cast<float>(ca * av + cb * bv);
   }
 }
 
@@ -462,9 +403,14 @@ void sc_dequant_combine_sign(const float* other, double c_other, double c_deq,
 // `other` always takes the x slot: a product of two floats is exact in
 // double, so x*y == y*x and the only effect of the operand slot is which of
 // the two squared-norm accumulators is a·a — swapped at the end.
-template <class Deq>
-void fused_dot_triple(const float* other, bool deq_is_b, std::size_t offset,
-                      std::size_t n, double out[3], Deq deq) {
+template <class Dec>
+void sc_dequant_dot_triple(const float* other, bool deq_is_b,
+                           const std::uint8_t* payload, const float* scales,
+                           std::size_t offset, std::size_t n,
+                           std::size_t block, double out[3]) {
+  const Dec dec{payload};
+  ScaleCursor cur(scales, block, offset);
+  const auto deq = [&](std::size_t g) { return dec(g, cur.at(g)); };
   double xy0 = 0, xy1 = 0, xx0 = 0, xx1 = 0, yy0 = 0, yy1 = 0;
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -488,33 +434,12 @@ void fused_dot_triple(const float* other, bool deq_is_b, std::size_t offset,
   out[2] = deq_is_b ? yy0 + yy1 : xx0 + xx1;
 }
 
-void sc_dequant_dot_triple_int8(const float* other, bool deq_is_b,
-                                const std::int8_t* q, const float* scales,
-                                std::size_t offset, std::size_t n,
-                                std::size_t block, double out[3]) {
-  ScaleCursor cur(scales, block, offset);
-  fused_dot_triple(other, deq_is_b, offset, n, out, [&](std::size_t g) {
-    return deq_int8_at(q, g, cur.at(g));
-  });
-}
-void sc_dequant_dot_triple_int4(const float* other, bool deq_is_b,
-                                const std::uint8_t* packed,
-                                const float* scales, std::size_t offset,
-                                std::size_t n, std::size_t block,
-                                double out[3]) {
-  ScaleCursor cur(scales, block, offset);
-  fused_dot_triple(other, deq_is_b, offset, n, out, [&](std::size_t g) {
-    return deq_int4_at(packed, g, cur.at(g));
-  });
-}
-void sc_dequant_dot_triple_sign(const float* other, bool deq_is_b,
-                                const std::uint8_t* bits, const float* scales,
-                                std::size_t offset, std::size_t n,
-                                std::size_t block, double out[3]) {
-  ScaleCursor cur(scales, block, offset);
-  fused_dot_triple(other, deq_is_b, offset, n, out, [&](std::size_t g) {
-    return deq_sign_at(bits, g, cur.at(g));
-  });
+// A codec's table entry: its quantize and the decode operations over Dec.
+template <class Dec>
+constexpr CodecKernels codec_kernels(
+    decltype(CodecKernels::quantize) quantize) {
+  return {quantize, sc_dequantize<Dec>, sc_dequant_add<Dec>,
+          sc_dequant_combine<Dec>, sc_dequant_dot_triple<Dec>};
 }
 
 // Batched software fp16 converters: the same bit logic as per-element Half
@@ -561,21 +486,9 @@ const KernelTable& scalar_table() {
       sw_half_to_float,
       sw_float_to_half,
       sw_stream_copy,
-      sc_quantize_int8_blocks,
-      sc_dequantize_int8_blocks,
-      sc_quantize_int4_blocks,
-      sc_dequantize_int4_blocks,
-      sc_quantize_sign_blocks,
-      sc_dequantize_sign_blocks,
-      sc_dequant_add_int8,
-      sc_dequant_add_int4,
-      sc_dequant_add_sign,
-      sc_dequant_combine_int8,
-      sc_dequant_combine_int4,
-      sc_dequant_combine_sign,
-      sc_dequant_dot_triple_int8,
-      sc_dequant_dot_triple_int4,
-      sc_dequant_dot_triple_sign,
+      {codec_kernels<DecInt8>(sc_quantize_int8),
+       codec_kernels<DecInt4>(sc_quantize_int4),
+       codec_kernels<DecSign>(sc_quantize_sign)},
   };
   return table;
 }

@@ -60,15 +60,6 @@ TEST(World, SameTagIsFifo) {
   });
 }
 
-TEST(World, ExchangeSwapsValues) {
-  World world(2);
-  world.run([](Comm& comm) {
-    const std::vector<int> mine{comm.rank()};
-    const std::vector<int> theirs = comm.exchange<int>(1 - comm.rank(), mine);
-    EXPECT_EQ(theirs[0], 1 - comm.rank());
-  });
-}
-
 TEST(World, BarrierSynchronizes) {
   World world(4);
   std::atomic<int> before{0}, after{0};

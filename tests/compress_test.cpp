@@ -121,31 +121,10 @@ CodecRun run_table(const KernelTable& table, CompressionMode mode,
   r.scales.assign(blocks, -1.0f);
   r.payload.assign(compressed_payload_bytes(n, mode), 0xAB);
   r.decoded.assign(n, -1.0f);
-  switch (mode) {
-    case CompressionMode::kInt8:
-      table.quantize_int8_blocks(src.data(), n, block, seed, stochastic,
-                                 r.scales.data(),
-                                 reinterpret_cast<std::int8_t*>(
-                                     r.payload.data()));
-      table.dequantize_int8_blocks(
-          reinterpret_cast<const std::int8_t*>(r.payload.data()), n, block,
-          r.scales.data(), r.decoded.data());
-      break;
-    case CompressionMode::kInt4:
-      table.quantize_int4_blocks(src.data(), n, block, seed, stochastic,
-                                 r.scales.data(), r.payload.data());
-      table.dequantize_int4_blocks(r.payload.data(), n, block,
-                                   r.scales.data(), r.decoded.data());
-      break;
-    case CompressionMode::kSign:
-      table.quantize_sign_blocks(src.data(), n, block, r.scales.data(),
-                                 r.payload.data());
-      table.dequantize_sign_blocks(r.payload.data(), n, block,
-                                   r.scales.data(), r.decoded.data());
-      break;
-    default:
-      ADD_FAILURE() << "inactive mode in codec run";
-  }
+  const simd::CodecKernels& k = table.codec[codec_index(mode)];
+  k.quantize(src.data(), n, block, seed, stochastic, r.scales.data(),
+             r.payload.data());
+  k.dequantize(r.payload.data(), n, block, r.scales.data(), r.decoded.data());
   return r;
 }
 
@@ -203,8 +182,8 @@ TEST(CompressKernels, ScalarVsAvx2BitParity) {
 // only for a few elements per million, so short parity sweeps pass; this
 // test compares scalar and AVX2 blobs over 2^20 elements per seed, for
 // stochastic int8 and int4, with every seventh block scaled to denormals so
-// the division fallback is covered too. Inputs are finite on purpose: NaN
-// already diverges across ISAs (ROADMAP item 4).
+// the division fallback is covered too. NaN inputs have their own test
+// (NanAtAnyPositionGivesTheSameBlobOnBothTables).
 TEST(CompressKernels, StochasticScalarVsAvx2BitParityOverLongStreams) {
   const KernelTable* avx2 = simd::table_for(Level::kAvx2);
   if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host/build";
@@ -239,9 +218,8 @@ TEST(CompressKernels, StochasticScalarVsAvx2BitParityOverLongStreams) {
 // after rounding is max(r, -kMax) then min(., kMax); with the bound as the
 // second operand of maxps a NaN r becomes -kMax, as the scalar
 // std::max(-kMax, r) makes it, and not INT_MIN (int8 level -128, int4 level
-// 0). The NaN sits at position 0 of a 256-element block: the AVX2 block max
-// forgets it there, as the scalar one always does, so both tables see the
-// same scale and their blobs can be compared whole.
+// 0). The NaN sits at position 0 of a 256-element block; both tables leave
+// it out of the block max, so their blobs can be compared whole.
 TEST(CompressKernels, NanInputQuantizesInsideTheLevelRangeOnBothTables) {
   const KernelTable* avx2 = simd::table_for(Level::kAvx2);
   if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host/build";
@@ -275,6 +253,39 @@ TEST(CompressKernels, NanInputQuantizesInsideTheLevelRangeOnBothTables) {
           EXPECT_GE(q, -max_level);
           EXPECT_LE(q, max_level);
         }
+      }
+    }
+  }
+}
+
+// maxps returns its second operand when either is NaN. With the running
+// block max as the first operand, the AVX2 block max kept a NaN or dropped
+// it depending on its position (the scalar std::max(m, |x|) always drops
+// it), so the two tables stored different scales for the same input and
+// replicas on different ISAs diverged. A NaN at every position of a full
+// block and of a ragged tail must give memcmp-equal blobs.
+TEST(CompressKernels, NanAtAnyPositionGivesTheSameBlobOnBothTables) {
+  const KernelTable* avx2 = simd::table_for(Level::kAvx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host/build";
+  const KernelTable& scalar = simd::scalar_table();
+  const std::size_t block = 256;
+  const std::vector<float> base = random_floats(block + 37, 9400);
+  for (const CompressionMode mode :
+       {CompressionMode::kInt8, CompressionMode::kInt4}) {
+    for (const bool stochastic : {false, true}) {
+      for (std::size_t at = 0; at < base.size(); ++at) {
+        SCOPED_TRACE(::testing::Message() << compression_mode_name(mode)
+                                          << " sr=" << stochastic
+                                          << " nan at " << at);
+        std::vector<float> data = base;
+        data[at] = std::numeric_limits<float>::quiet_NaN();
+        const CodecRun s =
+            run_table(scalar, mode, data, block, 0x55u, stochastic);
+        const CodecRun v =
+            run_table(*avx2, mode, data, block, 0x55u, stochastic);
+        ASSERT_EQ(0, std::memcmp(s.scales.data(), v.scales.data(),
+                                 s.scales.size() * sizeof(float)));
+        ASSERT_EQ(s.payload, v.payload);
       }
     }
   }
@@ -511,27 +522,37 @@ TEST(CompressCodec, DeterministicAcrossCalls) {
   // The codec is a pure function of (bytes, options) — the property replica
   // consistency rests on. Two calls, two buffers, identical streams, and
   // both equal to one whole-span kernel call: the larger size spans several
-  // of compress_f32's 32 KiB writeback tiles, so the stochastic seed rebase
-  // per tile must reproduce the untiled hashes.
+  // of compress_f32's 32 KiB writeback tiles plus a ragged tail, so each
+  // tile's scale and payload offsets and its stochastic seed rebase must
+  // reproduce the untiled stream. The 24-element block does not divide the
+  // 8192-element tile, which moves the tile starts (and the int4 and sign
+  // payload offsets) off the powers of two.
   for (const std::size_t n : {std::size_t{2048}, std::size_t{3 * 8192 + 5}}) {
     const std::vector<float> src = random_floats(n, 1234);
     for (const CompressionMode mode : kModes) {
-      const CompressionOptions opts = make_opts(mode, 256, true);
-      std::vector<std::byte> a(compressed_wire_bytes(n, opts),
-                               std::byte{0x00});
-      std::vector<std::byte> b(a.size(), std::byte{0xFF});
-      compress_f32(src, opts, a.data());
-      compress_f32(src, opts, b.data());
-      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size()));
-      const CodecRun whole =
-          run_table(simd::active_table(), mode, src, opts.block_elems(),
-                    opts.seed, opts.stochastic);
-      const std::size_t scale_bytes = whole.scales.size() * sizeof(float);
-      EXPECT_EQ(0, std::memcmp(a.data(), whole.scales.data(), scale_bytes))
-          << "n=" << n << " mode=" << compression_mode_name(mode);
-      EXPECT_EQ(0, std::memcmp(a.data() + scale_bytes, whole.payload.data(),
-                               whole.payload.size()))
-          << "n=" << n << " mode=" << compression_mode_name(mode);
+      for (const std::size_t block_bytes :
+           {std::size_t{256}, std::size_t{96}}) {
+        for (const bool sr : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " mode=" << compression_mode_name(mode)
+                       << " block_bytes=" << block_bytes << " sr=" << sr);
+          const CompressionOptions opts = make_opts(mode, block_bytes, sr);
+          std::vector<std::byte> a(compressed_wire_bytes(n, opts),
+                                   std::byte{0x00});
+          std::vector<std::byte> b(a.size(), std::byte{0xFF});
+          compress_f32(src, opts, a.data());
+          compress_f32(src, opts, b.data());
+          EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size()));
+          const CodecRun whole =
+              run_table(simd::active_table(), mode, src, opts.block_elems(),
+                        opts.seed, opts.stochastic);
+          const std::size_t scale_bytes = whole.scales.size() * sizeof(float);
+          ASSERT_EQ(a.size(), scale_bytes + whole.payload.size());
+          EXPECT_EQ(0, std::memcmp(a.data(), whole.scales.data(), scale_bytes));
+          EXPECT_EQ(0, std::memcmp(a.data() + scale_bytes,
+                                   whole.payload.data(), whole.payload.size()));
+        }
+      }
     }
   }
 }
@@ -618,8 +639,9 @@ struct FusedStream {
 void run_fused_mode(const KernelTable& t, const FusedStream& st,
                     const std::vector<float>& dec) {
   const float* scales = st.scales;
-  const std::byte* payload = st.payload;
+  const auto* payload = reinterpret_cast<const std::uint8_t*>(st.payload);
   const std::size_t be = st.block;
+  const simd::CodecKernels& k = t.codec[codec_index(st.mode)];
   const auto bytes_of = [](const float* p) {
     return reinterpret_cast<const std::byte*>(p);
   };
@@ -637,23 +659,7 @@ void run_fused_mode(const KernelTable& t, const FusedStream& st,
         std::vector<float> ref = dst0, got = dst0;
         t.add[kF32](bytes_of(dec.data() + off),
                     reinterpret_cast<std::byte*>(ref.data()), len);
-        switch (st.mode) {
-          case CompressionMode::kInt8:
-            t.dequant_add_int8(
-                reinterpret_cast<const std::int8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-          case CompressionMode::kInt4:
-            t.dequant_add_int4(
-                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-          default:
-            t.dequant_add_sign(
-                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-        }
+        k.dequant_add(payload, scales, off, len, be, got.data());
         EXPECT_TRUE(bytes_equal(ref, got)) << "dequant_add mismatch";
       }
       // dequant_combine vs dequantize-then-scaled_sum, both operand
@@ -669,26 +675,8 @@ void run_fused_mode(const KernelTable& t, const FusedStream& st,
         t.scaled_sum[kF32](bytes_of(a), ca, bytes_of(b), cb,
                            reinterpret_cast<std::byte*>(ref.data()), len);
         std::vector<float> got = other;  // out aliases other
-        switch (st.mode) {
-          case CompressionMode::kInt8:
-            t.dequant_combine_int8(
-                got.data(), c_other, c_deq, deq_is_b,
-                reinterpret_cast<const std::int8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-          case CompressionMode::kInt4:
-            t.dequant_combine_int4(
-                got.data(), c_other, c_deq, deq_is_b,
-                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-          default:
-            t.dequant_combine_sign(
-                got.data(), c_other, c_deq, deq_is_b,
-                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-        }
+        k.dequant_combine(got.data(), c_other, c_deq, deq_is_b, payload,
+                          scales, off, len, be, got.data());
         EXPECT_TRUE(bytes_equal(ref, got))
             << "dequant_combine mismatch, deq_is_b=" << deq_is_b;
       }
@@ -700,26 +688,8 @@ void run_fused_mode(const KernelTable& t, const FusedStream& st,
         const float* b = deq_is_b ? dec.data() + off : other.data();
         std::vector<double> ref(3), got(3);
         t.dot_triple[kF32](bytes_of(a), bytes_of(b), len, ref.data());
-        switch (st.mode) {
-          case CompressionMode::kInt8:
-            t.dequant_dot_triple_int8(
-                other.data(), deq_is_b,
-                reinterpret_cast<const std::int8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-          case CompressionMode::kInt4:
-            t.dequant_dot_triple_int4(
-                other.data(), deq_is_b,
-                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-          default:
-            t.dequant_dot_triple_sign(
-                other.data(), deq_is_b,
-                reinterpret_cast<const std::uint8_t*>(payload), scales, off,
-                len, be, got.data());
-            break;
-        }
+        k.dequant_dot_triple(other.data(), deq_is_b, payload, scales, off,
+                             len, be, got.data());
         EXPECT_TRUE(bytes_equal(ref, got))
             << "dequant_dot_triple mismatch, deq_is_b=" << deq_is_b;
       }
@@ -731,19 +701,9 @@ void run_fused_mode(const KernelTable& t, const FusedStream& st,
 std::vector<float> two_pass_decode(const KernelTable& t,
                                    const FusedStream& st) {
   std::vector<float> dec(st.total);
-  const auto* p8 = reinterpret_cast<const std::int8_t*>(st.payload);
-  const auto* pu = reinterpret_cast<const std::uint8_t*>(st.payload);
-  switch (st.mode) {
-    case CompressionMode::kInt8:
-      t.dequantize_int8_blocks(p8, st.total, st.block, st.scales, dec.data());
-      break;
-    case CompressionMode::kInt4:
-      t.dequantize_int4_blocks(pu, st.total, st.block, st.scales, dec.data());
-      break;
-    default:
-      t.dequantize_sign_blocks(pu, st.total, st.block, st.scales, dec.data());
-      break;
-  }
+  t.codec[codec_index(st.mode)].dequantize(
+      reinterpret_cast<const std::uint8_t*>(st.payload), st.total, st.block,
+      st.scales, dec.data());
   return dec;
 }
 
@@ -804,26 +764,16 @@ TEST(FusedKernels, EmptySliceTouchesNoBlob) {
   for (const KernelTable* t : compiled_tables()) {
     SCOPED_TRACE(t->name);
     for (const std::size_t off : {std::size_t{0}, std::size_t{300}}) {
-      t->dequant_add_int8(nullptr, nullptr, off, 0, 256, nullptr);
-      t->dequant_add_int4(nullptr, nullptr, off, 0, 256, nullptr);
-      t->dequant_add_sign(nullptr, nullptr, off, 0, 256, nullptr);
-      for (const bool deq_is_b : {true, false}) {
-        t->dequant_combine_int8(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr,
-                                off, 0, 256, nullptr);
-        t->dequant_combine_int4(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr,
-                                off, 0, 256, nullptr);
-        t->dequant_combine_sign(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr,
-                                off, 0, 256, nullptr);
-        double v[3] = {1.0, 1.0, 1.0};
-        t->dequant_dot_triple_int8(nullptr, deq_is_b, nullptr, nullptr, off, 0,
-                                   256, v);
-        EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
-        t->dequant_dot_triple_int4(nullptr, deq_is_b, nullptr, nullptr, off, 0,
-                                   256, v);
-        EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
-        t->dequant_dot_triple_sign(nullptr, deq_is_b, nullptr, nullptr, off, 0,
-                                   256, v);
-        EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
+      for (const simd::CodecKernels& k : t->codec) {
+        k.dequant_add(nullptr, nullptr, off, 0, 256, nullptr);
+        for (const bool deq_is_b : {true, false}) {
+          k.dequant_combine(nullptr, 0.5, 0.5, deq_is_b, nullptr, nullptr, off,
+                            0, 256, nullptr);
+          double v[3] = {1.0, 1.0, 1.0};
+          k.dequant_dot_triple(nullptr, deq_is_b, nullptr, nullptr, off, 0,
+                               256, v);
+          EXPECT_TRUE(v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0);
+        }
       }
     }
   }
